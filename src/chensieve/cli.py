@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 when a pinned-bound check or scan invariant fails,
 2 on usage errors.  All floats print at 17 significant digits and output is
-byte-identical across runs and thread counts for a fixed configuration.
+byte-identical across runs for a fixed configuration; `--threads` is
+accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -111,9 +112,10 @@ def _load_table(args) -> primes_mod.PrimeTable:
             )
         except CacheError as exc:
             print(f"warning: unreadable cache ({exc}), rebuilding", file=sys.stderr)
-    return primes_mod.build_prime_table(
-        args.table_limit, threads=args.threads, cache_path=path
-    )
+    table = primes_mod.build_prime_table(args.table_limit, threads=args.threads)
+    if path:
+        primes_mod.save_cache(table, path)
+    return table
 
 
 # -- subcommands --------------------------------------------------------------------

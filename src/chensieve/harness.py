@@ -12,7 +12,6 @@ divisible by p; primes dividing N are never used as sifting primes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -202,23 +201,6 @@ def pi2_bruteforce(N: int, table: PrimeTable) -> int:
     cof = m // spf[m]
     ok = (m >= 2) & (isp[m] | isp[cof])
     return int(np.count_nonzero(ok))
-
-
-def _has_witness(N: int, table: PrimeTable) -> bool:
-    """Early-exit check that N has at least one prime + P2 representation."""
-    spf = table.spf
-    isp = table.isprime_array
-    for p in table.primes:
-        p = int(p)
-        if p >= N:
-            return False
-        m = N - p
-        if m >= 2:
-            if isp[m]:
-                return True
-            if isp[m // int(spf[m])]:
-                return True
-    return False
 
 
 # -- the decomposition inequality -------------------------------------------------
@@ -526,20 +508,48 @@ def goldbach_chen_scan(
 ) -> ScanReport:
     """Scan every even 6 <= N <= N_max.
 
-    mode='full' counts pi2(N) exactly and tracks the normalized ratio
-    pi2(N) log^2 N / (U_N N); mode='floor' only certifies pi2(N) >= 1 via an
-    early-exit witness search (the fast path for large sweeps).  Results are
-    reduced in ascending N order, so the report is identical for any thread
-    count.
+    Both modes walk one indicator p2[m] = "m >= 2 is a prime or a product
+    of two primes", built once from the spf and primality arrays.
+    mode='full' adds p2 shifted by each prime p, which gives pi2(N) for
+    every N <= N_max in one pass, and tracks the normalized ratio
+    pi2(N) log^2 N / (U_N N); mode='floor' only certifies pi2(N) >= 1, by
+    dropping every unresolved N with p2[N - p] set, prime by prime, until
+    none is left.  All arithmetic is exact, so the report is deterministic;
+    `threads` is accepted for compatibility and has no effect.
     """
     if mode not in ("full", "floor"):
         raise DomainError(f"mode must be 'full' or 'floor', got {mode}")
     if N_max > table.limit:
         raise CapacityError(f"N_max={N_max} exceeds table limit {table.limit}")
-    evens = list(range(6, N_max + 1, 2))
+    evens = range(6, N_max + 1, 2)
     spf = table.spf
     isp = table.isprime_array
+    ps = table.primes
+    ps = ps[: np.searchsorted(ps, N_max, side="left")]
 
+    # p2[m] over 0 <= m < size; slicing from 2 skips spf[0] = 0.
+    size = max(N_max, 1) + 1
+    p2 = np.zeros(size, dtype=spf.dtype)
+    p2[2:] = isp[2:size] | isp[np.arange(2, size, dtype=spf.dtype) // spf[2:size]]
+
+    if mode == "floor":
+        todo = np.arange(6, N_max + 1, 2, dtype=np.int64)
+        for p in ps.tolist():
+            if len(todo) == 0 or p >= todo[-1]:
+                break
+            todo = todo[p2[np.maximum(todo - p, 0)] == 0]
+        failures = todo.tolist()
+        return ScanReport(
+            N_max=N_max,
+            mode=mode,
+            checked=len(evens),
+            floor_holds=not failures,
+            failures=failures,
+        )
+
+    counts = np.zeros(size, dtype=spf.dtype)
+    for p in ps.tolist():
+        counts[p:] += p2[: size - p]
     base = 2.0 * exp_neg_gamma_ball().value * _twin_type_product(table)
 
     def UN_of(N: int) -> float:
@@ -554,45 +564,18 @@ def goldbach_chen_scan(
                 n //= p
         return base * local
 
-    def run_full(chunk: list[int]):
-        out = []
-        for N in chunk:
-            c = pi2_bruteforce(N, table)
-            logN = math.log(N)
-            ratio = c * logN * logN / (UN_of(N) * N)
-            out.append((N, c, ratio))
-        return out
+    results = []
+    for N, c in zip(evens, counts[6::2].tolist()):
+        un = UN_of(N)
+        logN = math.log(N)
+        results.append([N, c, un, c * logN * logN / (un * N)])
 
-    def run_floor(chunk: list[int]):
-        return [(N, _has_witness(N, table)) for N in chunk]
-
-    if threads > 1 and len(evens) > 1:
-        bounds = np.linspace(0, len(evens), threads + 1).astype(int)
-        chunks = [evens[bounds[i] : bounds[i + 1]] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pieces = list(pool.map(run_full if mode == "full" else run_floor, chunks))
-        results = [item for piece in pieces for item in piece]
-    else:
-        results = (run_full if mode == "full" else run_floor)(evens)
-
-    if mode == "floor":
-        failures = [N for N, ok in results if not ok]
-        return ScanReport(
-            N_max=N_max,
-            mode=mode,
-            checked=len(results),
-            floor_holds=not failures,
-            failures=failures,
-        )
-
-    failures = [N for N, c, _ in results if c < 1]
-    min_pi2 = min((c for _, c, _ in results), default=None)
-    argmin_pi2 = next((N for N, c, _ in results if c == min_pi2), None)
-    min_ratio = min((r for _, _, r in results), default=None)
-    argmin_ratio = next((N for N, _, r in results if r == min_ratio), None)
-    rows = None
-    if collect_rows:
-        rows = [[N, c, UN_of(N), r] for N, c, r in results]
+    failures = [N for N, c, _, _ in results if c < 1]
+    min_pi2 = min((c for _, c, _, _ in results), default=None)
+    argmin_pi2 = next((N for N, c, _, _ in results if c == min_pi2), None)
+    min_ratio = min((r for _, _, _, r in results), default=None)
+    argmin_ratio = next((N for N, _, _, r in results if r == min_ratio), None)
+    rows = results if collect_rows else None
     return ScanReport(
         N_max=N_max,
         mode=mode,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -168,9 +167,10 @@ def build_prime_table(
 ) -> PrimeTable:
     """Build (or load from cache) a prime table for [2, limit].
 
-    Construction is a segmented odd-only sieve; segments may be processed in
-    parallel, and the result is bit-identical regardless of `threads` or
-    `segment_size` because segment writes are disjoint and position-fixed.
+    Construction is a segmented odd-only sieve run serially; the result is
+    bit-identical regardless of `segment_size` because segment writes are
+    disjoint and position-fixed.  `threads` is validated for compatibility
+    and has no effect.
     """
     if not (2 <= limit <= IMPLEMENTATION_CAP):
         raise CapacityError(
@@ -192,14 +192,8 @@ def build_prime_table(
     base = _small_primes(math.isqrt(limit))
     odd_base = base[base > 2]
 
-    bounds = list(range(0, n, segment_size)) + [n]
-    segments = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    if threads == 1 or len(segments) <= 1:
-        for lo, hi in segments:
-            _mark_segment(comp, lo, hi, odd_base)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda seg: _mark_segment(comp, seg[0], seg[1], odd_base), segments))
+    for lo in range(0, n, segment_size):
+        _mark_segment(comp, lo, min(lo + segment_size, n), odd_base)
 
     table = PrimeTable(limit=limit, packed=_pack_odd_bits(~comp))
     if cache_path is not None:

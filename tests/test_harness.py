@@ -20,7 +20,7 @@ from chensieve.harness import (
     remainder_r,
     sift_count,
 )
-from chensieve.primes import euler_phi
+from chensieve.primes import PrimeTable, build_prime_table, euler_phi
 
 
 # -- independent oracles -----------------------------------------------------------
@@ -462,3 +462,72 @@ def test_scan_floor_mode(table_small):
     assert rep.floor_holds
     assert rep.failures == []
     assert rep.min_pi2 is None
+
+
+# -- one-pass scan against the single-N oracle ----------------------------------------
+
+
+@pytest.mark.parametrize("M", [20_000, 20_001])
+def test_scan_every_N_matches_bruteforce(M):
+    # The table ends exactly at M, so the last index of every array is used.
+    table = build_prime_table(M)
+    evens = list(range(6, M + 1, 2))
+    full = goldbach_chen_scan(M, table, mode="full", collect_rows=True)
+    assert [row[0] for row in full.rows] == evens
+    for row in full.rows:
+        assert row[1] == pi2_bruteforce(row[0], table)
+    floor = goldbach_chen_scan(M, table, mode="floor")
+    assert floor.checked == len(evens)
+    assert floor.failures == []
+
+
+@pytest.mark.parametrize("keep_above_47", [True, False])
+def test_scan_failures_on_thinned_table(keep_above_47):
+    # Dropping 3, 5 and 7 from the table (and, in one case, every prime above
+    # 47) leaves N without a representation, the smallest at N = 8 while
+    # later primes exceed it, so both modes must report exactly the N where
+    # the oracle counts zero.
+    packed = build_prime_table(3000).packed.copy()
+    packed[0] &= ~np.uint64(0b111)
+    if not keep_above_47:
+        packed[0] &= np.uint64((1 << 24) - 1)
+        packed[1:] = 0
+    thin = PrimeTable(limit=3000, packed=packed)
+    want = {N: pi2_bruteforce(N, thin) for N in range(6, 3001, 2)}
+    zeros = [N for N, c in want.items() if c == 0]
+    assert zeros[0] == 8
+    full = goldbach_chen_scan(3000, thin, mode="full", collect_rows=True)
+    assert {row[0]: row[1] for row in full.rows} == want
+    assert full.failures == zeros
+    assert full.min_pi2 == 0 and full.argmin_pi2 == 8
+    floor = goldbach_chen_scan(3000, thin, mode="floor")
+    assert floor.failures == zeros
+    assert not floor.floor_holds
+
+
+_NO_EVENS = dict(
+    checked=0, floor_holds=True, failures=[], min_pi2=None, argmin_pi2=None,
+    min_ratio=None, argmin_ratio=None,
+)
+_FULL_AT_6 = dict(
+    floor_holds=True, failures=[], min_pi2=2, argmin_pi2=6,
+    min_ratio=0.69704636281509413, argmin_ratio=6,
+)
+
+
+@pytest.mark.parametrize(
+    "N_max, full, floor_checked",
+    [
+        (4, _NO_EVENS, 0),
+        (5, _NO_EVENS, 0),
+        (6, dict(_FULL_AT_6, checked=1), 1),
+        (7, dict(_FULL_AT_6, checked=1), 1),
+        (8, dict(_FULL_AT_6, checked=2), 2),
+    ],
+)
+def test_scan_tiny_N_max(N_max, full, floor_checked):
+    table = build_prime_table(10)
+    rep = goldbach_chen_scan(N_max, table, mode="full")
+    assert rep.to_dict() == dict(full, N_max=N_max, mode="full")
+    rep = goldbach_chen_scan(N_max, table, mode="floor")
+    assert rep.to_dict() == dict(_NO_EVENS, N_max=N_max, mode="floor", checked=floor_checked)
