@@ -17,9 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ball import Ball, exp_neg_gamma_ball
+from .ball import Ball
 from .errors import CapacityError, DomainError
-from .primes import PrimeTable, euler_phi, factorize, singular_series_UN
+from .primes import PrimeTable, euler_phi, factorize, singular_series_of
 
 _SAMPLE_CAP = 64
 
@@ -51,8 +51,8 @@ class SiftedSetSpec:
             object.__setattr__(self, "y", self.N ** (1.0 / 3.0))
         if self.base == "A_sub_q" and self.q is None:
             raise DomainError("A_sub_q needs the prime q")
-        if self.base == "B_window_j" and self.window is None:
-            raise DomainError("B_window_j needs a (w_lo, w_hi) window")
+        if self.base == "B_window_j" and not (self.window and self.window[0] > 0):
+            raise DomainError("B_window_j needs a (w_lo, w_hi) window with w_lo > 0")
         if self.base == "explicit_list" and self.elements is None:
             raise DomainError("explicit_list needs elements")
 
@@ -74,15 +74,26 @@ def _check_table(N: int, table: PrimeTable) -> None:
         raise CapacityError(f"N={N} exceeds table limit {table.limit}")
 
 
-def _divisor_primes(N: int) -> np.ndarray:
-    return np.asarray([p for p, _ in factorize(N)], dtype=np.int64)
+def _divisor_primes(N: int) -> list[int]:
+    return [p for p, _ in factorize(N)]
 
 
-def _base_A(N: int, table: PrimeTable) -> np.ndarray:
+def _base_A(N: int, table: PrimeTable, divisors: list[int]) -> np.ndarray:
+    """A = {N - p : p <= N, p not in `divisors`} (the primes dividing N)."""
     ps = table.primes
     ps = ps[: np.searchsorted(ps, N, side="right")]
-    keep = ~np.isin(ps, _divisor_primes(N))
-    return (N - ps[keep]).astype(np.int64)
+    keep = np.ones(len(ps), dtype=bool)
+    keep[np.searchsorted(ps, divisors)] = False
+    a = ps[keep]
+    return np.subtract(N, a, out=a)
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated aranges [starts[i], stops[i]) and each range's length."""
+    lens = np.maximum(stops - starts, 0)
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - lens), lens), lens
 
 
 def _triple_elements(
@@ -95,43 +106,51 @@ def _triple_elements(
     window_cap: float | None,
     require_p1_coprime: bool,
 ) -> np.ndarray:
-    """Common loop for B and its windows, ascending (p1, p2, p3) order.
+    """Common enumeration for B and its windows, ascending (p1, p2, p3) order,
+    with p1 in [max(z, p1_lo), min(y, p1_hi)), y <= p2 <= p3 and p2, p3
+    coprime to N.
 
-    The product constraint is p1 p2 p3 < N (exact integer comparison) for
-    the plain set, or window_cap * p2 p3 < N for the window variant; window
+    The product constraint is p1 p2 p3 < N, enforced exactly through
+    p1 p2^2 < N and p3 <= (N - 1) // (p1 p2), for the plain set, or the
+    float test window_cap * p2 p3 < N for the window variant; window
     elements can be <= 0 when p1 exceeds the window start, and are kept as
     defined.
     """
-    parts: list[np.ndarray] = []
     ps = table.primes
-    divisors = _divisor_primes(N)
-    p1s = ps[(ps >= p1_lo) & (ps < p1_hi) & (ps >= z) & (ps < y)]
-    p2_start = int(np.searchsorted(ps, y, side="left"))
-    for p1 in p1s:
-        p1 = int(p1)
-        if require_p1_coprime and N % p1 == 0:
-            continue
-        cap = float(p1) if window_cap is None else window_cap
-        j = p2_start
-        while j < len(ps):
-            p2 = int(ps[j])
-            if cap * p2 * p2 >= N * (1.0 + 1e-12):
-                break
-            if N % p2 != 0:
-                k_hi = int(np.searchsorted(ps, N / (cap * p2) * (1.0 + 1e-12), side="right"))
-                p3s = ps[j:k_hi]
-                if len(divisors):
-                    p3s = p3s[~np.isin(p3s, divisors)]
-                if window_cap is None:
-                    p3s = p3s[p1 * p2 * p3s < N]
-                else:
-                    p3s = p3s[window_cap * p2 * p3s.astype(np.float64) < N]
-                if len(p3s):
-                    parts.append((N - p1 * p2 * p3s).astype(np.int64))
-            j += 1
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
+    p1s = ps[
+        np.searchsorted(ps, math.ceil(max(z, p1_lo)))
+        : np.searchsorted(ps, math.ceil(min(y, p1_hi)))
+    ]
+    if require_p1_coprime:
+        p1s = p1s[N % p1s != 0]
+    p2_start = int(np.searchsorted(ps, math.ceil(y)))
+    if window_cap is None:
+        p2_max = [math.isqrt((N - 1) // p1) for p1 in p1s.tolist()]
+    else:
+        # Any p2 past the float stop window_cap * p2^2 >= N (1 + 1e-12)
+        # fails the final float test, so an integer superset of the stop
+        # leaves the set unchanged.  Both caps clip at the table, whose
+        # primes are all <= limit.
+        stop = N * (1.0 + 1e-12) / window_cap
+        p2_max = [math.isqrt(int(min(stop, table.limit**2))) + 1] * len(p1s)
+    j2, lens = _ranges(p2_start, np.searchsorted(ps, p2_max, side="right"))
+    p1 = np.repeat(p1s, lens)
+    p2 = ps[j2]
+    keep = N % p2 != 0
+    j2, p1, p2 = j2[keep], p1[keep], p2[keep]
+    if window_cap is None:
+        p3_max = (N - 1) // (p1 * p2)
+    else:
+        p3_max = N / (window_cap * p2) * (1.0 + 1e-12)
+        p3_max = np.floor(np.minimum(p3_max, table.limit)).astype(np.int64)
+    j3, lens = _ranges(j2, np.searchsorted(ps, p3_max, side="right"))
+    p1 = np.repeat(p1, lens)
+    p2 = np.repeat(p2, lens)
+    p3 = ps[j3]
+    keep = N % p3 != 0
+    if window_cap is not None:
+        keep &= window_cap * p2 * p3.astype(np.float64) < N
+    return N - p1[keep] * p2[keep] * p3[keep]
 
 
 def enumerate_set(spec: SiftedSetSpec, table: PrimeTable) -> np.ndarray:
@@ -139,9 +158,9 @@ def enumerate_set(spec: SiftedSetSpec, table: PrimeTable) -> np.ndarray:
     _check_table(spec.N, table)
     N = spec.N
     if spec.base == "A":
-        return _base_A(N, table)
+        return _base_A(N, table, _divisor_primes(N))
     if spec.base == "A_sub_q":
-        a = _base_A(N, table)
+        a = _base_A(N, table, _divisor_primes(N))
         return a[a % spec.q == 0]
     if spec.base == "B":
         return _triple_elements(
@@ -239,9 +258,13 @@ class DecompositionCheck:
         ]
 
 
-def _UN_value(N: int, table: PrimeTable) -> Ball:
-    trunc = max(100_000, min(table.limit, 1_000_000))
-    return singular_series_UN(N, trunc, table)
+def _survivors(elements: np.ndarray, level: float, spf: np.ndarray) -> np.ndarray:
+    """Elements with no prime factor below `level`.  Exact as a sift by the
+    primes below `level` that do not divide N, because every element passed
+    here is coprime to N."""
+    alive = spf[elements] >= math.ceil(level)
+    alive |= elements == 1
+    return elements[alive]
 
 
 def check_lemma41(
@@ -251,26 +274,32 @@ def check_lemma41(
     z_exp: float = 0.125,
     y_exp: float = 1.0 / 3.0,
 ) -> DecompositionCheck:
+    """Both sides of the decomposition at one N, in one pass: A and B are
+    enumerated once and sifted through the spf array (their elements are
+    coprime to N), and S(A_q, P(z)) counts the multiples of q among A's
+    survivors, since no q >= z is a sifting prime.  Equal, term by term, to
+    the general `sift_count` path."""
     if N % 2 != 0 or N < 6:
         raise DomainError(f"N must be even and >= 6, got {N}")
     _check_table(N, table)
     z = N ** z_exp
     y = N ** y_exp
-    spec_A = SiftedSetSpec("A", N, z=z, y=y)
-    S_A = sift_count(spec_A, table, level=z).count
-    qs = table.primes_between(z, y)
-    sum_S_Aq = 0
-    for q in qs:
-        q = int(q)
-        if N % q == 0:
-            continue
-        sum_S_Aq += sift_count(
-            SiftedSetSpec("A_sub_q", N, z=z, y=y, q=q), table, level=z
-        ).count
-    S_B = sift_count(SiftedSetSpec("B", N, z=z, y=y), table, level=y).count
+    factors = factorize(N)
+    # pi2 first, so its temporaries are freed before A and B are built.
     pi2 = pi2_bruteforce(N, table)
+    spf = table.spf
+    survivors = _survivors(_base_A(N, table, [p for p, _ in factors]), z, spf)
+    S_A = len(survivors)
+    sum_S_Aq = 0
+    for q in table.primes_between(z, y).tolist():
+        if N % q != 0:
+            sum_S_Aq += int(np.count_nonzero(survivors % q == 0))
+    del survivors
+    B = _triple_elements(N, table, z, y, z, y, None, require_p1_coprime=True)
+    S_B = len(_survivors(B, y, spf))
+    del B
     rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B - 2.0 * N ** 0.875 - 2.0 * N ** (1.0 / 3.0)
-    UN = _UN_value(N, table)
+    UN = singular_series_of(factors, max(100_000, min(table.limit, 1_000_000)), table)
     logN = math.log(N)
     ratio = pi2 * logN * logN / (UN.value * N)
     return DecompositionCheck(
@@ -311,7 +340,7 @@ def inclusion_exclusion_check(
             raise DomainError(
                 f"q={q} must be a prime below z={z} not dividing N={N}"
             )
-    elements = _base_A(N, table)
+    elements = _base_A(N, table, _divisor_primes(N))
     sift_all = _sifting_primes(N, z, frozenset(), table)
 
     def S(restrict_to: int, omit: frozenset[int]) -> int:
@@ -348,7 +377,7 @@ def remainder_r(
     if table is None:
         raise DomainError("a prime table is required")
     _check_table(N, table)
-    a = _base_A(N, table)
+    a = _base_A(N, table, _divisor_primes(N))
     if k is None:
         count_d = int(np.count_nonzero(a % d == 0))
         return float(Fraction(count_d) - Fraction(len(a), euler_phi(d)))
@@ -492,12 +521,6 @@ class ScanReport:
         return out
 
 
-def _twin_type_product(table: PrimeTable) -> float:
-    ps = table.primes
-    odd = ps[ps > 2].astype(np.float64)
-    return float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
-
-
 def goldbach_chen_scan(
     N_max: int,
     table: PrimeTable,
@@ -550,7 +573,7 @@ def goldbach_chen_scan(
     counts = np.zeros(size, dtype=spf.dtype)
     for p in ps.tolist():
         counts[p:] += p2[: size - p]
-    base = 2.0 * exp_neg_gamma_ball().value * _twin_type_product(table)
+    base = table.twin_product(table.limit).value
 
     def UN_of(N: int) -> float:
         local = 1.0

@@ -6,7 +6,9 @@ sums, smallest-prime-factor factorization, and the handful of prime sums and
 products that the constants pipeline consumes as Balls.
 
 Tables are immutable after construction and safe to share across threads;
-all queries are pure.
+all queries are pure.  A table memoizes what it derives from its primes: the
+lazily built arrays and, per truncation point P, the twin-prime factor of the
+singular series (`PrimeTable.twin_product`).
 """
 
 from __future__ import annotations
@@ -78,7 +80,9 @@ class PrimeTable:
     """Primality over [2, limit] plus lazily materialized helper arrays.
 
     `packed` holds one bit per odd number 3 + 2j (1 = prime) in little-endian
-    64-bit words; this is also the cache-file payload.
+    64-bit words; this is also the cache-file payload.  The helper arrays and
+    the twin-prime products are computed on first use and kept on the
+    instance, so repeated queries return the same objects.
     """
 
     limit: int
@@ -86,6 +90,7 @@ class PrimeTable:
     _primes: np.ndarray | None = field(default=None, repr=False)
     _spf: np.ndarray | None = field(default=None, repr=False)
     _isprime: np.ndarray | None = field(default=None, repr=False)
+    _twin: dict[int, Ball] = field(default_factory=dict, repr=False)
 
     def _check_capacity(self, x: float) -> None:
         if x > self.limit:
@@ -153,9 +158,26 @@ class PrimeTable:
         """Primes p with a <= p < b."""
         self._check_capacity(b - 1)
         ps = self.primes
+        # For integer p, a <= p <=> ceil(a) <= p and p < b <=> p < ceil(b);
+        # integer keys keep searchsorted from casting the array to float.
         lo = np.searchsorted(ps, math.ceil(a), side="left")
-        hi = np.searchsorted(ps, b, side="left")
+        hi = np.searchsorted(ps, math.ceil(b), side="left")
         return ps[lo:hi]
+
+    def twin_product(self, P: int) -> Ball:
+        """2 e^{-gamma} prod_{2 < p <= P} (1 - (p-1)^{-2}) with its rounding
+        radius, the N-independent factor of the singular series truncated at
+        P; computed once per P and kept on the table."""
+        ball = self._twin.get(P)
+        if ball is None:
+            ps = self.primes
+            ps = ps[: np.searchsorted(ps, P, side="right")]
+            odd = ps[ps > 2].astype(np.float64)
+            prod = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
+            rel_round = (2.0 * len(odd) + 8.0) * EPS
+            ball = 2.0 * exp_neg_gamma_ball() * Ball(prod, abs(prod) * rel_round)
+            self._twin[P] = ball
+        return ball
 
 
 def build_prime_table(
@@ -419,20 +441,24 @@ def singular_series_UN(
         raise DomainError(
             f"truncation limit must be >= 1e5, got {truncation_limit}"
         )
+    return singular_series_of(factorize(N), truncation_limit, table)
+
+
+def singular_series_of(
+    factors: list[tuple[int, int]],
+    truncation_limit: int,
+    table: PrimeTable | None = None,
+) -> Ball:
+    """`singular_series_UN` for the N whose `factorize` output is `factors`,
+    for callers that already factored N; the arguments are not re-checked."""
     if table is None or table.limit < truncation_limit:
         table = build_prime_table(truncation_limit)
-    ps = table.primes
-    ps = ps[: np.searchsorted(ps, truncation_limit, side="right")]
-    odd = ps[ps > 2].astype(np.float64)
-    prod = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
-    rel_round = (2.0 * len(odd) + 8.0) * EPS
-
     local = 1.0
-    for p, _ in factorize(N):
+    for p, _ in factors:
         if p > 2:
             local *= (p - 1.0) / (p - 2.0)
 
-    base = 2.0 * exp_neg_gamma_ball() * Ball(prod, abs(prod) * rel_round) * local
+    base = table.twin_product(truncation_limit) * local
     t = 1.0 / (truncation_limit - 1.0)
     tail = t + t * t
     # True value = base * exp(-s) for some s in [0, tail]; center the ball.

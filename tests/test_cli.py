@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+
+import pytest
 
 from chensieve.cli import main, to_json
 from chensieve.primes import build_prime_table, save_cache
@@ -193,3 +196,44 @@ def test_mismatched_cache_limit_warns(tmp_path, capsys):
     )
     assert code == 0
     assert "rebuilding" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "exps",
+    [
+        ["--z-exp", "nan"],
+        ["--z-exp", "inf"],
+        ["--z-exp", "-1"],
+        ["--z-exp", "0"],
+        ["--z-exp", "0.9"],
+        ["--z-exp", "0.3", "--y-exp", "0.3"],
+        ["--y-exp", "nan"],
+        ["--y-exp", "1"],
+    ],
+)
+def test_verify_exponents_validated_at_parse_time(tmp_path, capsys, exps):
+    argv = ["verify", "--N", "10", "--table-limit", "200000", *exps]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["-o", str(tmp_path / "o.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--z-exp and --y-exp" in err and "Traceback" not in err
+    code, _ = run(tmp_path, "verify", "--N", "10", "--table-limit", "200000")
+    assert code == 0
+
+
+# sha256 of stdout, computed before the one-pass lemma-4.1 check replaced the
+# per-q sift path; the rows must stay byte-identical through the serializer.
+_PINNED_STDOUT = {
+    ("verify", "--scan", "600", "--emit", "csv", "--table-limit", "1000000"):
+        "7c7f974360a0a82ae08a666fa78e71e0f80c6099ec08a51b6dd2bc55fa6cabef",
+    ("verify", "--N", "30030", "--emit", "json", "--table-limit", "200000"):
+        "133df61f5734a78032cff232de05987a8909dd14e2854f70c0f3c80eaa43e5b1",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_STDOUT))
+def test_verify_stdout_pinned(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[argv]

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,6 +9,7 @@ import pytest
 
 from chensieve.errors import DomainError
 from chensieve.harness import (
+    DecompositionCheck,
     ScanReport,
     SiftedSetSpec,
     bilinear_discrepancy,
@@ -20,7 +22,12 @@ from chensieve.harness import (
     remainder_r,
     sift_count,
 )
-from chensieve.primes import PrimeTable, build_prime_table, euler_phi
+from chensieve.primes import (
+    PrimeTable,
+    build_prime_table,
+    euler_phi,
+    singular_series_UN,
+)
 
 
 # -- independent oracles -----------------------------------------------------------
@@ -116,6 +123,53 @@ def test_enumerate_B_window(table_small):
     )
     # the single full-range window with cap z*p2*p3 < N is a superset of B
     assert len(w) >= len(full)
+
+
+def window_oracle(N, w_lo, w_hi, prime_list):
+    """B_window_j by its definition, one triple at a time in float, with the
+    p2 loop stopped at w_lo p2^2 >= N (1 + 1e-12)."""
+    z, y = N ** 0.125, N ** (1.0 / 3.0)
+    out = []
+    for p1 in prime_list:
+        if not (max(z, w_lo) <= p1 < min(y, w_hi)):
+            continue
+        for p2 in prime_list:
+            if p2 < y:
+                continue
+            if w_lo * p2 * p2 >= N * (1.0 + 1e-12):
+                break
+            if N % p2 == 0:
+                continue
+            for p3 in prime_list:
+                if p3 >= p2 and N % p3 != 0 and w_lo * p2 * float(p3) < N:
+                    out.append(N - p1 * p2 * p3)
+    return out
+
+
+@pytest.mark.parametrize(
+    "N,window",
+    [(10_000, None), (10_000, (5.5, 9.0)), (9_240, (3.0, 20.0)), (2_310, (7.5, 8.0))],
+)
+def test_enumerate_B_window_against_oracle(table_small, N, window):
+    z, y = N ** 0.125, N ** (1.0 / 3.0)
+    w_lo, w_hi = window or (z, y)
+    got = enumerate_set(SiftedSetSpec("B_window_j", N, window=(w_lo, w_hi)), table_small)
+    assert got.tolist() == window_oracle(N, w_lo, w_hi, primes_upto(N))
+
+
+def test_enumerate_B_window_tiny_start_reaches_table_end():
+    # with w_lo ~ 0 every p3 up to the table limit passes the float test
+    table = build_prime_table(300)
+    spec = SiftedSetSpec("B_window_j", 100, window=(1e-300, 10.0))
+    got = enumerate_set(spec, table)
+    assert got.tolist() == window_oracle(100, 1e-300, 10.0, primes_upto(300))
+    assert got.min() == 100 - 3 * 293 * 293
+
+
+def test_window_start_must_be_positive():
+    for window in [(0.0, 5.0), (-3.0, 5.0), (float("nan"), 5.0)]:
+        with pytest.raises(DomainError):
+            SiftedSetSpec("B_window_j", 100, window=window)
 
 
 def test_explicit_list_base(table_small):
@@ -218,6 +272,70 @@ def test_lemma41_at_1e6_sample(table_1m):
     assert c.S_A <= 78498
     assert math.isfinite(c.margin)
     assert c.ratio > 0
+
+
+def lemma41_reference(N, table, z_exp=0.125, y_exp=1.0 / 3.0):
+    """The decomposition from the general path: one `sift_count` of A, one
+    per q of A_q, one of B, and `singular_series_UN`."""
+    z, y = N ** z_exp, N ** y_exp
+    S_A = sift_count(SiftedSetSpec("A", N, z=z, y=y), table, level=z).count
+    sum_S_Aq = sum(
+        sift_count(SiftedSetSpec("A_sub_q", N, z=z, y=y, q=q), table, level=z).count
+        for q in table.primes_between(z, y).tolist()
+        if N % q != 0
+    )
+    S_B = sift_count(SiftedSetSpec("B", N, z=z, y=y), table, level=y).count
+    pi2 = pi2_bruteforce(N, table)
+    rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B - 2.0 * N ** 0.875 - 2.0 * N ** (1.0 / 3.0)
+    UN = singular_series_UN(N, max(100_000, min(table.limit, 1_000_000)), table)
+    logN = math.log(N)
+    return DecompositionCheck(
+        N, z, y, pi2, S_A, sum_S_Aq, S_B, rhs, pi2 - rhs, UN,
+        pi2 * logN * logN / (UN.value * N),
+    )
+
+
+def assert_same_check(got, expect):
+    assert got.to_row() == expect.to_row()
+    assert repr(got.UN) == repr(expect.UN)
+    assert (got.z, got.y, got.rhs) == (expect.z, expect.y, expect.rhs)
+
+
+def test_lemma41_matches_general_path_every_small_N(table_1m):
+    for N in range(6, 2001, 2):
+        assert_same_check(check_lemma41(N, table_1m), lemma41_reference(N, table_1m))
+
+
+@pytest.mark.parametrize("N", [30_030, 510_510, 999_998])
+def test_lemma41_matches_general_path_large_N(table_1m, N):
+    assert_same_check(check_lemma41(N, table_1m), lemma41_reference(N, table_1m))
+
+
+@pytest.mark.parametrize("N", [6, 30, 210, 1_000, 2_310, 30_030, 99_990])
+def test_lemma41_matches_general_path_other_exponents(table_1m, N):
+    got = check_lemma41(N, table_1m, z_exp=0.2, y_exp=0.45)
+    assert_same_check(got, lemma41_reference(N, table_1m, 0.2, 0.45))
+
+
+def test_lemma41_peak_memory_within_pi2():
+    """The check holds none of its own arrays while pi2 runs: its traced
+    peak stays within 0.5 MB of one pi2_bruteforce call."""
+    table = build_prime_table(4_000_000)
+    table.primes, table.spf, table.isprime_array
+    N = 3_939_998
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    lemma = peak(lambda: check_lemma41(N, table))
+    pi2 = peak(lambda: pi2_bruteforce(N, table))
+    assert lemma <= pi2 + 512 * 1024
 
 
 # -- identities ---------------------------------------------------------------------------

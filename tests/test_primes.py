@@ -148,6 +148,17 @@ def test_prime_pi_ap_against_filter_oracle(table_small):
         assert prime_pi_ap(APCountQuery(500, k, l), table_small) == expect
 
 
+def test_primes_between_against_filter_oracle(table_small):
+    ps = trial_division_primes(2_000)
+    bounds = [0, 1, 2, 3, 10, 100, 1000, 1999]
+    bounds += [q for q in (2, 3, 97, 1009, 1999)]
+    bounds += [q + d for q in (2, 3, 97, 1009) for d in (-0.5, 0.5)]
+    for a in bounds:
+        for b in bounds:
+            expect = [p for p in ps if a <= p < b]
+            assert table_small.primes_between(a, b).tolist() == expect, (a, b)
+
+
 def test_ap_query_validation():
     with pytest.raises(DomainError):
         APCountQuery(10, 0, 0)
@@ -324,6 +335,18 @@ def test_singular_series_contains_high_truncation_value(table_1m):
     u4_hi = singular_series_UN(4, 10_000_000, t7)
     assert abs(u4.value - u4_hi.value) <= u4.radius
     assert u4_hi.radius < u4.radius
+
+
+def test_singular_series_twin_product_memo():
+    table = build_prime_table(200_000)
+    first = table.twin_product(150_000)
+    assert table.twin_product(150_000) is first
+    fresh = build_prime_table(200_000).twin_product(150_000)
+    assert repr(fresh) == repr(first)
+    # the N-independent factor of U_N, so U_4 is it times the tail ball
+    u4 = singular_series_UN(4, 150_000, table)
+    assert u4.value / first.value == pytest.approx(1.0, abs=1e-5)
+    assert set(table._twin) == {150_000}
 
 
 def test_singular_series_validation(table_1m):
