@@ -110,6 +110,16 @@ def _sieve_value_annotations(loglog_N: float) -> dict:
     return ann
 
 
+def _log_N(loglog_N: float) -> float:
+    """log N = exp(loglog N), for loglog N >= 1 whose exponential is a double."""
+    if not loglog_N >= 1.0:
+        raise DomainError(f"loglog_N must be >= 1, got {loglog_N}")
+    try:
+        return math.exp(loglog_N)
+    except OverflowError:
+        raise DomainError(f"loglog_N = {loglog_N} is too large: log N overflows") from None
+
+
 def _check_epsilon(epsilon: float) -> None:
     if not (math.exp(-100.0) < epsilon < 0.01):
         raise ConfigError(
@@ -120,9 +130,7 @@ def _check_epsilon(epsilon: float) -> None:
 def theorem4_coeff(loglog_N: float, *, with_annotations: bool = False) -> BoundReport:
     """Coefficient of U_N |A| / log N in the sifted-set lower bound:
     4 e^gamma log 3 - 0.5198 eps0(N) - 767.7471 / sqrt(log N)."""
-    if loglog_N < 1.0:
-        raise DomainError(f"loglog_N must be >= 1, got {loglog_N}")
-    logN = math.exp(loglog_N)
+    logN = _log_N(loglog_N)
     eg = exp_gamma_ball()
     terms = [
         ("4*exp_gamma*log3", 4.0 * eg * math.log(3.0) * Ball(1.0, 2.0 * EPS)),
@@ -139,9 +147,7 @@ def theorem4_coeff(loglog_N: float, *, with_annotations: bool = False) -> BoundR
 def theorem5_coeff(loglog_N: float) -> BoundReport:
     """Coefficient of U_N |A| / log N in the prime-multiple sum upper bound:
     4 e^gamma log 6 (1 + eps0(N)) + 993.2507 / sqrt(log N)."""
-    if loglog_N < 1.0:
-        raise DomainError(f"loglog_N must be >= 1, got {loglog_N}")
-    logN = math.exp(loglog_N)
+    logN = _log_N(loglog_N)
     eg = exp_gamma_ball()
     terms = [
         (
@@ -161,10 +167,12 @@ def theorem6_coeff(loglog_N: float, epsilon: float) -> BoundReport:
     c2 (1+eps) (4 e^gamma (1+eps0(N)) + 860.16295/log^{3/2} N), plus the
     remainder e^-138/(eps log N) normalized per N / log^2 N (no U_N factor).
     """
-    if loglog_N < 1.0:
-        raise DomainError(f"loglog_N must be >= 1, got {loglog_N}")
+    logN = _log_N(loglog_N)
     _check_epsilon(epsilon)
-    logN = math.exp(loglog_N)
+    try:
+        logN_15 = logN ** 1.5
+    except OverflowError:
+        raise DomainError(f"loglog_N = {loglog_N} is too large: log^1.5 N overflows") from None
     eg = exp_gamma_ball()
     c2e = _c2() * (1.0 + epsilon)
     terms = [
@@ -174,7 +182,7 @@ def theorem6_coeff(loglog_N: float, epsilon: float) -> BoundReport:
         ),
         (
             "c2*(1+eps)*860.16295/logN^1.5",
-            c2e * TRIPLE_SQRT_TERM / Ball(logN ** 1.5, 4.0 * EPS * logN ** 1.5),
+            c2e * TRIPLE_SQRT_TERM / Ball(logN_15, 4.0 * EPS * logN_15),
         ),
         (
             "remainder_exp(-138)/(eps*logN) [per N/log^2N]",
@@ -202,10 +210,8 @@ def final_coefficient(
     `c2_override` substitutes a worst-case value for c2 (e.g. its pinned
     upper bound) to probe sensitivity.
     """
-    if loglog_N < 1.0:
-        raise DomainError(f"loglog_N must be >= 1, got {loglog_N}")
+    logN = _log_N(loglog_N)
     _check_epsilon(epsilon)
-    logN = math.exp(loglog_N)
     sqrt_logN = Ball(math.sqrt(logN), 2.0 * EPS * math.sqrt(logN))
     eg = exp_gamma_ball()
     e0 = eps0(loglog_N)

@@ -376,6 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--threads must be >= 1")
     if not (1e-15 <= args.precision_target <= 1e-6):
         parser.error("--precision-target must lie in [1e-15, 1e-6]")
+    if args.command == "bounds" and not math.isfinite(args.loglogN):
+        parser.error("--loglogN must be finite")
     if args.command == "verify" and not (0.0 < args.z_exp < args.y_exp < 1.0):
         parser.error("--z-exp and --y-exp must satisfy 0 < z-exp < y-exp < 1")
     try:

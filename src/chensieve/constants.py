@@ -23,7 +23,7 @@ from .ball import (
     gamma_ball,
     validate_gamma_literal,
 )
-from .errors import CapacityError
+from .errors import CapacityError, ChensieveError
 from .primes import PrimeTable, build_prime_table, chebyshev
 
 # Checked once per process, on first import of this module.
@@ -182,6 +182,8 @@ def ledger(
     def compute(name: str, fn, bound=None, provenance="derived"):
         try:
             led.add(name, fn(), bound, provenance)
+        except ChensieveError:
+            raise  # an input out of range stays a usage error
         except Exception as exc:
             raise RuntimeError(f"constant {name!r} failed: {exc}") from exc
 

@@ -167,15 +167,19 @@ class PrimeTable:
     def twin_product(self, P: int) -> Ball:
         """2 e^{-gamma} prod_{2 < p <= P} (1 - (p-1)^{-2}) with its rounding
         radius, the N-independent factor of the singular series truncated at
-        P; computed once per P and kept on the table."""
+        P; computed once per P and kept on the table.  A P past the table's
+        limit reads the product off a table built to P, once."""
         ball = self._twin.get(P)
         if ball is None:
-            ps = self.primes
-            ps = ps[: np.searchsorted(ps, P, side="right")]
-            odd = ps[ps > 2].astype(np.float64)
-            prod = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
-            rel_round = (2.0 * len(odd) + 8.0) * EPS
-            ball = 2.0 * exp_neg_gamma_ball() * Ball(prod, abs(prod) * rel_round)
+            if P > self.limit:
+                ball = build_prime_table(P).twin_product(P)
+            else:
+                ps = self.primes
+                ps = ps[: np.searchsorted(ps, P, side="right")]
+                odd = ps[ps > 2].astype(np.float64)
+                prod = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
+                rel_round = (2.0 * len(odd) + 8.0) * EPS
+                ball = 2.0 * exp_neg_gamma_ball() * Ball(prod, abs(prod) * rel_round)
             self._twin[P] = ball
         return ball
 
@@ -451,7 +455,7 @@ def singular_series_of(
 ) -> Ball:
     """`singular_series_UN` for the N whose `factorize` output is `factors`,
     for callers that already factored N; the arguments are not re-checked."""
-    if table is None or table.limit < truncation_limit:
+    if table is None:
         table = build_prime_table(truncation_limit)
     local = 1.0
     for p, _ in factors:

@@ -16,6 +16,11 @@ tail that is easy to estimate.  Each interval's partial integral is
 cross-checked against an independent adaptive Gauss-Kronrod pass and the
 difference is folded into the piece radius, together with the propagated
 radius of the delayed source.
+
+Evaluation works on arrays: a binary search over the piece edges assigns
+each point to its piece, and each piece's polynomial runs once on all of its
+points.  The scalar `f1`/`F1` and their slopes are one-point calls of that
+path, so piece lookup has a single implementation.
 """
 
 from __future__ import annotations
@@ -135,46 +140,92 @@ class SieveFunctionSystem:
                 self._march(f1_val, self._f1_pieces[-1].radius, k, (F1_prev, F1_prev.radius))
             )
 
-    # -- lookup ---------------------------------------------------------------
+    # -- evaluation -------------------------------------------------------------
 
     @staticmethod
-    def _find(pieces: list[_Piece], s: float) -> _Piece:
-        for piece in pieces:
-            if piece.lo <= s <= piece.hi:
-                return piece
-        return pieces[-1]
+    def _piecewise(pieces: list[_Piece], s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and radii of contiguous pieces at every s.  Each s goes to
+        the first piece with lo <= s <= hi (so s = k lands on [k-1, k]), the
+        last piece past the end; each piece's polynomial runs once on all of
+        its nodes."""
+        value = np.empty_like(s)
+        radius = np.empty_like(s)
+        his = np.array([piece.hi for piece in pieces])
+        which = np.minimum(np.searchsorted(his, s, side="left"), len(pieces) - 1)
+        for i, piece in enumerate(pieces):
+            on = which == i
+            value[on] = piece.poly(s[on])
+            radius[on] = piece.radius
+        return value, radius
+
+    def _check(self, name: str, s: np.ndarray, low_ok: np.ndarray, low: str) -> None:
+        if not low_ok.all():
+            raise DomainError(f"{name} needs s {low}, got {s[~low_ok][0]}")
+        high = s > self.s_max
+        if high.any():
+            raise DomainError(f"{name} built up to s_max={self.s_max}, got {s[high][0]}")
+
+    @staticmethod
+    def _finite(value: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the check each Ball makes on construction, for the whole array
+        if not (np.isfinite(value).all() and np.isfinite(radius).all() and (radius >= 0.0).all()):
+            raise ValueError("sieve function value or radius is not finite")
+        return value, radius
+
+    def f1_array(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """f1 values and radii at every s in (0, s_max]."""
+        s = np.asarray(s, dtype=np.float64)
+        self._check("f1", s, s > 0.0, "> 0")
+        value, radius = s.copy(), np.zeros_like(s)  # f1 = s exactly on (0, 2]
+        past = s > 2.0
+        value[past], radius[past] = self._piecewise(self._f1_pieces[1:], s[past])
+        return self._finite(value, radius)
+
+    def F1_array(self, s) -> tuple[np.ndarray, np.ndarray]:
+        """F1 values and radii at every s in [0, s_max]."""
+        s = np.asarray(s, dtype=np.float64)
+        self._check("F1", s, s >= 0.0, ">= 0")
+        value = self._two_eg - s  # F1 = 2 e^gamma - s on [0, 3]
+        radius = np.full_like(s, self._F1_pieces[0].radius)
+        past = s > 3.0
+        value[past], radius[past] = self._piecewise(self._F1_pieces[1:], s[past])
+        return self._finite(value, radius)
+
+    def f1_deriv_array(self, s, side: str = "right") -> np.ndarray:
+        """f1'(s) from the delay relation at every s; `side` picks the branch
+        at the s = 2 kink (the only point where the two one-sided slopes
+        differ).  Only nodes past the kink read F1(s - 1), so s = 1 never
+        divides by zero."""
+        s = np.asarray(s, dtype=np.float64)
+        past = ~((s < 2.0) | ((s == 2.0) & (side == "left")))
+        slope = np.ones_like(s)
+        t = s[past] - 1.0
+        slope[past] = -self.F1_array(t)[0] / t
+        return slope
+
+    def F1_deriv_array(self, s, side: str = "right") -> np.ndarray:
+        """F1'(s) from the delay relation at every s; `side` picks the branch
+        at s = 3, where the closed-form segment ends."""
+        s = np.asarray(s, dtype=np.float64)
+        past = ~((s < 3.0) | ((s == 3.0) & (side == "left")))
+        slope = np.full_like(s, -1.0)
+        t = s[past] - 1.0
+        slope[past] = -self.f1_array(t)[0] / t
+        return slope
 
     def f1(self, s: float) -> Ball:
-        if not (s > 0.0):
-            raise DomainError(f"f1 needs s > 0, got {s}")
-        if s > self.s_max:
-            raise DomainError(f"f1 built up to s_max={self.s_max}, got {s}")
-        if s <= 2.0:
-            return Ball(float(s), 0.0)
-        piece = self._find(self._f1_pieces[1:], s)
-        return Ball(float(piece.poly(s)), piece.radius)
+        value, radius = self.f1_array([s])
+        return Ball(float(value[0]), float(radius[0]))
 
     def F1(self, s: float) -> Ball:
-        if s < 0.0:
-            raise DomainError(f"F1 needs s >= 0, got {s}")
-        if s > self.s_max:
-            raise DomainError(f"F1 built up to s_max={self.s_max}, got {s}")
-        if s <= 3.0:
-            return Ball(self._two_eg - s, self._F1_pieces[0].radius)
-        piece = self._find(self._F1_pieces[1:], s)
-        return Ball(float(piece.poly(s)), piece.radius)
+        value, radius = self.F1_array([s])
+        return Ball(float(value[0]), float(radius[0]))
 
     def f1_deriv(self, s: float, side: str = "right") -> float:
-        """f1'(s) from the delay relation; `side` picks the branch at the
-        s = 2 kink (the only point where the two one-sided slopes differ)."""
-        if s < 2.0 or (s == 2.0 and side == "left"):
-            return 1.0
-        return -self.F1(s - 1.0).value / (s - 1.0)
+        return float(self.f1_deriv_array([s], side)[0])
 
     def F1_deriv(self, s: float, side: str = "right") -> float:
-        if s < 3.0 or (s == 3.0 and side == "left"):
-            return -1.0
-        return -self.f1(s - 1.0).value / (s - 1.0)
+        return float(self.F1_deriv_array([s], side)[0])
 
     def _fourth_bound(self, pieces: list[_Piece], lo: float, hi: float) -> float:
         """Safe sup of |d^4/ds^4| over [lo, hi] from the polynomial pieces."""
@@ -313,7 +364,9 @@ def build_grid(
 ) -> SieveFunctionGrid:
     """Tabulate f1/F1 at s = step, 2*step, ..., s_max.
 
-    The first node sits at s = step because f1 is undefined at s = 0.
+    The first node sits at s = step because f1 is undefined at s = 0.  Values,
+    radii and the one-sided delay-relation slopes come from the array
+    evaluators of the system, one Chebyshev piece at a time.
     """
     if not (1e-4 <= step <= 0.1):
         raise ConfigError(f"step must be in [1e-4, 0.1], got {step}")
@@ -324,27 +377,9 @@ def build_grid(
     s = np.arange(1, n + 1, dtype=np.float64) * step
     while len(s) and float(s[-1]) > s_max:
         s = s[:-1]
-        n -= 1
 
-    f1_values = np.empty(n)
-    f1_radii = np.empty(n)
-    F1_values = np.empty(n)
-    F1_radii = np.empty(n)
-    f1_sr = np.empty(n)
-    f1_sl = np.empty(n)
-    F1_sr = np.empty(n)
-    F1_sl = np.empty(n)
-    for i, si in enumerate(s):
-        si = float(si)
-        b = system.f1(si)
-        f1_values[i], f1_radii[i] = b.value, b.radius
-        b = system.F1(si)
-        F1_values[i], F1_radii[i] = b.value, b.radius
-        f1_sr[i] = system.f1_deriv(si, "right")
-        f1_sl[i] = system.f1_deriv(si, "left")
-        F1_sr[i] = system.F1_deriv(si, "right")
-        F1_sl[i] = system.F1_deriv(si, "left")
-
+    f1_values, f1_radii = system.f1_array(s)
+    F1_values, F1_radii = system.F1_array(s)
     f1_m4 = {k: system.f1_fourth_bound(k, k + 1.0) for k in range(int(math.ceil(s_max)))}
     F1_m4 = {k: system.F1_fourth_bound(k, k + 1.0) for k in range(int(math.ceil(s_max)))}
     return SieveFunctionGrid(
@@ -356,29 +391,21 @@ def build_grid(
         f1_radii=f1_radii,
         F1_values=F1_values,
         F1_radii=F1_radii,
-        f1_slopes_right=f1_sr,
-        f1_slopes_left=f1_sl,
-        F1_slopes_right=F1_sr,
-        F1_slopes_left=F1_sl,
+        f1_slopes_right=system.f1_deriv_array(s, "right"),
+        f1_slopes_left=system.f1_deriv_array(s, "left"),
+        F1_slopes_right=system.F1_deriv_array(s, "right"),
+        F1_slopes_left=system.F1_deriv_array(s, "left"),
         f1_fourth_bounds=f1_m4,
         F1_fourth_bounds=F1_m4,
     )
 
 
 def write_grid_csv(grid: SieveFunctionGrid, fh: io.TextIOBase) -> None:
-    """Export `s,f1,f1_radius,F1,F1_radius` rows at 17 significant digits."""
-    fh.write("s,f1,f1_radius,F1,F1_radius\n")
-    for i in range(len(grid)):
-        fh.write(
-            ",".join(
-                format(v, ".17g")
-                for v in (
-                    grid.s[i],
-                    grid.f1_values[i],
-                    grid.f1_radii[i],
-                    grid.F1_values[i],
-                    grid.F1_radii[i],
-                )
-            )
-            + "\n"
-        )
+    """Export `s,f1,f1_radius,F1,F1_radius` rows at 17 significant digits,
+    formatted from Python floats and written in one call."""
+    columns = (grid.s, grid.f1_values, grid.f1_radii, grid.F1_values, grid.F1_radii)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    fh.write(
+        "s,f1,f1_radius,F1,F1_radius\n"
+        + "".join(map(row.__mod__, zip(*(c.tolist() for c in columns))))
+    )

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from chensieve import primes as primes_mod
 from chensieve.cli import main, to_json
 from chensieve.primes import build_prime_table, save_cache
 
@@ -237,3 +238,61 @@ def test_verify_stdout_pinned(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[argv]
+
+
+# sha256 of `sievefun` stdout, computed before the grid was tabulated one
+# Chebyshev piece at a time; every byte must survive the vectorized path.
+_PINNED_SIEVEFUN = {
+    ("3", "1e-3"): "9a4bafc00536b37189252a3bfe5925c505e3d17bc60472496ec47ccd5c46c0ab",
+    ("4", "0.05"): "48ffa01d597439255e38229b266e9999dcb96e9c1a2e4082709d998d402bced7",
+    ("6", "1e-3"): "8f7fc96a6fe0d208a07c30beb05c23458bed531ab709062db295f0fc20261afc",
+    ("8.137", "7e-4"): "8c7e27c3a4cc0f4fce5fa5fec72f742009ef9ef29047debdbebd2eb0ad644ce3",
+    ("12", "1e-3"): "0202d1647a607e60e895506c8ae95076715ff77f5279fcc0f320af8f5eb0524a",
+    ("11.999", "5e-4"): "62b48280081897031f37148b233409a553a61087b750fe39e44039148cb303b7",
+}
+
+
+@pytest.mark.parametrize("s_max, step", list(_PINNED_SIEVEFUN))
+def test_sievefun_stdout_pinned(capsys, s_max, step):
+    assert main(["sievefun", "--s-max", s_max, "--step", step]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SIEVEFUN[s_max, step]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "500", "800"])
+def test_bounds_loglogN_out_of_range_is_usage_error(tmp_path, capsys, value):
+    argv = ["bounds", "--theorem", "all", f"--loglogN={value}"]
+    assert _exit_code(argv + ["-o", str(tmp_path / "o.txt")]) == 2
+    err = capsys.readouterr().err
+    assert "loglog" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("limit", ["50", "50000"])
+def test_constants_small_table_is_usage_error(tmp_path, capsys, limit):
+    assert _exit_code(["constants", "--table-limit", limit, "-o", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_small_table_builds_the_UN_table_once(capsys, monkeypatch):
+    built = []
+    real = primes_mod.build_prime_table
+
+    def counting(limit, **kwargs):
+        built.append(limit)
+        return real(limit, **kwargs)
+
+    monkeypatch.setattr(primes_mod, "build_prime_table", counting)
+    assert main(["verify", "--scan", "2000", "--emit", "csv", "--table-limit", "2000"]) == 0
+    assert built == [2000, 100_000]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d642c020c2f3eb706309af1afcef5a3b8d8477e455039ad5d256d33814d976d5"
+    )

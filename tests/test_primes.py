@@ -354,3 +354,12 @@ def test_singular_series_validation(table_1m):
         singular_series_UN(7, 1_000_000, table_1m)
     with pytest.raises(DomainError):
         singular_series_UN(4, 10_000, table_1m)
+
+
+def test_twin_product_past_the_limit_matches_a_full_table():
+    small = build_prime_table(2_000)
+    ball = small.twin_product(100_000)
+    assert ball == build_prime_table(100_000).twin_product(100_000)
+    assert small.twin_product(100_000) is ball
+    assert small.limit == 2_000
+    assert singular_series_UN(30, 100_000, small) == singular_series_UN(30, 100_000)

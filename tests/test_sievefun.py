@@ -1,9 +1,12 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from chensieve.ball import Ball
+from chensieve.cli import main
 from chensieve.errors import ConfigError, DomainError
 from chensieve.sievefun import (
     SieveFunctionSystem,
@@ -230,3 +233,124 @@ def test_grid_csv_export():
     assert float(first[0]) == pytest.approx(0.05)
     # 17 significant digits survive a round trip
     assert float(first[3]) == grid.F1_values[0]
+
+
+# -- vectorized tabulation against the per-node loop ----------------------------------
+
+
+def _old_find(pieces, s):
+    for piece in pieces:
+        if piece.lo <= s <= piece.hi:
+            return piece
+    return pieces[-1]
+
+
+def _per_node(system, s):
+    """One node as `build_grid` evaluated it node by node: a linear search
+    for the first piece with lo <= s <= hi, a scalar Chebyshev call, and the
+    delay-relation slopes from the values at s - 1.  Returns (f1, f1 radius,
+    F1, F1 radius, f1' right, f1' left, F1' right, F1' left)."""
+
+    def f1(s):
+        if s <= 2.0:
+            return float(s), 0.0
+        piece = _old_find(system._f1_pieces[1:], s)
+        return float(piece.poly(s)), piece.radius
+
+    def F1(s):
+        if s <= 3.0:
+            return system._two_eg - s, system._F1_pieces[0].radius
+        piece = _old_find(system._F1_pieces[1:], s)
+        return float(piece.poly(s)), piece.radius
+
+    return (
+        *f1(s),
+        *F1(s),
+        1.0 if s < 2.0 else -F1(s - 1.0)[0] / (s - 1.0),
+        1.0 if s <= 2.0 else -F1(s - 1.0)[0] / (s - 1.0),
+        -1.0 if s < 3.0 else -f1(s - 1.0)[0] / (s - 1.0),
+        -1.0 if s <= 3.0 else -f1(s - 1.0)[0] / (s - 1.0),
+    )
+
+
+_GRID_COLUMNS = (
+    "f1_values",
+    "f1_radii",
+    "F1_values",
+    "F1_radii",
+    "f1_slopes_right",
+    "f1_slopes_left",
+    "F1_slopes_right",
+    "F1_slopes_left",
+)
+
+
+@pytest.mark.parametrize(
+    "s_max, step", [(3.0, 1e-3), (4.0, 0.05), (8.137, 7e-4), (12.0, 1e-3)]
+)
+def test_grid_matches_per_node_loop(s_max, step):
+    grid = build_grid(s_max, step)
+    system = get_system(s_max, 1e-12)
+    expect = np.array([_per_node(system, float(s)) for s in grid.s]).T
+    for name, column in zip(_GRID_COLUMNS, expect):
+        got = getattr(grid, name)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, column), name
+    if step == 1e-3:
+        # every integer up to s_max is a node, including the s = 1 zero of s - 1
+        assert set(range(1, int(s_max) + 1)) <= set(grid.s.tolist())
+
+
+def test_array_evaluators_at_piece_edges():
+    system = get_system(12.0, 1e-12)
+    points = sorted(
+        {0.5, 1.0, 1.5, 2.0, 2.5, 3.0}
+        | {math.nextafter(float(k), d) for k in range(1, 13) for d in (0.0, 13.0)}
+        | {float(k) for k in range(1, 13)}
+    )
+    points = np.array([s for s in points if s <= 12.0])
+    expect = np.array([_per_node(system, float(s)) for s in points]).T
+    f1_v, f1_r = system.f1_array(points)
+    F1_v, F1_r = system.F1_array(points)
+    got = (
+        f1_v,
+        f1_r,
+        F1_v,
+        F1_r,
+        system.f1_deriv_array(points, "right"),
+        system.f1_deriv_array(points, "left"),
+        system.F1_deriv_array(points, "right"),
+        system.F1_deriv_array(points, "left"),
+    )
+    for name, g, e in zip(_GRID_COLUMNS, got, expect):
+        assert np.array_equal(g, e), name
+    for s, row in zip(points.tolist(), expect.T):
+        assert system.f1(s) == Ball(row[0], row[1])
+        assert system.F1(s) == Ball(row[2], row[3])
+        assert system.f1_deriv(s, "right") == row[4]
+        assert system.f1_deriv(s, "left") == row[5]
+        assert system.F1_deriv(s, "right") == row[6]
+        assert system.F1_deriv(s, "left") == row[7]
+
+
+def test_array_evaluator_domain_errors():
+    system = get_system(5.0, 1e-12)
+    with pytest.raises(DomainError):
+        system.f1_array(np.array([1.0, 0.0]))
+    with pytest.raises(DomainError):
+        system.f1_array(np.array([1.0, math.nan]))
+    with pytest.raises(DomainError):
+        system.F1_array(np.array([-0.1, 1.0]))
+    with pytest.raises(DomainError):
+        system.F1_array(np.array([5.0, 5.5]))
+
+
+@pytest.mark.parametrize("s_max, step", [(3.0, 1e-3), (4.0, 0.05), (12.0, 1e-3)])
+def test_sievefun_cli_warning_free(s_max, step, capsys):
+    get_system.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sievefun", "--s-max", str(s_max), "--step", str(step)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.count("\n") == len(build_grid(s_max, step)) + 1
