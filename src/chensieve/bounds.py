@@ -13,6 +13,7 @@ headline coefficient that must clear 0.007.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -82,7 +83,7 @@ def remainder_level_window(loglog_N: float) -> dict:
     excluded modulus k1 is only known to be below log^10 x2, the window
     4 - 8(32 loglog N + 50)/log N < s1 < 4 is reported instead of a point.
     """
-    logN = math.exp(loglog_N)
+    logN = _log_N(loglog_N)
     log_x2 = logN - 100.0 - 4.0 * loglog_N
     return {
         "loglog_N": loglog_N,
@@ -115,9 +116,12 @@ def _log_N(loglog_N: float) -> float:
     if not loglog_N >= 1.0:
         raise DomainError(f"loglog_N must be >= 1, got {loglog_N}")
     try:
-        return math.exp(loglog_N)
+        logN = math.exp(loglog_N)
     except OverflowError:
-        raise DomainError(f"loglog_N = {loglog_N} is too large: log N overflows") from None
+        logN = math.inf
+    if math.isinf(logN):
+        raise DomainError(f"loglog_N = {loglog_N} is too large: log N overflows")
+    return logN
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -300,11 +304,21 @@ def threshold_report(epsilon: float = DEFAULT_EPSILON) -> ThresholdReport:
 
 
 def chen_lower_bound(loglog_N: float, UN: Ball) -> Ball:
-    """Per-N normalized headline bound 0.007 U_N / log^2 N (coefficient of N)."""
-    if loglog_N < 1.0:
-        raise DomainError(f"loglog_N must be >= 1, got {loglog_N}")
-    log2N = math.exp(2.0 * loglog_N)
-    return Ball.exact(HEADLINE_COEFF) * UN / Ball(log2N, 2.0 * EPS * log2N)
+    """Per-N normalized headline bound 0.007 U_N / log^2 N (coefficient of N).
+
+    Past loglog N ~ 351.7 (for U_N = 1) the quotient is subnormal and its
+    radius soon rounds to zero, so it no longer encloses anything; that
+    raises instead.
+    """
+    _log_N(loglog_N)
+    try:
+        log2N = math.exp(2.0 * loglog_N)
+    except OverflowError:
+        raise DomainError(f"loglog_N = {loglog_N} is too large: log^2 N overflows") from None
+    bound = Ball.exact(HEADLINE_COEFF) * UN / Ball(log2N, 2.0 * EPS * log2N)
+    if not (abs(bound.value) >= sys.float_info.min and bound.radius > 0.0):
+        raise DomainError(f"loglog_N = {loglog_N} is too large: the bound {bound} underflows")
+    return bound
 
 
 # -- window integrals ----------------------------------------------------------

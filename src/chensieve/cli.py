@@ -295,7 +295,7 @@ def _cmd_cache(args) -> int:
         table = primes_mod.load_cache(path)
     except (CacheError, OSError) as exc:
         print(f"cache: {exc}", file=sys.stderr)
-        return 1
+        return 2
     print(f"{path}: limit={table.limit} words={len(table.packed)}")
     return 0
 

@@ -23,10 +23,9 @@ import numpy as np
 from .ball import EPS, Ball, exp_neg_gamma_ball
 from .errors import CacheError, CapacityError, DomainError
 
-# Largest supported table.  spf arrays are int32, so anything below 2^31
-# works in principle; memory is the real constraint (~limit/16 bytes for the
-# packed bitset, 4*limit bytes for an spf array).
-IMPLEMENTATION_CAP = 2_000_000_000
+# Largest supported table.  Memory is the constraint: an int32 spf array
+# costs 4*limit bytes (~400 MB at this cap), the packed bitset ~limit/16.
+IMPLEMENTATION_CAP = 100_000_000
 
 CACHE_MAGIC = b"CHEN-PT1\n"
 

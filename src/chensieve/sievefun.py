@@ -19,8 +19,10 @@ radius of the delayed source.
 
 Evaluation works on arrays: a binary search over the piece edges assigns
 each point to its piece, and each piece's polynomial runs once on all of its
-points.  The scalar `f1`/`F1` and their slopes are one-point calls of that
-path, so piece lookup has a single implementation.
+points.  The scalar `f1`/`F1` are one-point calls of that path, so the
+pieces are the single evaluator of f1 and F1: the tabulated grid holds only
+their values and radii at its nodes, and a value between nodes is read from
+the pieces directly.
 """
 
 from __future__ import annotations
@@ -191,28 +193,6 @@ class SieveFunctionSystem:
         value[past], radius[past] = self._piecewise(self._F1_pieces[1:], s[past])
         return self._finite(value, radius)
 
-    def f1_deriv_array(self, s, side: str = "right") -> np.ndarray:
-        """f1'(s) from the delay relation at every s; `side` picks the branch
-        at the s = 2 kink (the only point where the two one-sided slopes
-        differ).  Only nodes past the kink read F1(s - 1), so s = 1 never
-        divides by zero."""
-        s = np.asarray(s, dtype=np.float64)
-        past = ~((s < 2.0) | ((s == 2.0) & (side == "left")))
-        slope = np.ones_like(s)
-        t = s[past] - 1.0
-        slope[past] = -self.F1_array(t)[0] / t
-        return slope
-
-    def F1_deriv_array(self, s, side: str = "right") -> np.ndarray:
-        """F1'(s) from the delay relation at every s; `side` picks the branch
-        at s = 3, where the closed-form segment ends."""
-        s = np.asarray(s, dtype=np.float64)
-        past = ~((s < 3.0) | ((s == 3.0) & (side == "left")))
-        slope = np.full_like(s, -1.0)
-        t = s[past] - 1.0
-        slope[past] = -self.f1_array(t)[0] / t
-        return slope
-
     def f1(self, s: float) -> Ball:
         value, radius = self.f1_array([s])
         return Ball(float(value[0]), float(radius[0]))
@@ -220,30 +200,6 @@ class SieveFunctionSystem:
     def F1(self, s: float) -> Ball:
         value, radius = self.F1_array([s])
         return Ball(float(value[0]), float(radius[0]))
-
-    def f1_deriv(self, s: float, side: str = "right") -> float:
-        return float(self.f1_deriv_array([s], side)[0])
-
-    def F1_deriv(self, s: float, side: str = "right") -> float:
-        return float(self.F1_deriv_array([s], side)[0])
-
-    def _fourth_bound(self, pieces: list[_Piece], lo: float, hi: float) -> float:
-        """Safe sup of |d^4/ds^4| over [lo, hi] from the polynomial pieces."""
-        best = 0.0
-        for piece in pieces:
-            a, b = max(lo, piece.lo), min(hi, piece.hi)
-            if a >= b or len(piece.poly.coef) <= 4:
-                continue
-            d4 = piece.poly.deriv(4)
-            xs = np.linspace(a, b, 65)
-            best = max(best, float(np.max(np.abs(d4(xs)))))
-        return 1.5 * best
-
-    def f1_fourth_bound(self, lo: float, hi: float) -> float:
-        return self._fourth_bound(self._f1_pieces, lo, hi)
-
-    def F1_fourth_bound(self, lo: float, hi: float) -> float:
-        return self._fourth_bound(self._F1_pieces, lo, hi)
 
 
 @lru_cache(maxsize=8)
@@ -264,99 +220,22 @@ def eval_F1(s: float, *, s_max: float = 12.0, tol: float = 1e-12) -> Ball:
 # -- tabulation ----------------------------------------------------------------
 
 
-# Slope/derivative breakpoints of the delay system: the f1 slope jumps at
-# s = 2, and each later integer carries a (successively milder) jump in some
-# higher derivative as the pieces hand over.
-_KINK = 2.0
-_SLOPE_JUMP_BOUND = 4.0  # |f1'(2+) - f1'(2-)| = 2 e^gamma - 2 < 4
-_THIRD_JUMP_BOUND = 16.0  # safe bound on third-derivative jumps at integers
-
-
 @dataclass
 class SieveFunctionGrid:
     """Tabulated f1/F1 on a uniform s-grid with per-node radii.
 
-    Queries between nodes use cubic Hermite interpolation with side-aware
-    delay-relation slopes; the h^4/384 * sup|f''''| interpolation error
-    (per unit interval) is folded into the returned radius, plus explicit
-    pads for the rare node intervals that straddle a breakpoint.
+    The grid holds exactly the nodes that `write_grid_csv` exports; a value
+    between nodes is read from the pieces (`eval_f1`/`eval_F1`).
     """
 
-    s_min: float
-    s_max: float
-    step: float
     s: np.ndarray
     f1_values: np.ndarray
     f1_radii: np.ndarray
     F1_values: np.ndarray
     F1_radii: np.ndarray
-    f1_slopes_right: np.ndarray
-    f1_slopes_left: np.ndarray
-    F1_slopes_right: np.ndarray
-    F1_slopes_left: np.ndarray
-    f1_fourth_bounds: dict
-    F1_fourth_bounds: dict
 
     def __len__(self) -> int:
         return len(self.s)
-
-    def nodes(self):
-        for i in range(len(self.s)):
-            yield (
-                float(self.s[i]),
-                Ball(float(self.f1_values[i]), float(self.f1_radii[i])),
-                Ball(float(self.F1_values[i]), float(self.F1_radii[i])),
-            )
-
-    def _interp_pad(self, lo: float, hi: float, kind: str, m4: float) -> float:
-        h = hi - lo
-        pad = h ** 4 / 384.0 * m4
-        if kind == "f1" and lo < _KINK < hi:
-            pad += 0.25 * h * _SLOPE_JUMP_BOUND
-        else:
-            k = math.ceil(lo)
-            if lo < k < hi and k >= 3:
-                pad += 0.5 * h ** 3 * _THIRD_JUMP_BOUND
-        return pad
-
-    def _hermite(self, s, kind: str) -> Ball:
-        if not (self.s_min <= s <= self.s_max):
-            raise DomainError(f"s={s} outside grid [{self.s_min}, {self.s_max}]")
-        if kind == "f1":
-            values, radii = self.f1_values, self.f1_radii
-            sr, sl = self.f1_slopes_right, self.f1_slopes_left
-            m4s = self.f1_fourth_bounds
-        else:
-            values, radii = self.F1_values, self.F1_radii
-            sr, sl = self.F1_slopes_right, self.F1_slopes_left
-            m4s = self.F1_fourth_bounds
-        i = min(int((s - self.s_min) / self.step), len(self.s) - 2)
-        lo, hi = float(self.s[i]), float(self.s[i + 1])
-        h = hi - lo
-        t = (s - lo) / h
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        value = (
-            h00 * float(values[i])
-            + h10 * h * float(sr[i])
-            + h01 * float(values[i + 1])
-            + h11 * h * float(sl[i + 1])
-        )
-        m4 = m4s.get(int(lo), 0.0)
-        radius = (
-            max(float(radii[i]), float(radii[i + 1]))
-            + self._interp_pad(lo, hi, kind, m4)
-            + 4.0 * EPS * (abs(value) + 1.0)
-        )
-        return Ball(value, radius)
-
-    def f1_at(self, s: float) -> Ball:
-        return self._hermite(s, "f1")
-
-    def F1_at(self, s: float) -> Ball:
-        return self._hermite(s, "F1")
 
 
 def build_grid(
@@ -364,9 +243,9 @@ def build_grid(
 ) -> SieveFunctionGrid:
     """Tabulate f1/F1 at s = step, 2*step, ..., s_max.
 
-    The first node sits at s = step because f1 is undefined at s = 0.  Values,
-    radii and the one-sided delay-relation slopes come from the array
-    evaluators of the system, one Chebyshev piece at a time.
+    The first node sits at s = step because f1 is undefined at s = 0.  Values
+    and radii come from the array evaluators of the system, one Chebyshev
+    piece at a time.
     """
     if not (1e-4 <= step <= 0.1):
         raise ConfigError(f"step must be in [1e-4, 0.1], got {step}")
@@ -377,27 +256,7 @@ def build_grid(
     s = np.arange(1, n + 1, dtype=np.float64) * step
     while len(s) and float(s[-1]) > s_max:
         s = s[:-1]
-
-    f1_values, f1_radii = system.f1_array(s)
-    F1_values, F1_radii = system.F1_array(s)
-    f1_m4 = {k: system.f1_fourth_bound(k, k + 1.0) for k in range(int(math.ceil(s_max)))}
-    F1_m4 = {k: system.F1_fourth_bound(k, k + 1.0) for k in range(int(math.ceil(s_max)))}
-    return SieveFunctionGrid(
-        s_min=float(s[0]),
-        s_max=float(s[-1]),
-        step=float(step),
-        s=s,
-        f1_values=f1_values,
-        f1_radii=f1_radii,
-        F1_values=F1_values,
-        F1_radii=F1_radii,
-        f1_slopes_right=system.f1_deriv_array(s, "right"),
-        f1_slopes_left=system.f1_deriv_array(s, "left"),
-        F1_slopes_right=system.F1_deriv_array(s, "right"),
-        F1_slopes_left=system.F1_deriv_array(s, "left"),
-        f1_fourth_bounds=f1_m4,
-        F1_fourth_bounds=F1_m4,
-    )
+    return SieveFunctionGrid(s, *system.f1_array(s), *system.F1_array(s))
 
 
 def write_grid_csv(grid: SieveFunctionGrid, fh: io.TextIOBase) -> None:

@@ -217,6 +217,37 @@ def test_chen_lower_bound_with_U4(table_1m):
     assert b.value - b.radius > 0.0
 
 
+@pytest.mark.parametrize(
+    "loglog_N", [math.nan, math.inf, 0.5, 352.0, 354.0, 355.0, 800.0]
+)
+def test_chen_lower_bound_domain(loglog_N):
+    # 352: a subnormal quotient with a 5e-324 radius; 354: a zero radius;
+    # 355: log^2 N overflows
+    with pytest.raises(DomainError):
+        chen_lower_bound(loglog_N, Ball.exact(1.0))
+
+
+def test_chen_lower_bound_accepted_values_unchanged():
+    # results of the unguarded formula, pinned bit for bit
+    assert chen_lower_bound(36.0, Ball.exact(1.0)) == Ball(
+        3.7661303120147974e-34, 5.017493503365064e-49
+    )
+    assert chen_lower_bound(350.0, Ball.exact(1.0)) == Ball(6.90177358063184e-307, 3.06e-322)
+
+
+@pytest.mark.parametrize("loglog_N", [math.nan, math.inf, 0.5, 800.0])
+def test_remainder_level_window_domain(loglog_N):
+    with pytest.raises(DomainError):
+        remainder_level_window(loglog_N)
+
+
+@pytest.mark.parametrize("loglog_N", [354.0, 355.0])
+def test_remainder_level_window_large_but_finite(loglog_N):
+    window = remainder_level_window(loglog_N)
+    assert window["log_N"] == math.exp(loglog_N)
+    assert all(math.isfinite(v) for v in window.values())
+
+
 # -- window integrals -----------------------------------------------------------------
 
 

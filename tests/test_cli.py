@@ -170,6 +170,27 @@ def test_cache_env_dir(tmp_path, monkeypatch):
     assert os.path.exists(tmp_path / "cachedir" / "pt_30000.bin")
 
 
+def test_cache_info_corrupt_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "pt.bin"
+    path.write_bytes(b"NOTMAGIC\n10\n")
+    assert main(["cache", "info", "--cache-file", str(path)]) == 2
+    assert "bad magic" in capsys.readouterr().err
+
+
+def test_cache_info_missing_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "absent.bin"
+    assert main(["cache", "info", "--cache-file", str(path)]) == 2
+    assert "absent.bin" in capsys.readouterr().err
+
+
+def test_table_limit_past_cap_is_usage_error(capsys):
+    code = main(["scan", "--max", "10", "--table-limit", "100000001"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: table limit must be in [2, 100000000]")
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     try:
         main(["bounds", "--theorem", "7"])

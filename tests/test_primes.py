@@ -62,6 +62,12 @@ def test_limit_validation():
         build_prime_table(3_000_000_000)
 
 
+def test_limit_cap_is_1e8():
+    # an int32 spf array past 1e8 entries outgrows 400 MB
+    with pytest.raises(CapacityError):
+        build_prime_table(100_000_001)
+
+
 def test_identical_result_across_threads_and_segmentation():
     base = build_prime_table(300_000)
     for threads, seg in [(4, 1 << 18), (8, 1 << 14), (1, 1 << 12)]:
@@ -114,6 +120,16 @@ def test_cache_validation(tmp_path, table_small):
     save_cache(table_small, path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(CacheError):
+        load_cache(path)
+
+
+def test_cache_header_past_cap(tmp_path):
+    # a well-formed file whose limit is past the cap: the payload size matches
+    limit = 200_000_000
+    path = tmp_path / "big.bin"
+    words = -(-((limit - 1) // 2) // 64)
+    path.write_bytes(b"CHEN-PT1\n" + f"{limit}\n".encode("ascii") + bytes(8 * words))
+    with pytest.raises(CacheError, match="out of range"):
         load_cache(path)
 
 

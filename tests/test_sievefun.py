@@ -176,23 +176,32 @@ def test_grid_config_validation():
         build_grid(42.0, 1e-3)
 
 
+def _node(grid, s: float) -> int:
+    """Index of the grid node at s (within rounding of k * step)."""
+    i = int(np.argmin(np.abs(grid.s - s)))
+    assert abs(grid.s[i] - s) < 1e-9
+    return i
+
+
 def test_grid_nodes_match_evaluator():
     grid = build_grid(5.0, 1e-3)
     direct = eval_f1(4.0, s_max=5.0)
-    node = grid.f1_at(4.0)
+    i = _node(grid, 4.0)
+    node = Ball(float(grid.f1_values[i]), float(grid.f1_radii[i]))
     assert abs(node.value - direct.value) <= node.radius + direct.radius
 
 
 def test_grid_F1_closed_form_node():
     grid = build_grid(5.0, 1e-3)
-    b = grid.F1_at(2.5)
-    assert abs(b.value - (TWO_EG - 2.5)) <= b.radius + 1e-14
+    i = _node(grid, 2.5)
+    b = Ball(float(grid.F1_values[i]), float(grid.F1_radii[i]))
+    assert abs(b.value - (TWO_EG - grid.s[i])) <= b.radius + 1e-14
 
 
 def test_grid_f1_at_6_against_oracle():
     grid = build_grid(6.0, 1e-3)
     oracle = dde_oracle_value("f1", 6.0)
-    assert abs(grid.f1_at(6.0).value - oracle) < 1e-8
+    assert abs(grid.f1_values[_node(grid, 6.0)] - oracle) < 1e-8
 
 
 def test_grid_invariants():
@@ -208,18 +217,6 @@ def test_grid_invariants():
     assert np.all(np.diff(grid.F1_values) <= 1e-15)
     assert np.all(grid.f1_values > 0.0)
     assert np.all(grid.F1_values > 0.0)
-
-
-def test_grid_interpolation_honest_between_nodes():
-    grid = build_grid(6.0, 1e-3)
-    system = get_system(6.0, 1e-12)
-    rng = np.random.default_rng(7)
-    for s in rng.uniform(grid.s_min, grid.s_max, 200):
-        s = float(s)
-        gb = grid.f1_at(s)
-        assert abs(gb.value - system.f1(s).value) <= gb.radius
-        gb = grid.F1_at(s)
-        assert abs(gb.value - system.F1(s).value) <= gb.radius
 
 
 def test_grid_csv_export():
@@ -247,9 +244,8 @@ def _old_find(pieces, s):
 
 def _per_node(system, s):
     """One node as `build_grid` evaluated it node by node: a linear search
-    for the first piece with lo <= s <= hi, a scalar Chebyshev call, and the
-    delay-relation slopes from the values at s - 1.  Returns (f1, f1 radius,
-    F1, F1 radius, f1' right, f1' left, F1' right, F1' left)."""
+    for the first piece with lo <= s <= hi and a scalar Chebyshev call.
+    Returns (f1, f1 radius, F1, F1 radius)."""
 
     def f1(s):
         if s <= 2.0:
@@ -263,26 +259,10 @@ def _per_node(system, s):
         piece = _old_find(system._F1_pieces[1:], s)
         return float(piece.poly(s)), piece.radius
 
-    return (
-        *f1(s),
-        *F1(s),
-        1.0 if s < 2.0 else -F1(s - 1.0)[0] / (s - 1.0),
-        1.0 if s <= 2.0 else -F1(s - 1.0)[0] / (s - 1.0),
-        -1.0 if s < 3.0 else -f1(s - 1.0)[0] / (s - 1.0),
-        -1.0 if s <= 3.0 else -f1(s - 1.0)[0] / (s - 1.0),
-    )
+    return (*f1(s), *F1(s))
 
 
-_GRID_COLUMNS = (
-    "f1_values",
-    "f1_radii",
-    "F1_values",
-    "F1_radii",
-    "f1_slopes_right",
-    "f1_slopes_left",
-    "F1_slopes_right",
-    "F1_slopes_left",
-)
+_GRID_COLUMNS = ("f1_values", "f1_radii", "F1_values", "F1_radii")
 
 
 @pytest.mark.parametrize(
@@ -310,27 +290,12 @@ def test_array_evaluators_at_piece_edges():
     )
     points = np.array([s for s in points if s <= 12.0])
     expect = np.array([_per_node(system, float(s)) for s in points]).T
-    f1_v, f1_r = system.f1_array(points)
-    F1_v, F1_r = system.F1_array(points)
-    got = (
-        f1_v,
-        f1_r,
-        F1_v,
-        F1_r,
-        system.f1_deriv_array(points, "right"),
-        system.f1_deriv_array(points, "left"),
-        system.F1_deriv_array(points, "right"),
-        system.F1_deriv_array(points, "left"),
-    )
+    got = (*system.f1_array(points), *system.F1_array(points))
     for name, g, e in zip(_GRID_COLUMNS, got, expect):
         assert np.array_equal(g, e), name
     for s, row in zip(points.tolist(), expect.T):
         assert system.f1(s) == Ball(row[0], row[1])
         assert system.F1(s) == Ball(row[2], row[3])
-        assert system.f1_deriv(s, "right") == row[4]
-        assert system.f1_deriv(s, "left") == row[5]
-        assert system.F1_deriv(s, "right") == row[6]
-        assert system.F1_deriv(s, "left") == row[7]
 
 
 def test_array_evaluator_domain_errors():
