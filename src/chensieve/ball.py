@@ -48,14 +48,6 @@ class Ball:
         return Ball(float(x), 0.0)
 
     @staticmethod
-    def from_interval(lo: float, hi: float) -> "Ball":
-        if hi < lo:
-            raise ValueError(f"empty interval [{lo}, {hi}]")
-        mid = 0.5 * (lo + hi)
-        rad = max(hi - mid, mid - lo) + _pad(mid)
-        return Ball(mid, rad)
-
-    @staticmethod
     def _coerce(x: "Ball | float | int") -> "Ball":
         return x if isinstance(x, Ball) else Ball.exact(x)
 
@@ -122,9 +114,6 @@ class Ball:
 
     def __rtruediv__(self, other: "Ball | float | int") -> "Ball":
         return Ball._coerce(other) / self
-
-    def abs(self) -> "Ball":
-        return Ball(abs(self.value), self.radius)
 
     def __repr__(self) -> str:
         return f"Ball({self.value!r}, radius={self.radius!r})"

@@ -13,10 +13,8 @@ headline coefficient that must clear 0.007.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 from .ball import EPS, Ball, exp_gamma_ball
 from .constants import (
@@ -31,7 +29,7 @@ from .constants import (
     eps0,
 )
 from .errors import ConfigError, DomainError
-from .quadrature import integrate, integrate_ball
+from .quadrature import integrate_ball
 
 DEFAULT_EPSILON = math.exp(-30.0)  # inside the allowed window (e^-100, e^-20)
 HYPOTHESIS_FLOOR_LOGLOG_N = 36.0
@@ -131,7 +129,7 @@ def _check_epsilon(epsilon: float) -> None:
         )
 
 
-def theorem4_coeff(loglog_N: float, *, with_annotations: bool = False) -> BoundReport:
+def theorem4_coeff(loglog_N: float) -> BoundReport:
     """Coefficient of U_N |A| / log N in the sifted-set lower bound:
     4 e^gamma log 3 - 0.5198 eps0(N) - 767.7471 / sqrt(log N)."""
     logN = _log_N(loglog_N)
@@ -144,8 +142,9 @@ def theorem4_coeff(loglog_N: float, *, with_annotations: bool = False) -> BoundR
             Ball.exact(-LOWER_SQRT_TERM) / Ball(math.sqrt(logN), 2.0 * EPS * math.sqrt(logN)),
         ),
     ]
-    ann = _sieve_value_annotations(loglog_N) if with_annotations else {}
-    return _report("T4_lower", terms, {"loglog_N": loglog_N}, ann)
+    return _report(
+        "T4_lower", terms, {"loglog_N": loglog_N}, _sieve_value_annotations(loglog_N)
+    )
 
 
 def theorem5_coeff(loglog_N: float) -> BoundReport:
@@ -303,24 +302,6 @@ def threshold_report(epsilon: float = DEFAULT_EPSILON) -> ThresholdReport:
     return ThresholdReport(epsilon, crossing, HYPOTHESIS_FLOOR_LOGLOG_N, note)
 
 
-def chen_lower_bound(loglog_N: float, UN: Ball) -> Ball:
-    """Per-N normalized headline bound 0.007 U_N / log^2 N (coefficient of N).
-
-    Past loglog N ~ 351.7 (for U_N = 1) the quotient is subnormal and its
-    radius soon rounds to zero, so it no longer encloses anything; that
-    raises instead.
-    """
-    _log_N(loglog_N)
-    try:
-        log2N = math.exp(2.0 * loglog_N)
-    except OverflowError:
-        raise DomainError(f"loglog_N = {loglog_N} is too large: log^2 N overflows") from None
-    bound = Ball.exact(HEADLINE_COEFF) * UN / Ball(log2N, 2.0 * EPS * log2N)
-    if not (abs(bound.value) >= sys.float_info.min and bound.radius > 0.0):
-        raise DomainError(f"loglog_N = {loglog_N} is too large: the bound {bound} underflows")
-    return bound
-
-
 # -- window integrals ----------------------------------------------------------
 
 
@@ -347,26 +328,6 @@ def H_at_z(tol: float = 1e-12) -> Ball:
     return H_value(0.125, tol)
 
 
-def partial_summation_bound(
-    f: Callable[[float], float],
-    g_deriv: Callable[[float], float],
-    E: float,
-    w: float,
-    z: float,
-    tol: float = 1e-12,
-) -> float:
-    """int_w^z f(t) g'(t) dt + E * max(f(w), f(z)).
-
-    Implements the partial-summation majorization for sums of f against a
-    function of bounded increments; f must be monotone on [w, z] (the caller
-    asserts direction) and g is supplied through its derivative.
-    """
-    if w >= z:
-        raise DomainError(f"need w < z, got w={w}, z={z}")
-    value, _ = integrate(lambda t: f(t) * g_deriv(t), w, z, tol)
-    return value + E * max(f(w), f(z))
-
-
 # -- right-hand-side magnitude evaluators ---------------------------------------
 
 LEMMA_RHS_SELECTORS = (
@@ -374,24 +335,15 @@ LEMMA_RHS_SELECTORS = (
     "pi_ap_summed",  # e^-8 / log^3 x       (modulus-averaged AP error, per x)
     "bilinear_form",  # e^-144 / log^4 Y    (bilinear discrepancy, per XY)
     "residual_remainder",  # 0.19 / log^2.3 N (largest single remainder, per N)
-    "psi_ap_raw",  # 0.000012 / log^8 x + x^{beta0-1}/beta0 (per x/phi(k))
 )
 
 
-def lemma_rhs_evaluators(
-    loglog_x: float,
-    selector: str,
-    *,
-    siegel_beta0: float | None = None,
-) -> Ball:
+def lemma_rhs_evaluators(loglog_x: float, selector: str) -> Ball:
     """Stated right-hand-side bound values, normalized per x, N, or XY.
 
     These are magnitude evaluators only: the hypotheses of the bounds
     (x > exp(exp(32)) and the like) are not checkable at desk scale and no
-    claim is made about them.  `siegel_beta0`, if given, adds the
-    exceptional-zero term x^{beta0-1}/beta0 to the psi_ap_raw selector;
-    there is no computational realization of that zero here, so the value
-    is purely formula-level.
+    claim is made about them.
     """
     if loglog_x <= 0.0:
         raise DomainError(f"loglog_x must be positive, got {loglog_x}")
@@ -405,17 +357,6 @@ def lemma_rhs_evaluators(
         return Ball.exact(math.exp(-144.0)) / logx ** 4 * pad
     if selector == "residual_remainder":
         return Ball.exact(0.19) / logx ** 2.3 * pad
-    if selector == "psi_ap_raw":
-        base = Ball.exact(0.000012) / logx ** 8 * pad
-        if siegel_beta0 is not None:
-            if not (0.5 < siegel_beta0 < 1.0):
-                raise DomainError(
-                    f"exceptional zero must lie in (1/2, 1), got {siegel_beta0}"
-                )
-            base = base + Ball.exact(
-                math.exp((siegel_beta0 - 1.0) * logx) / siegel_beta0
-            ) * pad
-        return base
     raise DomainError(
         f"unknown selector {selector!r}; expected one of {LEMMA_RHS_SELECTORS}"
     )

@@ -1,9 +1,10 @@
 """Single command-line entry point with reproducible machine-readable output.
 
 Exit codes: 0 success, 1 when a pinned-bound check or scan invariant fails,
-2 on usage errors.  All floats print at 17 significant digits and output is
-byte-identical across runs for a fixed configuration; `--threads` is
-accepted for compatibility and has no effect.
+2 on usage errors, a path that cannot be read or written included.  All
+floats print at 17 significant digits and output is byte-identical across
+runs for a fixed configuration; `--threads` is accepted for compatibility
+and has no effect.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def _cmd_bounds(args) -> int:
     which = args.theorem
     reports = []
     if which in ("4", "all"):
-        reports.append(bounds_mod.theorem4_coeff(args.loglogN, with_annotations=True))
+        reports.append(bounds_mod.theorem4_coeff(args.loglogN))
     if which in ("5", "all"):
         reports.append(bounds_mod.theorem5_coeff(args.loglogN))
     if which in ("6", "all"):
@@ -382,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--z-exp and --y-exp must satisfy 0 < z-exp < y-exp < 1")
     try:
         return args.fn(args)
-    except ChensieveError as exc:
+    except (ChensieveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

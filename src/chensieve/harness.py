@@ -1,12 +1,12 @@
 """Exact desk-scale realization of the sifted sets and identities.
 
-The sets here are the shifted-prime set A = {N - p : p <= N, p does not
-divide N}, its prime-multiple subsets A_q, and the triple-product companion
-set B = {N - p1 p2 p3 : z <= p1 < y <= p2 <= p3, p1 p2 p3 < N, coprime to N}
-with z = N^{1/8}, y = N^{1/3} by default.  Everything is computed by direct
-enumeration and integer arithmetic, so identity checks are exact, not
-approximate.  Sifting by a prime p always means removing the elements
-divisible by p; primes dividing N are never used as sifting primes.
+There are three base families: the shifted-prime set A = {N - p : p <= N,
+p does not divide N}, its prime-multiple subsets A_q, and the triple-product
+companion set B = {N - p1 p2 p3 : z <= p1 < y <= p2 <= p3, p1 p2 p3 < N,
+coprime to N}, with z = N^{1/8}, y = N^{1/3} by default.  Everything is
+computed by direct enumeration and integer arithmetic, so identity checks
+are exact, not approximate.  Sifting by a prime p always means removing the
+elements divisible by p; primes dividing N are never used as sifting primes.
 """
 
 from __future__ import annotations
@@ -23,22 +23,18 @@ from .primes import PrimeTable, euler_phi, factorize, singular_series_of
 
 _SAMPLE_CAP = 64
 
-BASES = ("A", "A_sub_q", "B", "B_window_j", "explicit_list")
+BASES = ("A", "A_sub_q", "B")
 
 
 @dataclass(frozen=True)
 class SiftedSetSpec:
-    """Description of a sifted set: base family, defining parameters, and
-    the primes excluded from sifting (on top of the primes dividing N)."""
+    """Description of a sifted set: base family and defining parameters."""
 
     base: str
     N: int
     z: float | None = None
     y: float | None = None
-    excluded_primes: frozenset[int] = frozenset()
-    window: tuple[float, float] | None = None
     q: int | None = None
-    elements: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.base not in BASES:
@@ -51,15 +47,11 @@ class SiftedSetSpec:
             object.__setattr__(self, "y", self.N ** (1.0 / 3.0))
         if self.base == "A_sub_q" and self.q is None:
             raise DomainError("A_sub_q needs the prime q")
-        if self.base == "B_window_j" and not (self.window and self.window[0] > 0):
-            raise DomainError("B_window_j needs a (w_lo, w_hi) window with w_lo > 0")
-        if self.base == "explicit_list" and self.elements is None:
-            raise DomainError("explicit_list needs elements")
 
     @property
     def sift_level(self) -> float:
         """Default sifting level: z for the A family, y for the B family."""
-        return self.y if self.base in ("B", "B_window_j") else self.z
+        return self.y if self.base == "B" else self.z
 
 
 @dataclass(frozen=True)
@@ -96,60 +88,28 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.arange(total) + np.repeat(starts - (ends - lens), lens), lens
 
 
-def _triple_elements(
-    N: int,
-    table: PrimeTable,
-    z: float,
-    y: float,
-    p1_lo: float,
-    p1_hi: float,
-    window_cap: float | None,
-    require_p1_coprime: bool,
-) -> np.ndarray:
-    """Common enumeration for B and its windows, ascending (p1, p2, p3) order,
-    with p1 in [max(z, p1_lo), min(y, p1_hi)), y <= p2 <= p3 and p2, p3
-    coprime to N.
+def _triple_elements(N: int, table: PrimeTable, z: float, y: float) -> np.ndarray:
+    """B in ascending (p1, p2, p3) order: p1 in [z, y), y <= p2 <= p3, and
+    p1, p2, p3 coprime to N.
 
-    The product constraint is p1 p2 p3 < N, enforced exactly through
-    p1 p2^2 < N and p3 <= (N - 1) // (p1 p2), for the plain set, or the
-    float test window_cap * p2 p3 < N for the window variant; window
-    elements can be <= 0 when p1 exceeds the window start, and are kept as
-    defined.
+    The product constraint p1 p2 p3 < N is enforced exactly, through
+    p1 p2^2 < N and p3 <= (N - 1) // (p1 p2).
     """
     ps = table.primes
-    p1s = ps[
-        np.searchsorted(ps, math.ceil(max(z, p1_lo)))
-        : np.searchsorted(ps, math.ceil(min(y, p1_hi)))
-    ]
-    if require_p1_coprime:
-        p1s = p1s[N % p1s != 0]
+    p1s = ps[np.searchsorted(ps, math.ceil(z)) : np.searchsorted(ps, math.ceil(y))]
+    p1s = p1s[N % p1s != 0]
     p2_start = int(np.searchsorted(ps, math.ceil(y)))
-    if window_cap is None:
-        p2_max = [math.isqrt((N - 1) // p1) for p1 in p1s.tolist()]
-    else:
-        # Any p2 past the float stop window_cap * p2^2 >= N (1 + 1e-12)
-        # fails the final float test, so an integer superset of the stop
-        # leaves the set unchanged.  Both caps clip at the table, whose
-        # primes are all <= limit.
-        stop = N * (1.0 + 1e-12) / window_cap
-        p2_max = [math.isqrt(int(min(stop, table.limit**2))) + 1] * len(p1s)
+    p2_max = [math.isqrt((N - 1) // p1) for p1 in p1s.tolist()]
     j2, lens = _ranges(p2_start, np.searchsorted(ps, p2_max, side="right"))
     p1 = np.repeat(p1s, lens)
     p2 = ps[j2]
     keep = N % p2 != 0
     j2, p1, p2 = j2[keep], p1[keep], p2[keep]
-    if window_cap is None:
-        p3_max = (N - 1) // (p1 * p2)
-    else:
-        p3_max = N / (window_cap * p2) * (1.0 + 1e-12)
-        p3_max = np.floor(np.minimum(p3_max, table.limit)).astype(np.int64)
-    j3, lens = _ranges(j2, np.searchsorted(ps, p3_max, side="right"))
+    j3, lens = _ranges(j2, np.searchsorted(ps, (N - 1) // (p1 * p2), side="right"))
     p1 = np.repeat(p1, lens)
     p2 = np.repeat(p2, lens)
     p3 = ps[j3]
     keep = N % p3 != 0
-    if window_cap is not None:
-        keep &= window_cap * p2 * p3.astype(np.float64) < N
     return N - p1[keep] * p2[keep] * p3[keep]
 
 
@@ -162,24 +122,12 @@ def enumerate_set(spec: SiftedSetSpec, table: PrimeTable) -> np.ndarray:
     if spec.base == "A_sub_q":
         a = _base_A(N, table, _divisor_primes(N))
         return a[a % spec.q == 0]
-    if spec.base == "B":
-        return _triple_elements(
-            N, table, spec.z, spec.y, spec.z, spec.y, None, require_p1_coprime=True
-        )
-    if spec.base == "B_window_j":
-        w_lo, w_hi = spec.window
-        return _triple_elements(
-            N, table, spec.z, spec.y, max(spec.z, w_lo), min(spec.y, w_hi), w_lo,
-            require_p1_coprime=False,
-        )
-    return np.asarray(spec.elements, dtype=np.int64)
+    return _triple_elements(N, table, spec.z, spec.y)
 
 
-def _sifting_primes(
-    N: int, level: float, excluded: frozenset[int], table: PrimeTable
-) -> list[int]:
+def _sifting_primes(N: int, level: float, table: PrimeTable) -> list[int]:
     ps = table.primes_between(2, level)
-    return [int(p) for p in ps if N % int(p) != 0 and int(p) not in excluded]
+    return [int(p) for p in ps if N % int(p) != 0]
 
 
 def sift_count(
@@ -193,7 +141,7 @@ def sift_count(
     if level is None:
         level = spec.sift_level
     survivors = np.ones(len(elements), dtype=bool)
-    for p in _sifting_primes(spec.N, level, spec.excluded_primes, table):
+    for p in _sifting_primes(spec.N, level, table):
         survivors &= elements % p != 0
     kept = elements[survivors]
     return SiftResult(int(len(kept)), tuple(int(v) for v in kept[:_SAMPLE_CAP]), spec)
@@ -295,7 +243,7 @@ def check_lemma41(
         if N % q != 0:
             sum_S_Aq += int(np.count_nonzero(survivors % q == 0))
     del survivors
-    B = _triple_elements(N, table, z, y, z, y, None, require_p1_coprime=True)
+    B = _triple_elements(N, table, z, y)
     S_B = len(_survivors(B, y, spf))
     del B
     rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B - 2.0 * N ** 0.875 - 2.0 * N ** (1.0 / 3.0)
@@ -341,7 +289,7 @@ def inclusion_exclusion_check(
                 f"q={q} must be a prime below z={z} not dividing N={N}"
             )
     elements = _base_A(N, table, _divisor_primes(N))
-    sift_all = _sifting_primes(N, z, frozenset(), table)
+    sift_all = _sifting_primes(N, z, table)
 
     def S(restrict_to: int, omit: frozenset[int]) -> int:
         arr = elements[elements % restrict_to == 0] if restrict_to > 1 else elements
@@ -359,31 +307,6 @@ def inclusion_exclusion_check(
         rhs += (-1) ** i * S(m_i, frozenset(qs[: i + 1]))
     rhs += (-1) ** l * S(math.prod(qs) if l else 1, frozenset(qs))
     return lhs == rhs
-
-
-# -- remainder terms ---------------------------------------------------------------
-
-
-def remainder_r(
-    N: int, d: int, k: int | None = None, table: PrimeTable | None = None
-) -> float:
-    """r(d) = |A_d| - |A|/phi(d), or r_k(d) = |A_kd| - |A_k|/phi(d).
-
-    Exact counting with rational division; the float conversion at the end
-    is the only rounding (below 1e-12 at desk scales).
-    """
-    if d == 0:
-        raise DomainError("d must be nonzero")
-    if table is None:
-        raise DomainError("a prime table is required")
-    _check_table(N, table)
-    a = _base_A(N, table, _divisor_primes(N))
-    if k is None:
-        count_d = int(np.count_nonzero(a % d == 0))
-        return float(Fraction(count_d) - Fraction(len(a), euler_phi(d)))
-    a_k = a[a % k == 0]
-    count_kd = int(np.count_nonzero(a % (k * d) == 0))
-    return float(Fraction(count_kd) - Fraction(len(a_k), euler_phi(d)))
 
 
 # -- bilinear discrepancy ------------------------------------------------------------
@@ -419,7 +342,6 @@ def bilinear_discrepancy_exact(
     table: PrimeTable,
     *,
     y: float | None = None,
-    fixed_residue: int | None = None,
 ) -> Fraction:
     """Exact bilinear discrepancy
 
@@ -427,8 +349,7 @@ def bilinear_discrepancy_exact(
                                         - 1/phi(d) sum_n sum_{(np,d)=1} a(n) |
 
     where a(n) is the characteristic function of n = p2 p3 (y <= p2 < p3,
-    coprime to N) and n < X.  `fixed_residue` replaces the max over a by the
-    single residue class a (mod d).  The intended-scale right-hand side
+    coprime to N) and n < X.  The intended-scale right-hand side
     e^-144 XY / log^4 Y is astronomically small and is reported elsewhere as
     context only; this evaluator is for exact desk-scale comparisons.
     """
@@ -453,41 +374,15 @@ def bilinear_discrepancy_exact(
                     coprime_count += 1
                     residue_counts[np_ % d] += 1
         expected = Fraction(coprime_count, phi_d)
-        if fixed_residue is not None:
-            a = fixed_residue % d
-            if math.gcd(a, d) != 1:
-                best = None
-            else:
-                best = abs(Fraction(residue_counts[a]) - expected)
-            total += best if best is not None else 0
-        else:
-            best = Fraction(0)
-            for a in range(d):
-                if math.gcd(a, d) == 1:
-                    diff = abs(Fraction(residue_counts[a]) - expected)
-                    if diff > best:
-                        best = diff
-            total += best
+        best = Fraction(0)
+        for a in range(d):
+            if math.gcd(a, d) == 1:
+                diff = abs(Fraction(residue_counts[a]) - expected)
+                if diff > best:
+                    best = diff
+        total += best
         d += 1
     return total
-
-
-def bilinear_discrepancy(
-    X: float,
-    Y: float,
-    Z: float,
-    Dstar: float,
-    N: int,
-    table: PrimeTable,
-    *,
-    y: float | None = None,
-    fixed_residue: int | None = None,
-) -> float:
-    return float(
-        bilinear_discrepancy_exact(
-            X, Y, Z, Dstar, N, table, y=y, fixed_residue=fixed_residue
-        )
-    )
 
 
 # -- range scan -----------------------------------------------------------------------

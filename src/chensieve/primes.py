@@ -1,9 +1,9 @@
 """Exact prime and arithmetic-function engine over ranges up to ~1e8.
 
 Everything here is integer-exact: a segmented odd-only bit sieve backs
-primality, prime counting (plain and in arithmetic progressions), Chebyshev
-sums, smallest-prime-factor factorization, and the handful of prime sums and
-products that the constants pipeline consumes as Balls.
+primality, Chebyshev sums, smallest-prime-factor factorization, and the
+handful of prime sums and products that the constants pipeline consumes as
+Balls.
 
 Tables are immutable after construction and safe to share across threads;
 all queries are pure.  A table memoizes what it derives from its primes: the
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -262,40 +261,7 @@ def load_cache(path: str | os.PathLike) -> PrimeTable:
     return PrimeTable(limit=limit, packed=packed)
 
 
-# -- counting queries ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class APCountQuery:
-    """Count primes p <= x with p = l (mod k)."""
-
-    x: float
-    k: int
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"modulus must be >= 1, got {self.k}")
-        if not (0 <= self.l < self.k):
-            raise DomainError(f"residue {self.l} not in [0, {self.k})")
-
-
-def prime_pi(x: float, table: PrimeTable) -> int:
-    """pi(x) = #{p prime : p <= x}."""
-    table._check_capacity(x)
-    if x < 2:
-        return 0
-    return int(np.searchsorted(table.primes, math.floor(x), side="right"))
-
-
-def prime_pi_ap(q: APCountQuery, table: PrimeTable) -> int:
-    """pi(x; k, l) = #{p prime <= x : p = l (mod k)}."""
-    table._check_capacity(q.x)
-    ps = table.primes
-    ps = ps[: np.searchsorted(ps, math.floor(q.x), side="right")]
-    if q.k == 1:
-        return len(ps)
-    return int(np.count_nonzero(ps % q.k == q.l))
+# -- Chebyshev sums -----------------------------------------------------------
 
 
 def chebyshev(x: float, kind: str, table: PrimeTable) -> float:
@@ -319,17 +285,6 @@ def chebyshev(x: float, kind: str, table: PrimeTable) -> float:
                 terms.append(lp)
                 m *= p
     return math.fsum(terms)
-
-
-def error_pi(q: APCountQuery, table: PrimeTable) -> float:
-    """pi(x; k, l) - pi(x)/phi(k), computed with exact rational division."""
-    if math.gcd(q.l, q.k) != 1:
-        raise DomainError(
-            f"residue {q.l} not coprime to modulus {q.k}; error term undefined"
-        )
-    count_ap = prime_pi_ap(q, table)
-    count_all = prime_pi(q.x, table)
-    return float(Fraction(count_ap) - Fraction(count_all, euler_phi(q.k)))
 
 
 # -- multiplicative helpers ---------------------------------------------------
@@ -369,23 +324,11 @@ def omega(n: int) -> int:
     return len(factorize(n))
 
 
-def omega_ap(n: int, q: int, a: int) -> int:
-    """Distinct prime factors p of n with p = a (mod q)."""
-    if n < 1:
-        raise DomainError(f"omega undefined for {n}")
-    if q < 1:
-        raise DomainError(f"modulus must be >= 1, got {q}")
-    return sum(1 for p, _ in factorize(n) if p % q == a % q)
-
-
 def omega_range(limit: int) -> np.ndarray:
-    """omega(n) for all n in [0, limit] via a direct increment sieve."""
+    """omega(n) for all n in [0, limit]: one increment per prime divisor."""
     counts = np.zeros(limit + 1, dtype=np.uint8)
-    flags = np.zeros(limit + 1, dtype=bool)
-    flags[2:] = True
-    for p in range(2, limit + 1):
-        if flags[p]:
-            flags[2 * p :: p] = False
+    if limit >= 2:
+        for p in build_prime_table(limit).primes.tolist():
             counts[p::p] += 1
     return counts
 

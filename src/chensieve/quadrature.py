@@ -17,6 +17,9 @@ from typing import Callable
 from .ball import Ball
 from .errors import ConfigError
 
+# Bisection depth past which a panel is accepted as it stands.
+MAX_DEPTH = 52
+
 # Kronrod-15 abscissae (nonnegative half) and weights; Gauss-7 weights.
 _XGK = (
     0.991455371120812639206854697526329,
@@ -68,13 +71,12 @@ def integrate(
     a: float,
     b: float,
     tol: float = 1e-12,
-    max_depth: int = 52,
 ) -> tuple[float, float]:
     """Integrate f over [a, b]; returns (value, error_bound).
 
     `tol` is the absolute tolerance target.  The returned error bound is the
     sum of converged panel differences (always >= the target achieved) plus a
-    rounding pad; it may exceed `tol` only when `max_depth` bisections are
+    rounding pad; it may exceed `tol` only when `MAX_DEPTH` bisections are
     insufficient, in which case the bound is still honest.
     """
     if not (tol > 0.0):
@@ -93,7 +95,7 @@ def integrate(
     while stack:
         lo, hi, depth, local_tol = stack.pop()
         val, err = _gk15(f, lo, hi)
-        if err <= local_tol or depth >= max_depth or (hi - lo) <= 16 * math.ulp(lo):
+        if err <= local_tol or depth >= MAX_DEPTH or (hi - lo) <= 16 * math.ulp(lo):
             values.append(val)
             errors.append(err)
         else:

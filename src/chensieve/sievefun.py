@@ -40,6 +40,8 @@ from .errors import ConfigError, DomainError
 from .quadrature import integrate
 
 S_MAX_CAP = 12.0
+# Degree of the Chebyshev interpolant of each piece's integrand.
+DEGREE = 48
 
 
 @dataclass(frozen=True)
@@ -70,14 +72,13 @@ def _interp_tail(poly: Chebyshev) -> float:
 class SieveFunctionSystem:
     """Dense evaluator for f1 and F1 on (0, s_max]."""
 
-    def __init__(self, s_max: float = 12.0, tol: float = 1e-12, degree: int = 48):
+    def __init__(self, s_max: float = 12.0, tol: float = 1e-12):
         if not (3.0 <= s_max <= S_MAX_CAP):
             raise ConfigError(f"s_max must be in [3, {S_MAX_CAP}], got {s_max}")
         if not (1e-15 <= tol <= 1e-6):
             raise ConfigError(f"tol must be in [1e-15, 1e-6], got {tol}")
         self.s_max = float(s_max)
         self.tol = float(tol)
-        self.degree = int(degree)
 
         two_eg = exp_gamma_ball() * 2.0
         self._two_eg = two_eg.value
@@ -105,7 +106,7 @@ class SieveFunctionSystem:
         def integrand(t: float) -> float:
             return src_piece(t - 1.0) / (t - 1.0)
 
-        p_g = Chebyshev.interpolate(integrand, self.degree, domain=[lo, hi])
+        p_g = Chebyshev.interpolate(integrand, DEGREE, domain=[lo, hi])
         partial = p_g.integ(lbnd=lo)
         poly = -partial + start_value
 

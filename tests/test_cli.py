@@ -280,6 +280,32 @@ def test_sievefun_stdout_pinned(capsys, s_max, step):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SIEVEFUN[s_max, step]
 
 
+# sha256 of `bounds` and `constants` stdout, computed before the unreached
+# bound helpers and Ball constructors were deleted; stage 4 always carries
+# its sieve-value annotations.
+_PINNED_REPORTS = {
+    ("bounds", "--theorem", "all"):
+        "cf79f8f7eff88c78809856cbb04e6faa8058cdf0bffaf2796f6d939654c8241c",
+    ("bounds", "--theorem", "all", "--output-format", "text"):
+        "b5ddba928524e8cd702e3172fc0addc4b4772faec72bedb1c2702fae51892f83",
+    ("bounds", "--theorem", "final", "--loglogN", "36", "--epsilon", "9.4e-14"):
+        "87e10fd91b0339c8ac217bc393d5e657ca6d7025d8c9d8b79311a90e4194ea86",
+    ("constants", "--table-limit", "200000"):
+        "6c8dc1093b583b101bde34986a8c0873c7603b62cea9cb556cd983d6c64ccb64",
+    ("constants", "--table-limit", "200000", "--output-format", "csv"):
+        "2a9476c91869246fd0185a0f7dc2e31afa7cb6702fc6544d98f2388d0807e287",
+    ("constants", "--table-limit", "200000", "--output-format", "text"):
+        "2f9f487bd67a87bdf94b6903a4fe3665e48b86f1b62ef25bea1feae8f9c5e295",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_REPORTS))
+def test_report_stdout_pinned(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_REPORTS[argv]
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -317,3 +343,47 @@ def test_verify_small_table_builds_the_UN_table_once(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "d642c020c2f3eb706309af1afcef5a3b8d8477e455039ad5d256d33814d976d5"
     )
+
+
+# A path that cannot be read or written is a usage error: exit 2 with one
+# `error:` line, never a traceback (exit 1 means a failed bound or invariant).
+_BAD_PATHS = {
+    "constants-cache-is-dir": [
+        "constants", "--table-limit", "200000", "--cache-file", "{dir}",
+    ],
+    "cache-build-cache-is-dir": [
+        "cache", "build", "--table-limit", "1000", "--cache-file", "{dir}",
+    ],
+    "scan-cache-in-missing-dir": [
+        "scan", "--max", "100", "--table-limit", "1000", "--cache-file", "{missing}/x.bin",
+    ],
+    "cache-build-in-missing-dir": [
+        "cache", "build", "--table-limit", "1000", "--cache-file", "{missing}/x.bin",
+    ],
+    "verify-output-in-missing-dir": [
+        "verify", "--N", "100", "--table-limit", "1000", "-o", "{missing}/o.txt",
+    ],
+    "sievefun-output-is-dir": [
+        "sievefun", "--s-max", "3", "--step", "0.1", "-o", "{dir}",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_PATHS))
+def test_unusable_path_is_usage_error(tmp_path, capsys, case):
+    fill = {"dir": str(tmp_path), "missing": str(tmp_path / "missing")}
+    argv = [arg.format(**fill) for arg in _BAD_PATHS[case]]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_cache_env_dir_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    monkeypatch.setenv("CHENSIEVE_CACHE_DIR", str(blocker))
+    assert _exit_code(["scan", "--max", "100", "--table-limit", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err

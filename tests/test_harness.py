@@ -12,14 +12,12 @@ from chensieve.harness import (
     DecompositionCheck,
     ScanReport,
     SiftedSetSpec,
-    bilinear_discrepancy,
     bilinear_discrepancy_exact,
     check_lemma41,
     enumerate_set,
     goldbach_chen_scan,
     inclusion_exclusion_check,
     pi2_bruteforce,
-    remainder_r,
     sift_count,
 )
 from chensieve.primes import (
@@ -114,69 +112,6 @@ def test_enumerate_B_against_triple_loop(table_small):
     assert len(got) > 0
 
 
-def test_enumerate_B_window(table_small):
-    N = 10_000
-    z, y = N ** 0.125, N ** (1.0 / 3.0)
-    full = enumerate_set(SiftedSetSpec("B", N), table_small)
-    w = enumerate_set(
-        SiftedSetSpec("B_window_j", N, window=(z, y)), table_small
-    )
-    # the single full-range window with cap z*p2*p3 < N is a superset of B
-    assert len(w) >= len(full)
-
-
-def window_oracle(N, w_lo, w_hi, prime_list):
-    """B_window_j by its definition, one triple at a time in float, with the
-    p2 loop stopped at w_lo p2^2 >= N (1 + 1e-12)."""
-    z, y = N ** 0.125, N ** (1.0 / 3.0)
-    out = []
-    for p1 in prime_list:
-        if not (max(z, w_lo) <= p1 < min(y, w_hi)):
-            continue
-        for p2 in prime_list:
-            if p2 < y:
-                continue
-            if w_lo * p2 * p2 >= N * (1.0 + 1e-12):
-                break
-            if N % p2 == 0:
-                continue
-            for p3 in prime_list:
-                if p3 >= p2 and N % p3 != 0 and w_lo * p2 * float(p3) < N:
-                    out.append(N - p1 * p2 * p3)
-    return out
-
-
-@pytest.mark.parametrize(
-    "N,window",
-    [(10_000, None), (10_000, (5.5, 9.0)), (9_240, (3.0, 20.0)), (2_310, (7.5, 8.0))],
-)
-def test_enumerate_B_window_against_oracle(table_small, N, window):
-    z, y = N ** 0.125, N ** (1.0 / 3.0)
-    w_lo, w_hi = window or (z, y)
-    got = enumerate_set(SiftedSetSpec("B_window_j", N, window=(w_lo, w_hi)), table_small)
-    assert got.tolist() == window_oracle(N, w_lo, w_hi, primes_upto(N))
-
-
-def test_enumerate_B_window_tiny_start_reaches_table_end():
-    # with w_lo ~ 0 every p3 up to the table limit passes the float test
-    table = build_prime_table(300)
-    spec = SiftedSetSpec("B_window_j", 100, window=(1e-300, 10.0))
-    got = enumerate_set(spec, table)
-    assert got.tolist() == window_oracle(100, 1e-300, 10.0, primes_upto(300))
-    assert got.min() == 100 - 3 * 293 * 293
-
-
-def test_window_start_must_be_positive():
-    for window in [(0.0, 5.0), (-3.0, 5.0), (float("nan"), 5.0)]:
-        with pytest.raises(DomainError):
-            SiftedSetSpec("B_window_j", 100, window=window)
-
-
-def test_explicit_list_base(table_small):
-    spec = SiftedSetSpec("explicit_list", 100, elements=(15, 77, 1))
-    assert list(enumerate_set(spec, table_small)) == [15, 77, 1]
-
-
 def test_spec_validation():
     with pytest.raises(DomainError):
         SiftedSetSpec("A", 9)
@@ -213,17 +148,6 @@ def test_sift_against_filter_oracle(table_small):
     expect = [e for e in elements if e % 3 != 0]
     assert res.count == len(expect)
     assert list(res.survivors_sample) == expect[:64]
-
-
-def test_excluding_a_prime_never_decreases_count(table_small):
-    N = 10_000
-    base = sift_count(SiftedSetSpec("A", N), table_small, level=10.0)
-    weaker = sift_count(
-        SiftedSetSpec("A", N, excluded_primes=frozenset([3])),
-        table_small,
-        level=10.0,
-    )
-    assert weaker.count >= base.count
 
 
 def test_sift_never_exceeds_set_size(table_small):
@@ -433,29 +357,7 @@ def test_randomized_identity_suite(table_1m):
         assert inclusion_exclusion_check(N, zi, qs, table_1m)
 
 
-# -- remainders -----------------------------------------------------------------------
-
-
-def test_remainder_r1_is_zero(table_1m):
-    assert remainder_r(10_000, 1, table=table_1m) == 0.0
-
-
-def test_remainder_r_direct_count(table_1m):
-    N = 10_000
-    a = enumerate_set(SiftedSetSpec("A", N), table_1m)
-    expect = int(np.count_nonzero(a % 3 == 0)) - len(a) / 2
-    assert remainder_r(N, 3, table=table_1m) == pytest.approx(expect, abs=1e-12)
-
-
-def test_remainder_rk(table_1m):
-    N = 10_000
-    a = enumerate_set(SiftedSetSpec("A", N), table_1m)
-    a3 = a[a % 3 == 0]
-    expect = float(
-        Fraction(int(np.count_nonzero(a % 21 == 0)))
-        - Fraction(len(a3), euler_phi(7))
-    )
-    assert remainder_r(N, 7, k=3, table=table_1m) == pytest.approx(expect, abs=1e-12)
+# -- Moebius sums ---------------------------------------------------------------------
 
 
 def test_moebius_sum_equals_legendre_sift(table_1m):
@@ -466,11 +368,6 @@ def test_moebius_sum_equals_legendre_sift(table_1m):
         mu_sum += mu * int(np.count_nonzero(a % d == 0))
     sifted = int(np.count_nonzero((a % 3 != 0) & (a % 5 != 0)))
     assert mu_sum == sifted
-
-
-def test_remainder_validation(table_1m):
-    with pytest.raises(DomainError):
-        remainder_r(10_000, 0, table=table_1m)
 
 
 # -- bilinear discrepancy -----------------------------------------------------------------
@@ -510,7 +407,7 @@ def bilinear_oracle(X, Y, Z, Dstar, N, y, prime_list) -> Fraction:
 
 
 def test_bilinear_empty_sum(table_small):
-    assert bilinear_discrepancy(100, 100, 50, 1, 19946, table_small) == 0.0
+    assert bilinear_discrepancy_exact(100, 100, 50, 1, 19946, table_small) == 0
 
 
 def test_bilinear_fixed_case_matches_oracle(table_small):
@@ -533,15 +430,6 @@ def test_bilinear_randomized_against_oracle(table_small):
         got = bilinear_discrepancy_exact(X, Y, Z, Dstar, N, table_small, y=y)
         expect = bilinear_oracle(X, Y, Z, Dstar, N, y, ps)
         assert got == expect
-
-
-def test_bilinear_fixed_residue_dominated_by_max(table_small):
-    kwargs = dict(y=5.0)
-    free = bilinear_discrepancy_exact(150, 60, 5, 12, 202, table_small, **kwargs)
-    fixed = bilinear_discrepancy_exact(
-        150, 60, 5, 12, 202, table_small, fixed_residue=202, **kwargs
-    )
-    assert fixed <= free
 
 
 # -- scans ------------------------------------------------------------------------------

@@ -7,19 +7,13 @@ import pytest
 from chensieve.ball import GAMMA
 from chensieve.errors import CacheError, CapacityError, DomainError
 from chensieve.primes import (
-    APCountQuery,
     build_prime_table,
     chebyshev,
-    error_pi,
     euler_phi,
-    factorize,
     load_cache,
     mertens_product,
     omega,
-    omega_ap,
     omega_range,
-    prime_pi,
-    prime_pi_ap,
     recip_prime_sum,
     save_cache,
     singular_series_UN,
@@ -51,8 +45,8 @@ def test_small_table_matches_trial_division():
 
 
 def test_prime_counts_at_powers_of_ten(table_1m):
-    assert prime_pi(100, table_1m) == 25
-    assert prime_pi(10**6, table_1m) == 78498
+    assert np.count_nonzero(table_1m.primes <= 100) == 25
+    assert len(table_1m.primes) == 78498
 
 
 def test_limit_validation():
@@ -144,26 +138,6 @@ def test_build_uses_cache(tmp_path):
 # -- counting ---------------------------------------------------------------------
 
 
-def test_prime_pi_examples(table_small):
-    assert prime_pi(2, table_small) == 1
-    assert prime_pi(1.5, table_small) == 0
-    with pytest.raises(CapacityError):
-        prime_pi(10**7, table_small)
-
-
-def test_prime_pi_ap_examples(table_small):
-    assert prime_pi_ap(APCountQuery(100, 4, 1), table_small) == 11
-    assert prime_pi_ap(APCountQuery(100, 1, 0), table_small) == 25
-    assert prime_pi_ap(APCountQuery(10, 2, 0), table_small) == 1
-
-
-def test_prime_pi_ap_against_filter_oracle(table_small):
-    ps = [p for p in trial_division_primes(500)]
-    for k, l in [(3, 1), (7, 2), (10, 9)]:
-        expect = sum(1 for p in ps if p % k == l)
-        assert prime_pi_ap(APCountQuery(500, k, l), table_small) == expect
-
-
 def test_primes_between_against_filter_oracle(table_small):
     ps = trial_division_primes(2_000)
     bounds = [0, 1, 2, 3, 10, 100, 1000, 1999]
@@ -173,22 +147,6 @@ def test_primes_between_against_filter_oracle(table_small):
         for b in bounds:
             expect = [p for p in ps if a <= p < b]
             assert table_small.primes_between(a, b).tolist() == expect, (a, b)
-
-
-def test_ap_query_validation():
-    with pytest.raises(DomainError):
-        APCountQuery(10, 0, 0)
-    with pytest.raises(DomainError):
-        APCountQuery(10, 4, 4)
-
-
-def test_partition_invariant(table_1m):
-    for k in [1, 2, 3, 7, 12, 25, 50]:
-        for x in [97.0, 10_000.0, 100_000.0]:
-            total = sum(
-                prime_pi_ap(APCountQuery(x, k, l), table_1m) for l in range(k)
-            )
-            assert total == prime_pi(x, table_1m)
 
 
 # -- Chebyshev sums ----------------------------------------------------------------
@@ -238,53 +196,20 @@ def test_chebyshev_kind_validation(table_small):
 def test_omega_examples():
     assert omega(12) == 2
     assert omega(1) == 0
-    assert omega_ap(30, 4, 1) == 1
     with pytest.raises(DomainError):
         omega(0)
 
 
-def test_omega_ap_against_factorization_oracle():
-    for n in [30, 210, 9999, 123456]:
-        for q, a in [(4, 1), (4, 3), (3, 2)]:
-            expect = sum(1 for p, _ in factorize(n) if p % q == a)
-            assert omega_ap(n, q, a) == expect
-
-
 def test_omega_range_matches_pointwise():
     arr = omega_range(3000)
+    assert arr.dtype == np.uint8
     for n in range(2, 3000, 7):
         assert int(arr[n]) == omega(n)
-
-
-# -- error terms --------------------------------------------------------------------
-
-
-def test_error_pi_example(table_small):
-    # 11 primes = 1 mod 4 up to 100; pi(100)/phi(4) = 25/2
-    assert error_pi(APCountQuery(100, 4, 1), table_small) == 11 - 12.5
-
-
-def test_error_pi_modulus_one(table_small):
-    assert error_pi(APCountQuery(100, 1, 0), table_small) == 0.0
-
-
-def test_error_pi_requires_coprimality(table_small):
-    with pytest.raises(DomainError):
-        error_pi(APCountQuery(100, 4, 2), table_small)
-
-
-def test_error_pi_independent_recount(table_1m):
-    q = APCountQuery(100_000.0, 3, 2)
-    # second, independent sieve: plain dense boolean array, no odd packing
-    flags = np.ones(100_001, dtype=bool)
-    flags[:2] = False
-    for p in range(2, 317):
-        if flags[p]:
-            flags[p * p :: p] = False
-    ps = np.flatnonzero(flags)
-    count = int(np.count_nonzero(ps % 3 == 2))
-    expect = count - len(ps) / 2
-    assert abs(error_pi(q, table_1m) - expect) < 1e-12
+    # tiny limits: omega(0) and omega(1) are stored as 0
+    for limit in (0, 1, 2, 3):
+        arr = omega_range(limit)
+        assert arr.dtype == np.uint8
+        assert arr.tolist() == [0, 0, 1, 1][: limit + 1]
 
 
 def test_euler_phi():
