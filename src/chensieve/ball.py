@@ -48,6 +48,14 @@ class Ball:
         return Ball(float(x), 0.0)
 
     @staticmethod
+    def from_interval(lo: float, hi: float) -> "Ball":
+        if hi < lo:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        mid = 0.5 * (lo + hi)
+        rad = max(hi - mid, mid - lo) + _pad(mid)
+        return Ball(mid, rad)
+
+    @staticmethod
     def _coerce(x: "Ball | float | int") -> "Ball":
         return x if isinstance(x, Ball) else Ball.exact(x)
 

@@ -13,8 +13,10 @@ headline coefficient that must clear 0.007.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 from .ball import EPS, Ball, exp_gamma_ball
 from .constants import (
@@ -29,7 +31,7 @@ from .constants import (
     eps0,
 )
 from .errors import ConfigError, DomainError
-from .quadrature import integrate_ball
+from .quadrature import integrate, integrate_ball
 
 DEFAULT_EPSILON = math.exp(-30.0)  # inside the allowed window (e^-100, e^-20)
 HYPOTHESIS_FLOOR_LOGLOG_N = 36.0
@@ -302,6 +304,24 @@ def threshold_report(epsilon: float = DEFAULT_EPSILON) -> ThresholdReport:
     return ThresholdReport(epsilon, crossing, HYPOTHESIS_FLOOR_LOGLOG_N, note)
 
 
+def chen_lower_bound(loglog_N: float, UN: Ball) -> Ball:
+    """Per-N normalized headline bound 0.007 U_N / log^2 N (coefficient of N).
+
+    Past loglog N ~ 351.7 (for U_N = 1) the quotient is subnormal and its
+    radius soon rounds to zero, so it no longer encloses anything; that
+    raises instead.
+    """
+    _log_N(loglog_N)
+    try:
+        log2N = math.exp(2.0 * loglog_N)
+    except OverflowError:
+        raise DomainError(f"loglog_N = {loglog_N} is too large: log^2 N overflows") from None
+    bound = Ball.exact(HEADLINE_COEFF) * UN / Ball(log2N, 2.0 * EPS * log2N)
+    if not (abs(bound.value) >= sys.float_info.min and bound.radius > 0.0):
+        raise DomainError(f"loglog_N = {loglog_N} is too large: the bound {bound} underflows")
+    return bound
+
+
 # -- window integrals ----------------------------------------------------------
 
 
@@ -326,6 +346,26 @@ def H_at_z(tol: float = 1e-12) -> Ball:
     """H_value at alpha = 1/8 (the sifted level z = N^{1/8});
     closed form (8/7) log(13/8)."""
     return H_value(0.125, tol)
+
+
+def partial_summation_bound(
+    f: Callable[[float], float],
+    g_deriv: Callable[[float], float],
+    E: float,
+    w: float,
+    z: float,
+    tol: float = 1e-12,
+) -> float:
+    """int_w^z f(t) g'(t) dt + E * max(f(w), f(z)).
+
+    Implements the partial-summation majorization for sums of f against a
+    function of bounded increments; f must be monotone on [w, z] (the caller
+    asserts direction) and g is supplied through its derivative.
+    """
+    if w >= z:
+        raise DomainError(f"need w < z, got w={w}, z={z}")
+    value, _ = integrate(lambda t: f(t) * g_deriv(t), w, z, tol)
+    return value + E * max(f(w), f(z))
 
 
 # -- right-hand-side magnitude evaluators ---------------------------------------

@@ -54,6 +54,13 @@ def test_radii_grow_monotonically_through_operations():
     assert ball_sqrt(a).radius > 0.0
 
 
+def test_interval_constructor():
+    b = Ball.from_interval(1.0, 2.0)
+    assert b.contains(1.0) and b.contains(2.0)
+    with pytest.raises(ValueError):
+        Ball.from_interval(2.0, 1.0)
+
+
 def test_strict_comparisons():
     b = Ball(1.0, 0.1)
     assert b.strictly_below(1.2)

@@ -3,12 +3,15 @@ import math
 import pytest
 from scipy import integrate as scipy_integrate
 
+from chensieve.ball import Ball
 from chensieve.bounds import (
     DEFAULT_EPSILON,
     H_at_z,
     H_value,
+    chen_lower_bound,
     final_coefficient,
     lemma_rhs_evaluators,
+    partial_summation_bound,
     remainder_level_window,
     theorem4_coeff,
     theorem5_coeff,
@@ -199,6 +202,39 @@ def test_threshold_report():
     assert gap_lo < 0.007 < gap_hi
 
 
+def test_chen_lower_bound_substitution():
+    b = chen_lower_bound(36.0, Ball.exact(1.0))
+    assert b.value == pytest.approx(0.007 / math.exp(72.0), rel=1e-12)
+    doubled = chen_lower_bound(36.0, Ball.exact(2.0))
+    assert doubled.value == pytest.approx(2.0 * b.value, rel=1e-12)
+
+
+def test_chen_lower_bound_with_U4(table_1m):
+    from chensieve.primes import singular_series_UN
+
+    u4 = singular_series_UN(4, 1_000_000, table_1m)
+    b = chen_lower_bound(36.0, u4)
+    assert b.value - b.radius > 0.0
+
+
+@pytest.mark.parametrize(
+    "loglog_N", [math.nan, math.inf, 0.5, 352.0, 354.0, 355.0, 800.0]
+)
+def test_chen_lower_bound_domain(loglog_N):
+    # 352: a subnormal quotient with a 5e-324 radius; 354: a zero radius;
+    # 355: log^2 N overflows
+    with pytest.raises(DomainError):
+        chen_lower_bound(loglog_N, Ball.exact(1.0))
+
+
+def test_chen_lower_bound_accepted_values_unchanged():
+    # results of the unguarded formula, pinned bit for bit
+    assert chen_lower_bound(36.0, Ball.exact(1.0)) == Ball(
+        3.7661303120147974e-34, 5.017493503365064e-49
+    )
+    assert chen_lower_bound(350.0, Ball.exact(1.0)) == Ball(6.90177358063184e-307, 3.06e-322)
+
+
 @pytest.mark.parametrize("loglog_N", [math.nan, math.inf, 0.5, 800.0])
 def test_remainder_level_window_domain(loglog_N):
     with pytest.raises(DomainError):
@@ -256,6 +292,42 @@ def test_H_double_integral_reproduces_c2():
     )
     c2 = compute_c2().value
     assert abs(outer - (c2 - 1e-8)) < 1e-8
+
+
+# -- partial summation -----------------------------------------------------------------
+
+
+def test_partial_summation_trivial():
+    assert partial_summation_bound(
+        lambda t: 1.0, lambda t: 1.0, 0.0, 0.0, 1.0
+    ) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_partial_summation_error_term_linearity():
+    base = partial_summation_bound(lambda t: t, lambda t: 2.0 * t, 0.0, 1.0, 2.0)
+    with_E = partial_summation_bound(lambda t: t, lambda t: 2.0 * t, 0.5, 1.0, 2.0)
+    assert with_E - base == pytest.approx(0.5 * 2.0, abs=1e-13)
+
+
+def test_partial_summation_reproduces_reciprocal_log_sum_shape():
+    """In the beta = log t / log N parameterization, the weighted prime sum
+    sum 1/(q log(N^{1/2}/q)) over z <= q < y has leading term 2 log 6/log N:
+    f(b) = 1/((1/2 - b) log N), dg = db/b over [1/8, 1/3]."""
+    loglog_N = 36.0
+    logN = math.exp(loglog_N)
+    value = partial_summation_bound(
+        lambda b: 1.0 / ((0.5 - b) * logN),
+        lambda b: 1.0 / b,
+        0.0,
+        0.125,
+        1.0 / 3.0,
+    )
+    assert value == pytest.approx(2.0 * math.log(6.0) / logN, rel=1e-10)
+
+
+def test_partial_summation_domain():
+    with pytest.raises(DomainError):
+        partial_summation_bound(lambda t: 1.0, lambda t: 1.0, 0.0, 2.0, 1.0)
 
 
 # -- rhs magnitude evaluators ------------------------------------------------------------
