@@ -16,7 +16,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
 
 from .ball import EPS, Ball, exp_gamma_ball
 from .constants import (
@@ -31,7 +30,7 @@ from .constants import (
     eps0,
 )
 from .errors import ConfigError, DomainError
-from .quadrature import integrate, integrate_ball
+from .quadrature import integrate_ball
 
 DEFAULT_EPSILON = math.exp(-30.0)  # inside the allowed window (e^-100, e^-20)
 HYPOTHESIS_FLOOR_LOGLOG_N = 36.0
@@ -304,24 +303,6 @@ def threshold_report(epsilon: float = DEFAULT_EPSILON) -> ThresholdReport:
     return ThresholdReport(epsilon, crossing, HYPOTHESIS_FLOOR_LOGLOG_N, note)
 
 
-def chen_lower_bound(loglog_N: float, UN: Ball) -> Ball:
-    """Per-N normalized headline bound 0.007 U_N / log^2 N (coefficient of N).
-
-    Past loglog N ~ 351.7 (for U_N = 1) the quotient is subnormal and its
-    radius soon rounds to zero, so it no longer encloses anything; that
-    raises instead.
-    """
-    _log_N(loglog_N)
-    try:
-        log2N = math.exp(2.0 * loglog_N)
-    except OverflowError:
-        raise DomainError(f"loglog_N = {loglog_N} is too large: log^2 N overflows") from None
-    bound = Ball.exact(HEADLINE_COEFF) * UN / Ball(log2N, 2.0 * EPS * log2N)
-    if not (abs(bound.value) >= sys.float_info.min and bound.radius > 0.0):
-        raise DomainError(f"loglog_N = {loglog_N} is too large: the bound {bound} underflows")
-    return bound
-
-
 # -- window integrals ----------------------------------------------------------
 
 
@@ -348,34 +329,15 @@ def H_at_z(tol: float = 1e-12) -> Ball:
     return H_value(0.125, tol)
 
 
-def partial_summation_bound(
-    f: Callable[[float], float],
-    g_deriv: Callable[[float], float],
-    E: float,
-    w: float,
-    z: float,
-    tol: float = 1e-12,
-) -> float:
-    """int_w^z f(t) g'(t) dt + E * max(f(w), f(z)).
-
-    Implements the partial-summation majorization for sums of f against a
-    function of bounded increments; f must be monotone on [w, z] (the caller
-    asserts direction) and g is supplied through its derivative.
-    """
-    if w >= z:
-        raise DomainError(f"need w < z, got w={w}, z={z}")
-    value, _ = integrate(lambda t: f(t) * g_deriv(t), w, z, tol)
-    return value + E * max(f(w), f(z))
-
-
 # -- right-hand-side magnitude evaluators ---------------------------------------
 
-LEMMA_RHS_SELECTORS = (
-    "pi_ap_single",  # e^-14 / log^4 x      (single-modulus AP error, per x)
-    "pi_ap_summed",  # e^-8 / log^3 x       (modulus-averaged AP error, per x)
-    "bilinear_form",  # e^-144 / log^4 Y    (bilinear discrepancy, per XY)
-    "residual_remainder",  # 0.19 / log^2.3 N (largest single remainder, per N)
-)
+# selector -> (c, k) of the stated bound c / log^k, and what it is normalized by
+LEMMA_RHS = {
+    "pi_ap_single": (math.exp(-14.0), 4),  # single-modulus AP error, per x
+    "pi_ap_summed": (math.exp(-8.0), 3),  # modulus-averaged AP error, per x
+    "bilinear_form": (math.exp(-144.0), 4),  # bilinear discrepancy in log Y, per XY
+    "residual_remainder": (0.19, 2.3),  # largest single remainder in log N, per N
+}
 
 
 def lemma_rhs_evaluators(loglog_x: float, selector: str) -> Ball:
@@ -383,20 +345,20 @@ def lemma_rhs_evaluators(loglog_x: float, selector: str) -> Ball:
 
     These are magnitude evaluators only: the hypotheses of the bounds
     (x > exp(exp(32)) and the like) are not checkable at desk scale and no
-    claim is made about them.
+    claim is made about them.  A loglog_x whose log power overflows, or
+    whose bound underflows out of the normal range, raises DomainError.
     """
-    if loglog_x <= 0.0:
-        raise DomainError(f"loglog_x must be positive, got {loglog_x}")
-    logx = math.exp(loglog_x)
-    pad = Ball(1.0, 8.0 * EPS)
-    if selector == "pi_ap_single":
-        return Ball.exact(math.exp(-14.0)) / logx ** 4 * pad
-    if selector == "pi_ap_summed":
-        return Ball.exact(math.exp(-8.0)) / logx ** 3 * pad
-    if selector == "bilinear_form":
-        return Ball.exact(math.exp(-144.0)) / logx ** 4 * pad
-    if selector == "residual_remainder":
-        return Ball.exact(0.19) / logx ** 2.3 * pad
-    raise DomainError(
-        f"unknown selector {selector!r}; expected one of {LEMMA_RHS_SELECTORS}"
-    )
+    if not 0.0 < loglog_x < math.inf:
+        raise DomainError(f"loglog_x must be positive and finite, got {loglog_x}")
+    if selector not in LEMMA_RHS:
+        raise DomainError(
+            f"unknown selector {selector!r}; expected one of {tuple(LEMMA_RHS)}"
+        )
+    coeff, power = LEMMA_RHS[selector]
+    try:
+        bound = Ball.exact(coeff) / math.exp(loglog_x) ** power * Ball(1.0, 8.0 * EPS)
+    except OverflowError:
+        raise DomainError(f"loglog_x = {loglog_x} is too large: log x overflows") from None
+    if not (bound.value >= sys.float_info.min and bound.radius > 0.0):
+        raise DomainError(f"loglog_x = {loglog_x} is too large: the bound {bound} underflows")
+    return bound

@@ -79,6 +79,18 @@ def write_csv(fh, header: list[str], rows: list[list]) -> None:
         fh.write(",".join(_csv_cell(v) for v in row) + "\n")
 
 
+def _output_path_problem(path: str) -> str | None:
+    """Why `path` cannot take a report, checked before any work is done.
+    The file itself is written only at the end, so a command that fails
+    never truncates it."""
+    if os.path.isdir(path):
+        return f"output path {path} is a directory"
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        return f"output directory {folder} does not exist"
+    return None
+
+
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -287,9 +299,7 @@ def _cmd_cache(args) -> int:
         )
         return 2
     if args.action == "build":
-        primes_mod.build_prime_table(
-            args.table_limit, threads=args.threads, cache_path=path
-        )
+        _load_table(args)
         print(path)
         return 0
     try:
@@ -381,6 +391,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--loglogN must be finite")
     if args.command == "verify" and not (0.0 < args.z_exp < args.y_exp < 1.0):
         parser.error("--z-exp and --y-exp must satisfy 0 < z-exp < y-exp < 1")
+    problem = args.output_path and _output_path_problem(args.output_path)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (ChensieveError, OSError) as exc:

@@ -35,33 +35,31 @@ def _odd_count(limit: int) -> int:
     return (limit - 1) // 2 if limit >= 3 else 0
 
 
-def _small_primes(limit: int) -> np.ndarray:
-    """Dense sieve for base primes (limit is at most sqrt of the table cap)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    comp = np.zeros(limit + 1, dtype=bool)
-    comp[:2] = True
-    for p in range(2, math.isqrt(limit) + 1):
-        if not comp[p]:
-            comp[p * p :: p] = True
-    return np.flatnonzero(~comp).astype(np.int64)
+# Odd indices marked per sieve segment.  Segment writes are disjoint and
+# position-fixed, so the result does not depend on this value.
+SEGMENT_SIZE = 1 << 18
 
 
-def _mark_segment(comp: np.ndarray, lo: int, hi: int, odd_base_primes: np.ndarray) -> None:
-    """Mark composite odd-indices in comp[lo:hi) for every base prime."""
-    v_lo = 3 + 2 * lo
-    for p in odd_base_primes:
-        p = int(p)
-        start_val = p * p
-        if start_val < v_lo:
-            k = -(-v_lo // p)  # ceil division
-            if k % 2 == 0:
-                k += 1
-            start_val = p * k
-        j = (start_val - 3) // 2
-        if j >= hi:
-            continue
-        comp[j:hi:p] = True
+def _odd_primality(limit: int) -> np.ndarray:
+    """Primality flags of the odd numbers 3 + 2j <= limit.
+
+    A segmented odd-only sieve; its base primes, the odd primes up to
+    isqrt(limit), come from the same sieve run at isqrt(limit).
+    """
+    n = _odd_count(limit)
+    flags = np.ones(n, dtype=bool)
+    if limit < 9:  # no odd composite below 9
+        return flags
+    base = (np.flatnonzero(_odd_primality(math.isqrt(limit))) * 2 + 3).tolist()
+    for lo in range(0, n, SEGMENT_SIZE):
+        hi = min(lo + SEGMENT_SIZE, n)
+        for p in base:
+            # the odd multiples of p from p*p on sit at (p*p - 3)//2 + k*p
+            j = (p * p - 3) // 2
+            if j < lo:
+                j = lo + (j - lo) % p
+            flags[j:hi:p] = False
+    return flags
 
 
 def _pack_odd_bits(flags: np.ndarray) -> np.ndarray:
@@ -139,16 +137,14 @@ class PrimeTable:
     def spf(self) -> np.ndarray:
         """Smallest prime factor for every n in [0, limit] (spf[1] = 1)."""
         if self._spf is None:
-            limit = self.limit
-            spf = np.zeros(limit + 1, dtype=np.int32)
-            for p in _small_primes(math.isqrt(limit)):
-                p = int(p)
-                view = spf[p * p :: p]
-                view[view == 0] = p
-            rest = np.flatnonzero(spf[2:] == 0).astype(np.int64) + 2
+            spf = np.zeros(self.limit + 1, dtype=np.int32)
+            odd_base = np.flatnonzero(_odd_primality(math.isqrt(self.limit))) * 2 + 3
+            # Largest base prime first, so the smallest prime dividing n
+            # writes spf[n] last; what no base prime divides is 0, 1 or prime.
+            for p in [*odd_base[::-1].tolist(), 2]:
+                spf[p * p :: p] = p
+            rest = np.flatnonzero(spf == 0)
             spf[rest] = rest
-            if limit >= 1:
-                spf[1] = 1
             self._spf = spf
         return self._spf
 
@@ -182,19 +178,10 @@ class PrimeTable:
         return ball
 
 
-def build_prime_table(
-    limit: int,
-    *,
-    threads: int = 1,
-    segment_size: int = 1 << 18,
-    cache_path: str | os.PathLike | None = None,
-) -> PrimeTable:
-    """Build (or load from cache) a prime table for [2, limit].
+def build_prime_table(limit: int, *, threads: int = 1) -> PrimeTable:
+    """Build the prime table for [2, limit] with the segmented odd-only sieve.
 
-    Construction is a segmented odd-only sieve run serially; the result is
-    bit-identical regardless of `segment_size` because segment writes are
-    disjoint and position-fixed.  `threads` is validated for compatibility
-    and has no effect.
+    `threads` is validated for compatibility and has no effect.
     """
     if not (2 <= limit <= IMPLEMENTATION_CAP):
         raise CapacityError(
@@ -202,27 +189,7 @@ def build_prime_table(
         )
     if threads < 1:
         raise CapacityError(f"threads must be >= 1, got {threads}")
-
-    if cache_path is not None and os.path.exists(cache_path):
-        try:
-            table = load_cache(cache_path)
-            if table.limit == limit:
-                return table
-        except CacheError:
-            pass  # fall through and rebuild
-
-    n = _odd_count(limit)
-    comp = np.zeros(n, dtype=bool)
-    base = _small_primes(math.isqrt(limit))
-    odd_base = base[base > 2]
-
-    for lo in range(0, n, segment_size):
-        _mark_segment(comp, lo, min(lo + segment_size, n), odd_base)
-
-    table = PrimeTable(limit=limit, packed=_pack_odd_bits(~comp))
-    if cache_path is not None:
-        save_cache(table, cache_path)
-    return table
+    return PrimeTable(limit=limit, packed=_pack_odd_bits(_odd_primality(limit)))
 
 
 # -- cache file ---------------------------------------------------------------

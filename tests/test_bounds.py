@@ -8,10 +8,8 @@ from chensieve.bounds import (
     DEFAULT_EPSILON,
     H_at_z,
     H_value,
-    chen_lower_bound,
     final_coefficient,
     lemma_rhs_evaluators,
-    partial_summation_bound,
     remainder_level_window,
     theorem4_coeff,
     theorem5_coeff,
@@ -202,39 +200,6 @@ def test_threshold_report():
     assert gap_lo < 0.007 < gap_hi
 
 
-def test_chen_lower_bound_substitution():
-    b = chen_lower_bound(36.0, Ball.exact(1.0))
-    assert b.value == pytest.approx(0.007 / math.exp(72.0), rel=1e-12)
-    doubled = chen_lower_bound(36.0, Ball.exact(2.0))
-    assert doubled.value == pytest.approx(2.0 * b.value, rel=1e-12)
-
-
-def test_chen_lower_bound_with_U4(table_1m):
-    from chensieve.primes import singular_series_UN
-
-    u4 = singular_series_UN(4, 1_000_000, table_1m)
-    b = chen_lower_bound(36.0, u4)
-    assert b.value - b.radius > 0.0
-
-
-@pytest.mark.parametrize(
-    "loglog_N", [math.nan, math.inf, 0.5, 352.0, 354.0, 355.0, 800.0]
-)
-def test_chen_lower_bound_domain(loglog_N):
-    # 352: a subnormal quotient with a 5e-324 radius; 354: a zero radius;
-    # 355: log^2 N overflows
-    with pytest.raises(DomainError):
-        chen_lower_bound(loglog_N, Ball.exact(1.0))
-
-
-def test_chen_lower_bound_accepted_values_unchanged():
-    # results of the unguarded formula, pinned bit for bit
-    assert chen_lower_bound(36.0, Ball.exact(1.0)) == Ball(
-        3.7661303120147974e-34, 5.017493503365064e-49
-    )
-    assert chen_lower_bound(350.0, Ball.exact(1.0)) == Ball(6.90177358063184e-307, 3.06e-322)
-
-
 @pytest.mark.parametrize("loglog_N", [math.nan, math.inf, 0.5, 800.0])
 def test_remainder_level_window_domain(loglog_N):
     with pytest.raises(DomainError):
@@ -294,43 +259,10 @@ def test_H_double_integral_reproduces_c2():
     assert abs(outer - (c2 - 1e-8)) < 1e-8
 
 
-# -- partial summation -----------------------------------------------------------------
-
-
-def test_partial_summation_trivial():
-    assert partial_summation_bound(
-        lambda t: 1.0, lambda t: 1.0, 0.0, 0.0, 1.0
-    ) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_partial_summation_error_term_linearity():
-    base = partial_summation_bound(lambda t: t, lambda t: 2.0 * t, 0.0, 1.0, 2.0)
-    with_E = partial_summation_bound(lambda t: t, lambda t: 2.0 * t, 0.5, 1.0, 2.0)
-    assert with_E - base == pytest.approx(0.5 * 2.0, abs=1e-13)
-
-
-def test_partial_summation_reproduces_reciprocal_log_sum_shape():
-    """In the beta = log t / log N parameterization, the weighted prime sum
-    sum 1/(q log(N^{1/2}/q)) over z <= q < y has leading term 2 log 6/log N:
-    f(b) = 1/((1/2 - b) log N), dg = db/b over [1/8, 1/3]."""
-    loglog_N = 36.0
-    logN = math.exp(loglog_N)
-    value = partial_summation_bound(
-        lambda b: 1.0 / ((0.5 - b) * logN),
-        lambda b: 1.0 / b,
-        0.0,
-        0.125,
-        1.0 / 3.0,
-    )
-    assert value == pytest.approx(2.0 * math.log(6.0) / logN, rel=1e-10)
-
-
-def test_partial_summation_domain():
-    with pytest.raises(DomainError):
-        partial_summation_bound(lambda t: 1.0, lambda t: 1.0, 0.0, 2.0, 1.0)
-
-
 # -- rhs magnitude evaluators ------------------------------------------------------------
+
+
+_RHS_SELECTORS = ("pi_ap_single", "pi_ap_summed", "bilinear_form", "residual_remainder")
 
 
 def test_rhs_evaluator_values():
@@ -346,6 +278,34 @@ def test_rhs_evaluator_values():
     assert lemma_rhs_evaluators(36.0, "bilinear_form").value == pytest.approx(
         math.exp(-288.0), rel=1e-12
     )
+    # criterion 8's inputs, pinned bit for bit before the domain checks
+    assert [lemma_rhs_evaluators(36.0, s) for s in _RHS_SELECTORS] == [
+        Ball(2.406976550610464e-69, 6.413473886929383e-84),
+        Ball(4.1863939993042326e-51, 1.1154794419632365e-65),
+        Ball(8.37894253381937e-126, 2.232598781533756e-140),
+        Ball(2.0853093925577477e-37, 5.5563804026033064e-52),
+    ]
+
+
+# Past these points log^k x overflows, or the bound falls below the normal
+# range, where its radius no longer encloses anything.
+_RHS_OUT_OF_DOMAIN = [
+    (selector, loglog_x)
+    for selector in _RHS_SELECTORS
+    for loglog_x in (308.0, 709.0, 800.0, math.nan, math.inf)
+] + [
+    ("pi_ap_single", 177.0),
+    ("pi_ap_single", 178.0),
+    ("bilinear_form", 150.0),
+    ("bilinear_form", 177.0),
+    ("bilinear_form", 178.0),
+]
+
+
+@pytest.mark.parametrize("selector, loglog_x", _RHS_OUT_OF_DOMAIN)
+def test_rhs_evaluator_domain(selector, loglog_x):
+    with pytest.raises(DomainError):
+        lemma_rhs_evaluators(loglog_x, selector)
 
 
 def test_rhs_evaluator_unknown_selector():

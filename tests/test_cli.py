@@ -4,9 +4,10 @@ import os
 
 import pytest
 
+from chensieve import harness as harness_mod
 from chensieve import primes as primes_mod
 from chensieve.cli import main, to_json
-from chensieve.primes import build_prime_table, save_cache
+from chensieve.primes import build_prime_table, load_cache, save_cache
 
 
 def run(tmp_path, *argv):
@@ -163,6 +164,22 @@ def test_unreadable_cache_regenerates_with_warning(tmp_path, capsys):
     assert "rebuilding" in capsys.readouterr().err
 
 
+def test_cache_build_over_stale_file_warns_and_rewrites(tmp_path, capsys):
+    path = tmp_path / "pt.bin"
+    for stale in (b"garbage", None):
+        if stale is None:
+            save_cache(build_prime_table(10_000), path)
+        else:
+            path.write_bytes(stale)
+        argv = ["cache", "build", "--table-limit", "50000", "--cache-file", str(path)]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == f"{path}\n"
+        assert len(err.splitlines()) == 1 and err.startswith("warning:")
+        assert "rebuilding" in err
+        assert load_cache(path).limit == 50_000
+
+
 def test_cache_env_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("CHENSIEVE_CACHE_DIR", str(tmp_path / "cachedir"))
     code = main(["cache", "build", "--table-limit", "30000"])
@@ -306,6 +323,33 @@ def test_report_stdout_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_REPORTS[argv]
 
 
+# sha256 of `scan` stdout and of a `cache build` file, computed before the
+# sieve took its base primes from itself; scan reads both the bitset and spf.
+_PINNED_SCAN = {
+    ("scan", "--max", "36000", "--rows", "--emit", "csv", "--table-limit", "36000"):
+        "93e0c2fb2147f07eb30511deba136ccf181e4f16163131fa6cc248a6b6aac0dd",
+    ("scan", "--max", "1000000", "--floor-only"):
+        "81744b2c534b1314e3cb5715e256f90f7e5a94d93872f4385361db657eccffae",
+    ("scan", "--max", "5000", "--output-format", "text", "--table-limit", "200000"):
+        "0ad3a9f5344c751e625845a1f34172dfa1a29e714f5976dccb8ee2e471ab4bc4",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_SCAN))
+def test_scan_stdout_pinned(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SCAN[argv]
+
+
+def test_cache_file_pinned(tmp_path):
+    path = tmp_path / "pt.bin"
+    assert main(["cache", "build", "--table-limit", "1000000", "--cache-file", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2ee0c90d8fe4dfb2d9080aed94176c578e53cc34be005c691f71bd593d655a02"
+    )
+
+
 def _exit_code(argv):
     try:
         return main(argv)
@@ -377,6 +421,18 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["{missing}/x.csv", "{dir}"])
+def test_unusable_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch, target):
+    checked = []
+    monkeypatch.setattr(harness_mod, "check_lemma41", lambda *a, **k: checked.append(a))
+    out = target.format(missing=tmp_path / "missing", dir=tmp_path)
+    argv = ["verify", "--scan", "600", "--emit", "csv", "--table-limit", "200000", "-o", out]
+    assert _exit_code(argv) == 2
+    assert checked == []
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_cache_env_dir_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,11 @@
 import math
-import os
 
 import numpy as np
 import pytest
 
+from chensieve import primes as primes_mod
 from chensieve.ball import GAMMA
+from chensieve.cli import main
 from chensieve.errors import CacheError, CapacityError, DomainError
 from chensieve.primes import (
     build_prime_table,
@@ -62,11 +63,36 @@ def test_limit_cap_is_1e8():
         build_prime_table(100_000_001)
 
 
-def test_identical_result_across_threads_and_segmentation():
+def test_identical_result_across_threads_and_segmentation(monkeypatch):
     base = build_prime_table(300_000)
-    for threads, seg in [(4, 1 << 18), (8, 1 << 14), (1, 1 << 12)]:
-        other = build_prime_table(300_000, threads=threads, segment_size=seg)
+    for threads, seg in [(4, primes_mod.SEGMENT_SIZE), (8, 1 << 14), (1, 1 << 12)]:
+        monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", seg)
+        other = build_prime_table(300_000, threads=threads)
         assert np.array_equal(base.packed, other.packed)
+
+
+def smallest_divisor(n):
+    """Independent oracle: the least d >= 2 dividing n, by trial division."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return d
+        d += 1
+    return n
+
+
+def test_every_small_limit_matches_trial_division():
+    # covers every root the sieve's recursion on isqrt(limit) reaches
+    for limit in range(2, 301):
+        t = build_prime_table(limit)
+        assert t.primes.tolist() == trial_division_primes(limit), limit
+        assert t.spf.tolist() == [0, 1] + [smallest_divisor(n) for n in range(2, limit + 1)]
+
+
+def test_spf_matches_trial_division_to_1e5():
+    spf = build_prime_table(100_000).spf
+    assert spf.dtype == np.int32
+    assert spf.tolist() == [0, 1] + [smallest_divisor(n) for n in range(2, 100_001)]
 
 
 def test_spf_invariants(table_small):
@@ -127,12 +153,17 @@ def test_cache_header_past_cap(tmp_path):
         load_cache(path)
 
 
-def test_build_uses_cache(tmp_path):
+def test_build_uses_cache(tmp_path, monkeypatch, capsys):
     path = tmp_path / "pt.bin"
-    t1 = build_prime_table(50_000, cache_path=path)
-    assert os.path.exists(path)
-    t2 = build_prime_table(50_000, cache_path=path)
-    assert np.array_equal(t1.packed, t2.packed)
+    argv = ["cache", "build", "--table-limit", "50000", "--cache-file", str(path)]
+    assert main(argv) == 0
+    assert np.array_equal(load_cache(path).packed, build_prime_table(50_000).packed)
+    built = []
+    monkeypatch.setattr(primes_mod, "build_prime_table", lambda *a, **k: built.append(a))
+    assert main(argv) == 0
+    assert built == []
+    out, err = capsys.readouterr()
+    assert out == f"{path}\n" * 2 and err == ""
 
 
 # -- counting ---------------------------------------------------------------------
