@@ -10,6 +10,7 @@ and has no effect.
 from __future__ import annotations
 
 import argparse
+import bisect
 import io
 import math
 import os
@@ -99,6 +100,23 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _render(args, report: str, payload, *, header=None, rows=None, text=None) -> None:
+    """Write one report: CSV when the format is csv and the report has rows,
+    text when the format is text and it has a text form, JSON otherwise;
+    `--emit` overrides `--output-format`.  `payload` (the JSON fields after
+    the report name) and `text` are called only when their format is chosen."""
+    fmt = getattr(args, "emit", None) or args.output_format
+    if fmt == "csv" and rows is not None:
+        buf = io.StringIO()
+        write_csv(buf, header, rows)
+        out = buf.getvalue()
+    elif fmt == "text" and text is not None:
+        out = text()
+    else:
+        out = to_json({"schema": SCHEMA, "report": report, **payload()}) + "\n"
+    _emit(out, args.output_path)
+
+
 # -- table helpers ----------------------------------------------------------------
 
 
@@ -107,13 +125,12 @@ def _cache_path(limit: int, explicit: str | None) -> str | None:
         return explicit
     cache_dir = os.environ.get(CACHE_ENV)
     if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
         return os.path.join(cache_dir, f"pt_{limit}.bin")
     return None
 
 
 def _load_table(args) -> primes_mod.PrimeTable:
-    path = _cache_path(args.table_limit, getattr(args, "cache_file", None))
+    path = _cache_path(args.table_limit, args.cache_file)
     if path and os.path.exists(path):
         try:
             table = primes_mod.load_cache(path)
@@ -127,6 +144,8 @@ def _load_table(args) -> primes_mod.PrimeTable:
             print(f"warning: unreadable cache ({exc}), rebuilding", file=sys.stderr)
     table = primes_mod.build_prime_table(args.table_limit, threads=args.threads)
     if path:
+        if not args.cache_file:  # the cache directory is made only to save
+            os.makedirs(os.path.dirname(path), exist_ok=True)
         primes_mod.save_cache(table, path)
     return table
 
@@ -140,25 +159,9 @@ def _cmd_constants(args) -> int:
         table, truncation_limit=args.table_limit, tol=args.precision_target
     )
     rows = led.rows()
-    if args.output_format == "csv":
-        buf = io.StringIO()
-        write_csv(
-            buf,
-            ["name", "value", "radius", "paper_bound", "pass", "provenance"],
-            [
-                [
-                    r["name"],
-                    r["value"],
-                    r["radius"],
-                    "" if r["paper_bound"] is None else r["paper_bound"],
-                    r["pass"],
-                    r["provenance"],
-                ]
-                for r in rows
-            ],
-        )
-        _emit(buf.getvalue(), args.output_path)
-    elif args.output_format == "text":
+    header = ["name", "value", "radius", "paper_bound", "pass", "provenance"]
+
+    def text() -> str:
         buf = io.StringIO()
         for r in rows:
             bound = "" if r["paper_bound"] is None else f" < {r['paper_bound']:.17g}"
@@ -167,12 +170,16 @@ def _cmd_constants(args) -> int:
                 f"{r['name']:24s} {r['value']:.17g} +/- {r['radius']:.3g}"
                 f"{bound}  [{flag}] {r['provenance']}\n"
             )
-        _emit(buf.getvalue(), args.output_path)
-    else:
-        _emit(
-            to_json({"schema": SCHEMA, "report": "constants", "entries": rows}) + "\n",
-            args.output_path,
-        )
+        return buf.getvalue()
+
+    _render(
+        args,
+        "constants",
+        lambda: {"entries": rows},
+        header=header,
+        rows=[["" if r[k] is None else r[k] for k in header] for r in rows],
+        text=text,
+    )
     return 0 if led.all_pass else 1
 
 
@@ -196,12 +203,12 @@ def _cmd_bounds(args) -> int:
     if which in ("final", "all"):
         reports.append(bounds_mod.final_coefficient(args.loglogN, args.epsilon))
 
-    failed = False
-    for rep in reports:
-        if rep.theorem_id == "FINAL" and not rep.annotations.get("clears_threshold"):
-            failed = True
+    failed = any(
+        rep.theorem_id == "FINAL" and not rep.annotations.get("clears_threshold")
+        for rep in reports
+    )
 
-    if args.output_format == "text":
+    def text() -> str:
         buf = io.StringIO()
         for rep in reports:
             buf.write(f"[{rep.theorem_id}] inputs={rep.inputs}\n")
@@ -212,23 +219,15 @@ def _cmd_bounds(args) -> int:
             )
             for k, v in rep.annotations.items():
                 buf.write(f"  note {k}: {v}\n")
-        _emit(buf.getvalue(), args.output_path)
-    else:
-        payload = {
-            "schema": SCHEMA,
-            "report": "bounds",
-            "reports": [rep.to_dict() for rep in reports],
-        }
-        _emit(to_json(payload) + "\n", args.output_path)
+        return buf.getvalue()
+
+    _render(
+        args, "bounds", lambda: {"reports": [rep.to_dict() for rep in reports]}, text=text
+    )
     return 1 if failed else 0
 
 
 _VERIFY_HEADER = ["N", "pi2", "S_A", "Sum_S_Aq", "S_B", "lemma41_margin", "UN", "ratio"]
-
-
-def _verify_row_dict(check) -> dict:
-    row = check.to_row()
-    return dict(zip(_VERIFY_HEADER, row))
 
 
 def _cmd_verify(args) -> int:
@@ -236,31 +235,27 @@ def _cmd_verify(args) -> int:
         print("verify: give exactly one of --N or --scan", file=sys.stderr)
         return 2
     table = _load_table(args)
-    targets = [args.N] if args.N is not None else list(range(6, args.scan + 1, 2))
+    targets = [args.N] if args.N is not None else range(6, args.scan + 1, 2)
+    past = targets[bisect.bisect_right(targets, table.limit) :]
+    if args.scan is not None and past:  # fail before computing any row
+        harness_mod._check_table(past[0], table)
     checks = [
         harness_mod.check_lemma41(N, table, z_exp=args.z_exp, y_exp=args.y_exp)
         for N in targets
     ]
-    fmt = args.emit or args.output_format
-    if fmt == "text":
-        buf = io.StringIO()
-        for c in checks:
-            buf.write(
-                f"N={c.N} pi2={c.pi2} S_A={c.S_A} Sum_S_Aq={c.sum_S_Aq} "
-                f"S_B={c.S_B} margin={c.margin:.17g} ratio={c.ratio:.17g}\n"
-            )
-        _emit(buf.getvalue(), args.output_path)
-    elif fmt == "json":
-        payload = {
-            "schema": SCHEMA,
-            "report": "verify",
-            "rows": [_verify_row_dict(c) for c in checks],
-        }
-        _emit(to_json(payload) + "\n", args.output_path)
-    else:
-        buf = io.StringIO()
-        write_csv(buf, _VERIFY_HEADER, [c.to_row() for c in checks])
-        _emit(buf.getvalue(), args.output_path)
+    rows = [c.to_row() for c in checks]
+    _render(
+        args,
+        "verify",
+        lambda: {"rows": [dict(zip(_VERIFY_HEADER, row)) for row in rows]},
+        header=_VERIFY_HEADER,
+        rows=rows,
+        text=lambda: "".join(
+            f"N={c.N} pi2={c.pi2} S_A={c.S_A} Sum_S_Aq={c.sum_S_Aq} "
+            f"S_B={c.S_B} margin={c.margin:.17g} ratio={c.ratio:.17g}\n"
+            for c in checks
+        ),
+    )
     return 0 if all(c.pi2 >= 1 for c in checks) else 1
 
 
@@ -270,24 +265,22 @@ def _cmd_scan(args) -> int:
     report = harness_mod.goldbach_chen_scan(
         args.max, table, mode=mode, threads=args.threads, collect_rows=args.rows
     )
-    fmt = args.emit or args.output_format
-    if fmt == "csv" and report.rows is not None:
-        buf = io.StringIO()
-        write_csv(buf, ["N", "pi2", "UN", "ratio"], report.rows)
-        _emit(buf.getvalue(), args.output_path)
-    elif fmt == "text":
-        d = report.to_dict()
-        _emit(
-            "".join(f"{k}={d[k]}\n" for k in d),
-            args.output_path,
-        )
-    else:
-        payload = {"schema": SCHEMA, "report": "scan", "result": report.to_dict()}
-        if report.rows is not None and fmt == "json":
-            payload["rows"] = [
-                dict(zip(["N", "pi2", "UN", "ratio"], row)) for row in report.rows
-            ]
-        _emit(to_json(payload) + "\n", args.output_path)
+    header = ["N", "pi2", "UN", "ratio"]
+
+    def payload() -> dict:
+        if report.rows is None:
+            return {"result": report.to_dict()}
+        rows = [dict(zip(header, row)) for row in report.rows]
+        return {"result": report.to_dict(), "rows": rows}
+
+    _render(
+        args,
+        "scan",
+        payload,
+        header=header,
+        rows=report.rows,
+        text=lambda: "".join(f"{k}={v}\n" for k, v in report.to_dict().items()),
+    )
     return 0 if report.floor_holds else 1
 
 

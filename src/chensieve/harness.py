@@ -12,7 +12,7 @@ elements divisible by p; primes dividing N are never used as sifting primes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +130,14 @@ def _sifting_primes(N: int, level: float, table: PrimeTable) -> list[int]:
     return [int(p) for p in ps if N % int(p) != 0]
 
 
+def _sift(elements: np.ndarray, primes: list[int]) -> np.ndarray:
+    """The elements divisible by none of `primes`, by trial division."""
+    alive = np.ones(len(elements), dtype=bool)
+    for p in primes:
+        alive &= elements % p != 0
+    return elements[alive]
+
+
 def sift_count(
     spec: SiftedSetSpec,
     table: PrimeTable,
@@ -140,10 +148,7 @@ def sift_count(
     elements = enumerate_set(spec, table)
     if level is None:
         level = spec.sift_level
-    survivors = np.ones(len(elements), dtype=bool)
-    for p in _sifting_primes(spec.N, level, table):
-        survivors &= elements % p != 0
-    kept = elements[survivors]
+    kept = _sift(elements, _sifting_primes(spec.N, level, table))
     return SiftResult(int(len(kept)), tuple(int(v) for v in kept[:_SAMPLE_CAP]), spec)
 
 
@@ -292,12 +297,8 @@ def inclusion_exclusion_check(
     sift_all = _sifting_primes(N, z, table)
 
     def S(restrict_to: int, omit: frozenset[int]) -> int:
-        arr = elements[elements % restrict_to == 0] if restrict_to > 1 else elements
-        alive = np.ones(len(arr), dtype=bool)
-        for p in sift_all:
-            if p not in omit:
-                alive &= arr % p != 0
-        return int(np.count_nonzero(alive))
+        primes = [p for p in sift_all if p not in omit]
+        return len(_sift(elements[elements % restrict_to == 0], primes))
 
     lhs = S(1, frozenset())
     l = len(qs)
@@ -313,24 +314,19 @@ def inclusion_exclusion_check(
 
 
 def _p2p3_support(X: float, N: int, y: float, table: PrimeTable) -> np.ndarray:
-    """n < X with n = p2 p3, y <= p2 < p3, gcd(n, N) = 1."""
+    """n < X with n = p2 p3, y <= p2 < p3, gcd(n, N) = 1, ascending.
+
+    For integer n, n < X exactly when n <= ceil(X) - 1, so the bound
+    p3 <= (ceil(X) - 1) // p2 keeps the products below X exactly.
+    """
+    n_max = max(math.ceil(X) - 1, 0)
     ps = table.primes
-    out: list[int] = []
-    start = np.searchsorted(ps, math.ceil(y), side="left")
-    for i in range(start, len(ps)):
-        p2 = int(ps[i])
-        if p2 * (p2 + 1) >= X:
-            break
-        if N % p2 == 0:
-            continue
-        for j in range(i + 1, len(ps)):
-            p3 = int(ps[j])
-            n = p2 * p3
-            if n >= X:
-                break
-            if N % p3 != 0:
-                out.append(n)
-    return np.asarray(sorted(out), dtype=np.int64)
+    ps = ps[: np.searchsorted(ps, n_max // 2, side="right")]
+    ps = ps[N % ps != 0]
+    lo = np.searchsorted(ps, math.ceil(y))
+    j2 = np.arange(lo, np.searchsorted(ps, math.isqrt(n_max), side="right"))
+    j3, lens = _ranges(j2 + 1, np.searchsorted(ps, n_max // ps[j2], side="right"))
+    return np.sort(np.repeat(ps[j2], lens) * ps[j3])
 
 
 def bilinear_discrepancy_exact(
@@ -359,28 +355,17 @@ def bilinear_discrepancy_exact(
     if y is None:
         y = N ** (1.0 / 3.0)
     support = _p2p3_support(X, N, y, table)
-    sieve_ps = [int(p) for p in table.primes_between(Z, Y)]
+    # every n p is below (limit + 1)^2 < 2^63, so the int64 products are exact
+    products = np.multiply.outer(support, table.primes_between(Z, Y)).ravel()
     total = Fraction(0)
     d = 1
     while d < Dstar:
-        phi_d = euler_phi(d)
-        coprime_count = 0
-        residue_counts = [0] * d
-        for n in support:
-            n = int(n)
-            for p in sieve_ps:
-                np_ = n * p
-                if math.gcd(np_, d) == 1:
-                    coprime_count += 1
-                    residue_counts[np_ % d] += 1
-        expected = Fraction(coprime_count, phi_d)
-        best = Fraction(0)
-        for a in range(d):
-            if math.gcd(a, d) == 1:
-                diff = abs(Fraction(residue_counts[a]) - expected)
-                if diff > best:
-                    best = diff
-        total += best
+        coprime = products[np.gcd(products, d) == 1]
+        residue_counts = np.bincount(coprime % d, minlength=d).tolist()
+        expected = Fraction(len(coprime), euler_phi(d))
+        total += max(
+            abs(residue_counts[a] - expected) for a in range(d) if math.gcd(a, d) == 1
+        )
         d += 1
     return total
 
@@ -402,18 +387,8 @@ class ScanReport:
     rows: list[list] | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "N_max": self.N_max,
-            "mode": self.mode,
-            "checked": self.checked,
-            "floor_holds": self.floor_holds,
-            "failures": list(self.failures),
-            "min_pi2": self.min_pi2,
-            "argmin_pi2": self.argmin_pi2,
-            "min_ratio": self.min_ratio,
-            "argmin_ratio": self.argmin_ratio,
-        }
-        return out
+        """The summary fields in declaration order; `rows` go out separately."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
 
 
 def goldbach_chen_scan(

@@ -13,6 +13,7 @@ singular series (`PrimeTable.twin_product`).
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -196,14 +197,23 @@ def build_prime_table(limit: int, *, threads: int = 1) -> PrimeTable:
 
 
 def save_cache(table: PrimeTable, path: str | os.PathLike) -> None:
-    """Write `<magic><ascii limit>\\n<little-endian u64 bitset>`."""
+    """Write `<magic><ascii limit>\\n<little-endian u64 bitset>`.
+
+    The file is written under a temporary name and renamed into place; if
+    that fails, the temporary is removed and the error names `path`.
+    """
     payload = table.packed.astype("<u8").tobytes()
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(f"{table.limit}\n".encode("ascii"))
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(f"{table.limit}\n".encode("ascii"))
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
 
 
 def load_cache(path: str | os.PathLike) -> PrimeTable:
@@ -218,12 +228,12 @@ def load_cache(path: str | os.PathLike) -> PrimeTable:
             raise CacheError(f"{path}: unreadable limit line {line!r}") from exc
         if not (2 <= limit <= IMPLEMENTATION_CAP):
             raise CacheError(f"{path}: limit {limit} out of range")
-        payload = fh.read()
-    words = -(-_odd_count(limit) // 64)
-    if len(payload) != 8 * words:
-        raise CacheError(
-            f"{path}: payload is {len(payload)} bytes, expected {8 * words}"
-        )
+        size = 8 * -(-_odd_count(limit) // 64)
+        # one byte past the payload is enough to tell a file that is too long
+        payload = fh.read(size + 1)
+    if len(payload) != size:
+        got = len(payload) if len(payload) < size else f"more than {size}"
+        raise CacheError(f"{path}: payload is {got} bytes, expected {size}")
     packed = np.frombuffer(payload, dtype="<u8").copy()
     return PrimeTable(limit=limit, packed=packed)
 

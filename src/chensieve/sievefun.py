@@ -51,11 +51,6 @@ class _Piece:
     poly: Chebyshev
     radius: float  # uniform enclosure radius valid on [lo, hi]
 
-    def __call__(self, s):
-        # works elementwise on arrays too (quadrature and interpolation
-        # both probe the piece in vector form)
-        return self.poly(s)
-
 
 def _interp_tail(poly: Chebyshev) -> float:
     """Crude uniform bound on the truncation error of a Chebyshev interpolant.
@@ -98,13 +93,14 @@ class SieveFunctionSystem:
 
     # -- construction ---------------------------------------------------------
 
-    def _march(self, start_value: float, start_radius: float, k: int, source) -> _Piece:
-        """Build V on [k, k+1] with V(s) = V(k) - int_k^s source(t-1)/(t-1) dt."""
+    def _march(self, prev: _Piece, k: int, src: _Piece) -> _Piece:
+        """Continue `prev` onto [k, k+1] by
+        V(s) = V(k) - int_k^s src(t-1)/(t-1) dt."""
         lo, hi = float(k), float(k + 1)
-        src_piece, src_radius = source
+        start_value = float(prev.poly(lo))
 
         def integrand(t: float) -> float:
-            return src_piece(t - 1.0) / (t - 1.0)
+            return src.poly(t - 1.0) / (t - 1.0)
 
         p_g = Chebyshev.interpolate(integrand, DEGREE, domain=[lo, hi])
         partial = p_g.integ(lbnd=lo)
@@ -113,9 +109,9 @@ class SieveFunctionSystem:
         gk_value, gk_err = integrate(integrand, lo, hi, self.tol)
         cross = abs(float(partial(hi)) - gk_value) + gk_err
         # The delayed source's radius integrates against 1/(t-1).
-        propagated = src_radius * math.log(k / (k - 1.0))
+        propagated = src.radius * math.log(k / (k - 1.0))
         radius = (
-            start_radius
+            prev.radius
             + propagated
             + _interp_tail(p_g)
             + cross
@@ -124,24 +120,13 @@ class SieveFunctionSystem:
         return _Piece(lo, hi, poly, radius)
 
     def _build(self) -> None:
-        top = int(math.ceil(self.s_max))
-        # f1 on [2, 3] integrates the closed-form F1 over [1, 2].
-        F1_seed = self._F1_pieces[0]
-        self._f1_pieces.append(
-            self._march(2.0, 0.0, 2, (F1_seed, F1_seed.radius))
-        )
-        for k in range(3, top):
-            f1_prev = self._f1_pieces[-1]  # covers [k-1, k]
-            F1_prev = self._F1_pieces[-1]  # covers [k-1, k] (or [0,3] for k=3)
-            F1_start = self._F1_pieces[-1]
-            F1_val = float(F1_start.poly(float(k)))
-            self._F1_pieces.append(
-                self._march(F1_val, F1_start.radius, k, (f1_prev, f1_prev.radius))
-            )
-            f1_val = float(self._f1_pieces[-1].poly(float(k)))
-            self._f1_pieces.append(
-                self._march(f1_val, self._f1_pieces[-1].radius, k, (F1_prev, F1_prev.radius))
-            )
+        # Each step reads the pieces on [k-1, k] (the seeds at the start:
+        # f1(2) = 2 exactly, and F1 is closed-form up to 3).
+        for k in range(2, int(math.ceil(self.s_max))):
+            f1_prev, F1_prev = self._f1_pieces[-1], self._F1_pieces[-1]
+            self._f1_pieces.append(self._march(f1_prev, k, F1_prev))
+            if k >= 3:
+                self._F1_pieces.append(self._march(F1_prev, k, f1_prev))
 
     # -- evaluation -------------------------------------------------------------
 

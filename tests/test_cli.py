@@ -443,3 +443,66 @@ def test_cache_env_dir_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error:")
     assert "Traceback" not in err
+
+
+# sha256 of stdout for the format choices no other pin covers, computed
+# before the per-command format dispatchers became one renderer: text forms,
+# `verify` JSON by default, `--emit` over `--output-format`, and the JSON
+# that a csv request falls back to when the report has no rows.
+_PINNED_FORMATS = {
+    ("verify", "--N", "30030", "--output-format", "text", "--table-limit", "200000"):
+        "0a40eb186ad6c7c6b0581e1f29790eb6789915a3efc1af972e7e927ef8ff1cd6",
+    ("verify", "--scan", "300", "--table-limit", "200000"):
+        "37208f855c83fd32101ce6ffb34d90ae462be4d33a44ffeb7798ba9edcca1f78",
+    ("verify", "--N", "30030", "--emit", "csv", "--output-format", "text",
+     "--table-limit", "200000"):
+        "315122a191c37b7e51d4987b8904c8294a0fe7b1993b5a9f83721070c6b6c393",
+    ("scan", "--max", "5000", "--rows", "--table-limit", "200000"):
+        "1b9aa6ee7a63e89e4911f35c2ad780b2eb60f28e90b9cd1f338fa982ad816c8b",
+    ("scan", "--max", "5000", "--emit", "csv", "--table-limit", "200000"):
+        "32100605aeb57e2f3e055b5500ccf9c338e61a76fd757f4834c749984b49206f",
+    ("bounds", "--theorem", "all", "--output-format", "csv"):
+        "cf79f8f7eff88c78809856cbb04e6faa8058cdf0bffaf2796f6d939654c8241c",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_FORMATS))
+def test_format_choice_stdout_pinned(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_FORMATS[argv]
+
+
+def test_verify_scan_past_table_fails_before_any_row(capsys, monkeypatch):
+    checked = []
+    monkeypatch.setattr(harness_mod, "check_lemma41", lambda *a, **k: checked.append(a))
+    argv = ["verify", "--scan", "20010", "--table-limit", "20000", "--emit", "csv"]
+    assert _exit_code(argv) == 2
+    assert checked == []
+    assert capsys.readouterr().err == "error: N=20002 exceeds table limit 20000\n"
+
+
+def test_cache_build_in_missing_dir_names_the_given_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.bin"
+    argv = ["cache", "build", "--table-limit", "1000", "--cache-file", str(path)]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
+
+
+def test_cache_info_does_not_create_the_env_dir(tmp_path, capsys, monkeypatch):
+    cache_dir = tmp_path / "cachedir"
+    monkeypatch.setenv("CHENSIEVE_CACHE_DIR", str(cache_dir))
+    assert main(["cache", "info", "--table-limit", "30000"]) == 2
+    assert "pt_30000.bin" in capsys.readouterr().err
+    assert not cache_dir.exists()
+
+
+def test_cache_info_oversized_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "pt.bin"
+    save_cache(build_prime_table(1000), path)
+    with open(path, "ab") as fh:
+        fh.write(bytes(1 << 20))
+    assert main(["cache", "info", "--cache-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cache: ") and "payload" in err

@@ -11,6 +11,7 @@ from chensieve.errors import DomainError
 from chensieve.harness import (
     DecompositionCheck,
     ScanReport,
+    _p2p3_support,
     SiftedSetSpec,
     bilinear_discrepancy_exact,
     check_lemma41,
@@ -373,8 +374,8 @@ def test_moebius_sum_equals_legendre_sift(table_1m):
 # -- bilinear discrepancy -----------------------------------------------------------------
 
 
-def bilinear_oracle(X, Y, Z, Dstar, N, y, prime_list) -> Fraction:
-    """Brute-force triple loop, Fractions throughout, no package calls."""
+def support_oracle(X, N, y, prime_list) -> list[int]:
+    """n = p2 p3 < X with y <= p2 < p3, both prime to N, by a double loop."""
     support = []
     for i, p2 in enumerate(prime_list):
         if p2 < y:
@@ -385,6 +386,12 @@ def bilinear_oracle(X, Y, Z, Dstar, N, y, prime_list) -> Fraction:
                 break
             if N % p2 != 0 and N % p3 != 0:
                 support.append(n)
+    return support
+
+
+def bilinear_oracle(X, Y, Z, Dstar, N, y, prime_list) -> Fraction:
+    """Brute-force triple loop, Fractions throughout, no package calls."""
+    support = support_oracle(X, N, y, prime_list)
     sieve = [p for p in prime_list if Z <= p < Y]
     total = Fraction(0)
     d = 1
@@ -431,6 +438,25 @@ def test_bilinear_randomized_against_oracle(table_small):
         expect = bilinear_oracle(X, Y, Z, Dstar, N, y, ps)
         assert got == expect
 
+
+
+@pytest.mark.parametrize(
+    "X, y, Dstar",
+    [
+        (77, 7.0, 10.5),  # X = 7 * 11 exactly: 77 is left out
+        (77.5, 7.0, 10.5),  # just past it: 77 is in
+        (143, 11.0, 9.25),  # y exactly the prime 11, X = 11 * 13
+        (221, 11.000001, 12.5),  # y just past 11: p2 starts at 13
+        (1, 2.0, 3.5),  # empty support
+    ],
+)
+def test_bilinear_support_boundaries_against_oracle(table_small, X, y, Dstar):
+    ps = primes_upto(500)
+    N = 2 * 3 * 5 * 17
+    got = _p2p3_support(X, N, y, table_small)
+    assert got.tolist() == sorted(support_oracle(X, N, y, ps))
+    got = bilinear_discrepancy_exact(X, 60, 5, Dstar, N, table_small, y=y)
+    assert got == bilinear_oracle(X, 60, 5, Dstar, N, y, ps)
 
 # -- scans ------------------------------------------------------------------------------
 

@@ -1,4 +1,7 @@
+import errno
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +154,42 @@ def test_cache_header_past_cap(tmp_path):
     path.write_bytes(b"CHEN-PT1\n" + f"{limit}\n".encode("ascii") + bytes(8 * words))
     with pytest.raises(CacheError, match="out of range"):
         load_cache(path)
+
+
+
+def test_save_cache_error_names_the_given_path(tmp_path, table_small):
+    path = tmp_path / "missing" / "x.bin"
+    with pytest.raises(FileNotFoundError) as exc:
+        save_cache(table_small, path)
+    assert str(exc.value) == f"[Errno 2] No such file or directory: '{path}'"
+
+
+def test_save_cache_failed_rename_leaves_no_temporary(tmp_path, table_small, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    path = tmp_path / "pt.bin"
+    with pytest.raises(PermissionError) as exc:
+        save_cache(table_small, path)
+    assert str(exc.value) == f"[Errno 13] Permission denied: '{path}'"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_load_cache_reads_no_more_than_the_payload(tmp_path):
+    # a valid 1000-limit file followed by 50 MB of extra bytes
+    path = tmp_path / "long.bin"
+    save_cache(build_prime_table(1000), path)
+    with open(path, "ab") as fh:
+        fh.write(bytes(50 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacheError, match="payload"):
+            load_cache(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_build_uses_cache(tmp_path, monkeypatch, capsys):
