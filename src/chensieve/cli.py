@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import bisect
 import io
+import itertools
 import math
 import os
 import sys
@@ -25,6 +26,7 @@ from .errors import CacheError, ChensieveError
 
 SCHEMA = "chen-report/1"
 CACHE_ENV = "CHENSIEVE_CACHE_DIR"
+_CSV_BLOCK = 4096  # rows formatted per write
 
 
 # -- deterministic serialization -------------------------------------------------
@@ -74,10 +76,42 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def write_csv(fh, header: list[str], rows: list[list]) -> None:
-    fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+def _csv_quote(cell: str) -> str:
+    """RFC 4180: a cell holding a comma, a quote or a line break is quoted,
+    with its quotes doubled."""
+    if any(c in cell for c in ',"\n\r'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _column_template(column) -> str | None:
+    """The `%` template for a column of floats (`%.17g`) or of ints and
+    bools (`%d`, which writes a bool as 1/0), each the text `_csv_cell`
+    gives; None for any other column."""
+    kinds = set(map(type, column))
+    if all(issubclass(k, float) for k in kinds):
+        return "%.17g"
+    if all(issubclass(k, int) for k in kinds):
+        return "%d"
+    return None
+
+
+def write_csv(fh, header: list[str], columns) -> None:
+    """Write `header` and the rows of `columns`, one sequence per header
+    name.  An all-float or all-int column is formatted by one template; any
+    other column cell by cell through `_csv_cell`, quoted as RFC 4180 asks."""
+    cells, templates = [], []
+    for column in columns:
+        template = _column_template(column)
+        if template is None:
+            column, template = [_csv_quote(_csv_cell(v)) for v in column], "%s"
+        cells.append(column)
+        templates.append(template)
+    row = ",".join(templates) + "\n"
+    fh.write(",".join(map(_csv_quote, header)) + "\n")
+    rows = zip(*cells)  # formatted a block at a time, so no row list is held whole
+    for block in iter(lambda: list(itertools.islice(rows, _CSV_BLOCK)), []):
+        fh.write("".join(map(row.__mod__, block)))
 
 
 def _output_path_problem(path: str) -> str | None:
@@ -100,15 +134,15 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render(args, report: str, payload, *, header=None, rows=None, text=None) -> None:
-    """Write one report: CSV when the format is csv and the report has rows,
+def _render(args, report: str, payload, *, header=None, columns=None, text=None) -> None:
+    """Write one report: CSV when the format is csv and the report has columns,
     text when the format is text and it has a text form, JSON otherwise;
     `--emit` overrides `--output-format`.  `payload` (the JSON fields after
     the report name) and `text` are called only when their format is chosen."""
     fmt = getattr(args, "emit", None) or args.output_format
-    if fmt == "csv" and rows is not None:
+    if fmt == "csv" and columns is not None:
         buf = io.StringIO()
-        write_csv(buf, header, rows)
+        write_csv(buf, header, columns)
         out = buf.getvalue()
     elif fmt == "text" and text is not None:
         out = text()
@@ -177,7 +211,7 @@ def _cmd_constants(args) -> int:
         "constants",
         lambda: {"entries": rows},
         header=header,
-        rows=[["" if r[k] is None else r[k] for k in header] for r in rows],
+        columns=[["" if r[k] is None else r[k] for r in rows] for k in header],
         text=text,
     )
     return 0 if led.all_pass else 1
@@ -249,7 +283,7 @@ def _cmd_verify(args) -> int:
         "verify",
         lambda: {"rows": [dict(zip(_VERIFY_HEADER, row)) for row in rows]},
         header=_VERIFY_HEADER,
-        rows=rows,
+        columns=list(zip(*rows)),
         text=lambda: "".join(
             f"N={c.N} pi2={c.pi2} S_A={c.S_A} Sum_S_Aq={c.sum_S_Aq} "
             f"S_B={c.S_B} margin={c.margin:.17g} ratio={c.ratio:.17g}\n"
@@ -268,9 +302,9 @@ def _cmd_scan(args) -> int:
     header = ["N", "pi2", "UN", "ratio"]
 
     def payload() -> dict:
-        if report.rows is None:
+        if report.columns is None:
             return {"result": report.to_dict()}
-        rows = [dict(zip(header, row)) for row in report.rows]
+        rows = [dict(zip(header, row)) for row in zip(*report.columns)]
         return {"result": report.to_dict(), "rows": rows}
 
     _render(
@@ -278,7 +312,7 @@ def _cmd_scan(args) -> int:
         "scan",
         payload,
         header=header,
-        rows=report.rows,
+        columns=report.columns,
         text=lambda: "".join(f"{k}={v}\n" for k, v in report.to_dict().items()),
     )
     return 0 if report.floor_holds else 1

@@ -384,11 +384,49 @@ class ScanReport:
     argmin_pi2: int | None = None
     min_ratio: float | None = None
     argmin_ratio: int | None = None
-    rows: list[list] | None = None
+    columns: tuple[list[int], list[int], list[float], list[float]] | None = None
+
+    @property
+    def rows(self) -> list[list] | None:
+        """Per-N rows [N, pi2, U_N, ratio], read off `columns`."""
+        if self.columns is None:
+            return None
+        return [list(row) for row in zip(*self.columns)]
 
     def to_dict(self) -> dict:
-        """The summary fields in declaration order; `rows` go out separately."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        """The summary fields in declaration order; the columns go out separately."""
+        return {
+            f.name: getattr(self, f.name) for f in fields(self) if f.name != "columns"
+        }
+
+
+def _odd_p2(table: PrimeTable, n: int) -> np.ndarray:
+    """Bool indicator over the odd m = 2j + 1, j < n: "m is a prime or a
+    product of two primes".  Odd m = spf(m) * (m / spf(m)) is in P2 exactly
+    when it is prime or its cofactor is; spf(1) = 1, so m = 1 reads false."""
+    spf = table.spf[1 : 2 * n : 2]
+    isp = table.isprime_array
+    m = np.arange(1, 2 * n, 2, dtype=spf.dtype)
+    np.floor_divide(m, spf, out=m)
+    return isp[1 : 2 * n : 2] | isp[m]
+
+
+def _odd_prime_factor_product(N: np.ndarray, spf: np.ndarray) -> np.ndarray:
+    """prod (p - 1)/(p - 2) over the odd primes p dividing each N, multiplied
+    in increasing p as a per-N walk down the spf chain does, so each float is
+    the one that walk gives."""
+    n = N // (N & -N)  # odd part
+    local = np.ones(len(N))
+    idx = np.flatnonzero(n > 1)
+    n, last = n[idx], np.zeros(len(idx), dtype=spf.dtype)
+    while len(idx):
+        p = spf[n]
+        new = p != last  # each prime once, however often it divides N
+        local[idx[new]] *= (p[new] - 1.0) / (p[new] - 2.0)
+        n //= p
+        keep = n > 1
+        idx, n, last = idx[keep], n[keep], p[keep]
+    return local
 
 
 def goldbach_chen_scan(
@@ -401,83 +439,77 @@ def goldbach_chen_scan(
 ) -> ScanReport:
     """Scan every even 6 <= N <= N_max.
 
-    Both modes walk one indicator p2[m] = "m >= 2 is a prime or a product
-    of two primes", built once from the spf and primality arrays.
-    mode='full' adds p2 shifted by each prime p, which gives pi2(N) for
-    every N <= N_max in one pass, and tracks the normalized ratio
-    pi2(N) log^2 N / (U_N N); mode='floor' only certifies pi2(N) >= 1, by
-    dropping every unresolved N with p2[N - p] set, prime by prime, until
-    none is left.  All arithmetic is exact, so the report is deterministic;
-    `threads` is accepted for compatibility and has no effect.
+    Both modes read one indicator of "m is a prime or a product of two
+    primes", built at odd m only (`_odd_p2`): an odd prime p reaches the odd
+    N - p, and p = 2 reaches N - 2 = 2(N/2 - 1), which is in P2 exactly when
+    N/2 - 1 is prime.  Arrays run over k = N/2, and an odd p shifts by
+    h = (p + 1)/2.  mode='full' adds the indicator shifted by each prime,
+    which gives pi2(N) for every N <= N_max in one pass, and tracks the
+    normalized ratio pi2(N) log^2 N / (U_N N); mode='floor' only certifies
+    pi2(N) >= 1, by dropping every unresolved N with N - p in the indicator,
+    prime by prime, until none is left.  All arithmetic is exact, so the
+    report is deterministic; `threads` is accepted for compatibility and has
+    no effect.
     """
     if mode not in ("full", "floor"):
         raise DomainError(f"mode must be 'full' or 'floor', got {mode}")
     if N_max > table.limit:
         raise CapacityError(f"N_max={N_max} exceeds table limit {table.limit}")
-    evens = range(6, N_max + 1, 2)
-    spf = table.spf
+    half = max(N_max // 2 + 1, 3)  # k = N/2 runs over [3, half)
     isp = table.isprime_array
     ps = table.primes
-    ps = ps[: np.searchsorted(ps, N_max, side="left")]
-
-    # p2[m] over 0 <= m < size; slicing from 2 skips spf[0] = 0.
-    size = max(N_max, 1) + 1
-    p2 = np.zeros(size, dtype=spf.dtype)
-    p2[2:] = isp[2:size] | isp[np.arange(2, size, dtype=spf.dtype) // spf[2:size]]
+    odd_ps = ps[1 : np.searchsorted(ps, N_max, side="left")]
+    # N - p <= N_max - 3 for odd p, so m < 2 * half - 4 covers every read.
+    odd = _odd_p2(table, half - 2)
 
     if mode == "floor":
-        todo = np.arange(6, N_max + 1, 2, dtype=np.int64)
-        for p in ps.tolist():
-            if len(todo) == 0 or p >= todo[-1]:
+        todo = np.arange(3, half, dtype=np.int32)  # k <= limit / 2 < 2**31
+        todo = todo[~isp[todo - 1]]  # p = 2
+        for p in odd_ps.tolist():
+            if len(todo) == 0 or p >= 2 * todo[-1]:
                 break
-            todo = todo[p2[np.maximum(todo - p, 0)] == 0]
-        failures = todo.tolist()
+            todo = todo[~odd[np.maximum(todo - (p + 1) // 2, 0)]]
+        failures = (2 * todo).tolist()
         return ScanReport(
             N_max=N_max,
             mode=mode,
-            checked=len(evens),
+            checked=half - 3,
             floor_holds=not failures,
             failures=failures,
         )
 
-    counts = np.zeros(size, dtype=spf.dtype)
-    for p in ps.tolist():
-        counts[p:] += p2[: size - p]
-    base = table.twin_product(table.limit).value
+    counts = np.zeros(half, dtype=np.int32)
+    counts[3:] += isp[2 : half - 1]  # p = 2
+    odd = odd.astype(np.int32)  # int32 += int32 runs twice as fast as += bool
+    for p in odd_ps.tolist():
+        h = (p + 1) // 2
+        counts[h:] += odd[: half - h]
+    c = counts[3:]
+    Ns = np.arange(6, 2 * half, 2, dtype=np.int64)
+    un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, table.spf)
+    # math.log, not np.log: the two differ in the last bit for some N.
+    L = np.fromiter(map(math.log, range(6, 2 * half, 2)), dtype=np.float64, count=len(Ns))
+    ratio = c * L * L / (un * Ns)
 
-    def UN_of(N: int) -> float:
-        local = 1.0
-        n = N
-        while n % 2 == 0:
-            n //= 2
-        while n > 1:
-            p = int(spf[n])
-            local *= (p - 1.0) / (p - 2.0)
-            while n % p == 0:
-                n //= p
-        return base * local
-
-    results = []
-    for N, c in zip(evens, counts[6::2].tolist()):
-        un = UN_of(N)
-        logN = math.log(N)
-        results.append([N, c, un, c * logN * logN / (un * N)])
-
-    failures = [N for N, c, _, _ in results if c < 1]
-    min_pi2 = min((c for _, c, _, _ in results), default=None)
-    argmin_pi2 = next((N for N, c, _, _ in results if c == min_pi2), None)
-    min_ratio = min((r for _, _, _, r in results), default=None)
-    argmin_ratio = next((N for N, _, _, r in results if r == min_ratio), None)
-    rows = results if collect_rows else None
+    failures = Ns[c < 1].tolist()
+    summary = {}
+    if len(Ns):
+        i, j = int(np.argmin(c)), int(np.argmin(ratio))  # first occurrences
+        summary = dict(
+            min_pi2=int(c[i]),
+            argmin_pi2=int(Ns[i]),
+            min_ratio=float(ratio[j]),
+            argmin_ratio=int(Ns[j]),
+        )
+    columns = None
+    if collect_rows:
+        columns = (Ns.tolist(), c.tolist(), un.tolist(), ratio.tolist())
     return ScanReport(
         N_max=N_max,
         mode=mode,
-        checked=len(results),
+        checked=len(Ns),
         floor_holds=not failures,
         failures=failures,
-        min_pi2=min_pi2,
-        argmin_pi2=argmin_pi2,
-        min_ratio=min_ratio,
-        argmin_ratio=argmin_ratio,
-        rows=rows,
+        columns=columns,
+        **summary,
     )

@@ -1,12 +1,17 @@
+import csv
 import hashlib
+import io
 import json
+import math
 import os
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from chensieve import harness as harness_mod
 from chensieve import primes as primes_mod
-from chensieve.cli import main, to_json
+from chensieve.cli import _csv_cell, main, to_json, write_csv
 from chensieve.primes import build_prime_table, load_cache, save_cache
 
 
@@ -299,7 +304,8 @@ def test_sievefun_stdout_pinned(capsys, s_max, step):
 
 # sha256 of `bounds` and `constants` stdout, computed before the unreached
 # bound helpers and Ball constructors were deleted; stage 4 always carries
-# its sieve-value annotations.
+# its sieve-value annotations.  The constants CSV is pinned with its three
+# comma-holding provenance cells quoted (see the test below it).
 _PINNED_REPORTS = {
     ("bounds", "--theorem", "all"):
         "cf79f8f7eff88c78809856cbb04e6faa8058cdf0bffaf2796f6d939654c8241c",
@@ -310,7 +316,7 @@ _PINNED_REPORTS = {
     ("constants", "--table-limit", "200000"):
         "6c8dc1093b583b101bde34986a8c0873c7603b62cea9cb556cd983d6c64ccb64",
     ("constants", "--table-limit", "200000", "--output-format", "csv"):
-        "2a9476c91869246fd0185a0f7dc2e31afa7cb6702fc6544d98f2388d0807e287",
+        "fe510b99d4b08d86785787f6c3882a8a1721e4052c9221e19d9fd0fac3cae9b9",
     ("constants", "--table-limit", "200000", "--output-format", "text"):
         "2f9f487bd67a87bdf94b6903a4fe3665e48b86f1b62ef25bea1feae8f9c5e295",
 }
@@ -321,6 +327,120 @@ def test_report_stdout_pinned(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_REPORTS[argv]
+
+
+_CONSTANTS_CSV = ("constants", "--table-limit", "200000", "--output-format", "csv")
+# sha256 of the constants CSV as it was written with every cell unquoted.
+_UNQUOTED_CONSTANTS_CSV = "2a9476c91869246fd0185a0f7dc2e31afa7cb6702fc6544d98f2388d0807e287"
+
+
+def test_constants_csv_rows_parse_to_six_fields(capsys):
+    assert main(list(_CONSTANTS_CSV)) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 20  # the header and 19 ledger entries
+    assert {len(row) for row in rows} == {6}
+
+
+def test_constants_csv_quotes_only_the_comma_cells(capsys):
+    # The bytes are the unquoted ones with just three provenance cells quoted.
+    assert main(list(_CONSTANTS_CSV)) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    unquoted = [",".join(row) + "\n" for row in csv.reader(lines)]
+    digest = hashlib.sha256("".join(unquoted).encode()).hexdigest()
+    assert digest == _UNQUOTED_CONSTANTS_CSV
+    quoted = sorted(
+        row[-1] for line, row in zip(lines, csv.reader(lines)) if line != ",".join(row) + "\n"
+    )
+    assert len(quoted) == 3
+    assert quoted[0] == "1/max(57, 36) = 1/57"
+    assert quoted[1].startswith("singular series, truncated at ")
+    assert quoted[2] == "zeta(2)zeta(3)/zeta(6), eta-accelerated"
+
+
+# sha256 of `scan --rows` stdout, computed before the scan was rewritten as
+# whole-array passes and CSV written from typed columns.
+_PINNED_SCAN_ROWS = {
+    ("scan", "--max", "100000", "--rows", "--emit", "csv", "--table-limit", "100000"):
+        "96e20ae1a40021d11ddb6b09841ac4affdb1af10fe49b492193c8eac471e09bc",
+    ("scan", "--max", "24000", "--rows", "--emit", "json", "--table-limit", "24000"):
+        "aa2bf60b73a055a1cfa275afa18a47ab3eb9a41d92bfca4969166a2d5a93727e",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_SCAN_ROWS))
+def test_scan_rows_stdout_pinned(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_SCAN_ROWS[argv]
+
+
+_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1 / 3, 1e22]
+_CELL_COLUMNS = {
+    "bool": [True, False, True, True, False, False, True],
+    "int": [0, -7, 2**70, 5, 1, 10**17, 3],
+    "float": _FLOATS,
+    "str": ["a", "", "x y", "-", "1e3", "%d", "nan"],
+    "np_int64": [np.int64(v) for v in (0, -7, 2**62, 5, 1, 10**17, 3)],
+    "np_float64": [np.float64(v) for v in _FLOATS],
+    "np_bool": [np.bool_(v) for v in (True, False, True, True, False, False, True)],
+    "int_and_bool": [True, 3, False, -1, 0, 1, 2],
+    "float_and_np_float64": [0.5, np.float64(0.1), math.nan, np.float64(-0.0), 5e-324, 2.0, 1e-300],
+    "mixed": [True, 1, 2.5, "s", np.int64(3), np.float64(0.1), np.bool_(False)],
+    "int_and_float": [1, 1.0, 2, 2.5, -0.0, 0, math.inf],
+}
+
+
+def test_write_csv_matches_cell_rule_on_typed_and_mixed_columns():
+    header = list(_CELL_COLUMNS)
+    columns = list(_CELL_COLUMNS.values())
+    buf = io.StringIO()
+    write_csv(buf, header, columns)
+    want = ",".join(header) + "\n" + "".join(
+        ",".join(_csv_cell(v) for v in row) + "\n" for row in zip(*columns)
+    )
+    assert buf.getvalue() == want
+
+
+def test_write_csv_quotes_cells_that_need_it():
+    cells = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "plain", ""]
+    buf = io.StringIO()
+    write_csv(buf, ["text", "n,m"], [cells, list(range(len(cells)))])
+    rows = list(csv.reader(io.StringIO(buf.getvalue(), newline="")))
+    assert rows == [["text", "n,m"]] + [[c, str(i)] for i, c in enumerate(cells)]
+    assert buf.getvalue() == (
+        'text,"n,m"\n"a,b",0\n"say ""hi""",1\n"two\nlines",2\n"cr\rhere",3\nplain,4\n,5\n'
+    )
+
+
+def _traced_peak(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def _ready_table(limit: int) -> primes_mod.PrimeTable:
+    table = build_prime_table(limit)
+    table.primes, table.spf, table.isprime_array
+    return table
+
+
+def test_scan_traced_peaks_not_above_per_N_scan():
+    # Ceilings in MiB: the traced peaks of the scan that looped over N and
+    # wrote CSV row by row (15.02 for the full scan and its CSV, 18.25 for
+    # the floor scan), with the table's arrays built before tracing.
+    table = _ready_table(100_000)
+
+    def full_with_csv():
+        rep = harness_mod.goldbach_chen_scan(100_000, table, mode="full", collect_rows=True)
+        write_csv(io.StringIO(), ["N", "pi2", "UN", "ratio"], rep.columns)
+
+    assert _traced_peak(full_with_csv) <= 15.02
+    table = _ready_table(1_000_000)
+    floor = _traced_peak(lambda: harness_mod.goldbach_chen_scan(1_000_000, table, mode="floor"))
+    assert floor <= 18.25
 
 
 # sha256 of `scan` stdout and of a `cache build` file, computed before the

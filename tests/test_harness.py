@@ -496,6 +496,84 @@ def test_scan_floor_mode(table_small):
     assert rep.min_pi2 is None
 
 
+# -- whole-array scan against the per-N oracle ----------------------------------------
+
+
+def scan_oracle(N_max: int, table: PrimeTable) -> tuple[list[list], dict]:
+    """The scan as a loop over N: pi2 from the P2 indicator over every m
+    shifted by each prime, U_N by walking each N's spf chain, the ratio with
+    math.log, and the summary with min and next.  Returns the rows and the
+    full-mode summary."""
+    spf = table.spf
+    isp = table.isprime_array
+    ps = table.primes
+    ps = ps[: np.searchsorted(ps, N_max, side="left")]
+    size = max(N_max, 1) + 1
+    p2 = np.zeros(size, dtype=np.int64)
+    p2[2:] = isp[2:size] | isp[np.arange(2, size) // spf[2:size]]
+    counts = np.zeros(size, dtype=np.int64)
+    for p in ps.tolist():
+        counts[p:] += p2[: size - p]
+    base = table.twin_product(table.limit).value
+
+    def UN_of(N: int) -> float:
+        local = 1.0
+        n = N
+        while n % 2 == 0:
+            n //= 2
+        while n > 1:
+            p = int(spf[n])
+            local *= (p - 1.0) / (p - 2.0)
+            while n % p == 0:
+                n //= p
+        return base * local
+
+    rows = []
+    for N, c in zip(range(6, N_max + 1, 2), counts[6::2].tolist()):
+        un = UN_of(N)
+        logN = math.log(N)
+        rows.append([N, c, un, c * logN * logN / (un * N)])
+    failures = [N for N, c, _, _ in rows if c < 1]
+    min_pi2 = min((c for _, c, _, _ in rows), default=None)
+    min_ratio = min((r for _, _, _, r in rows), default=None)
+    summary = dict(
+        N_max=N_max,
+        mode="full",
+        checked=len(rows),
+        floor_holds=not failures,
+        failures=failures,
+        min_pi2=min_pi2,
+        argmin_pi2=next((N for N, c, _, _ in rows if c == min_pi2), None),
+        min_ratio=min_ratio,
+        argmin_ratio=next((N for N, _, _, r in rows if r == min_ratio), None),
+    )
+    return rows, summary
+
+
+def assert_scan_matches_oracle(N_max: int, table: PrimeTable) -> None:
+    rows, summary = scan_oracle(N_max, table)
+    full = goldbach_chen_scan(N_max, table, mode="full", collect_rows=True)
+    assert full.rows == rows
+    assert [list(map(type, r)) for r in full.rows] == [list(map(type, r)) for r in rows]
+    assert full.to_dict() == summary
+    floor = goldbach_chen_scan(N_max, table, mode="floor")
+    none = dict.fromkeys(["min_pi2", "argmin_pi2", "min_ratio", "argmin_ratio"])
+    assert floor.to_dict() == dict(summary, mode="floor", **none)
+
+
+@pytest.mark.parametrize(
+    "N_max, limit",
+    [(n, n) for n in range(4, 9)]
+    + [(n, 10) for n in range(4, 9)]
+    + [(5000, 5000), (5000, 100_000), (20_000, 20_000), (20_001, 20_001)]
+    + [(20_000, 36_000), (36_000, 36_000), (36_000, 100_000)],
+)
+def test_scan_matches_per_N_oracle(N_max, limit):
+    # A limit equal to N_max uses the last index of every array; a larger
+    # one moves the U_N truncation point.
+    assert_scan_matches_oracle(N_max, build_prime_table(limit))
+
+
 # -- one-pass scan against the single-N oracle ----------------------------------------
 
 
@@ -535,6 +613,7 @@ def test_scan_failures_on_thinned_table(keep_above_47):
     floor = goldbach_chen_scan(3000, thin, mode="floor")
     assert floor.failures == zeros
     assert not floor.floor_holds
+    assert_scan_matches_oracle(3000, thin)
 
 
 _NO_EVENS = dict(

@@ -1,0 +1,136 @@
+"""Run a fixed matrix of ``chensieve`` commands in-process and hash each result.
+
+Each output line is ``<sha256>  <exit code>  <argv>``, where the hash covers
+the argv, the exit code, stdout, stderr and the bytes of the ``-o`` file (if
+the command names one).  Temporary paths are replaced by ``{tmp}`` before
+hashing, so two checkouts can be compared line for line:
+
+    PYTHONPATH=src python tools/cli_matrix.py > new.txt
+    PYTHONPATH=/path/to/other/checkout/src python tools/cli_matrix.py > old.txt
+    diff old.txt new.txt
+
+The matrix holds the README commands, ``scan`` and ``verify`` under every
+``--output-format`` x ``--emit`` pair, the other reports in every format,
+edge ``--max`` values and usage errors.  It takes about 5 s on a 2 vCPU
+Intel Xeon VM.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+from chensieve import cli
+
+FORMATS = (None, "json", "csv", "text")
+
+README = [
+    "constants --table-limit 1000000",
+    "bounds --theorem final --loglogN 36 --epsilon 9.4e-14",
+    "bounds --theorem all --output-format text",
+    "sievefun --s-max 6 --step 0.001 -o {tmp}/grid.csv",
+    "verify --N 10000 --emit csv",
+    "verify --scan 20000 --emit csv -o {tmp}/rows.csv",
+    "scan --max 1000000 --floor-only",
+    "scan --max 100000 --rows --emit csv -o {tmp}/pi2.csv",
+    "cache build --table-limit 10000000 --cache-file {tmp}/pt.bin",
+    "cache info --table-limit 10000000 --cache-file {tmp}/pt.bin",
+]
+
+# Commands that take both --output-format and --emit.
+EMITTING = [
+    "verify --N 30030 --table-limit 200000",
+    "verify --scan 600 --table-limit 200000",
+    "scan --max 5000 --rows --table-limit 200000",
+    "scan --max 5000 --table-limit 200000",
+    "scan --max 5000 --floor-only --rows --table-limit 200000",
+]
+
+# Commands that take only --output-format.
+REPORTS = [
+    "constants --table-limit 200000",
+    "bounds --theorem all",
+    "bounds --theorem 4",
+    "bounds --theorem 5",
+    "bounds --theorem 6",
+    "bounds --theorem final",
+    "sievefun --s-max 4 --step 0.05",
+]
+
+EDGES = [
+    f"scan --max {m} --rows --emit csv --table-limit {limit}"
+    for m, limit in [
+        (-3, 10), (0, 10), (1, 10), (2, 10), (4, 10), (5, 10), (6, 10), (7, 10),
+        (8, 10), (10, 10), (9, 10), (5000, 5000), (5001, 5001), (20001, 20001),
+        (36000, 36000), (24000, 24000),
+    ]
+] + [
+    "scan --max 24000 --rows --emit json --table-limit 24000",
+    "scan --max 8 --floor-only --rows --table-limit 10",
+    "scan --max 20001 --floor-only --table-limit 20001",
+    "verify --scan 6 --emit csv --table-limit 10",
+    "verify --scan 8 --emit text --table-limit 100",
+]
+
+ERRORS = [
+    "scan --max 20002 --table-limit 20000",
+    "scan --max 100 --floor-only --table-limit 50",
+    "verify --scan 20010 --table-limit 20000 --emit csv",
+    "verify --N 100 --z-exp 0.5 --y-exp 0.4",
+    "verify --table-limit 1000",
+    "bounds --loglogN 800",
+    "constants --table-limit 50000",
+    "scan --max 100 --table-limit 1000 -o {tmp}/missing/x.csv",
+]
+
+
+def commands() -> list[str]:
+    out = list(README)
+    for base in EMITTING:
+        for fmt in FORMATS:
+            for emit in FORMATS:
+                cmd = base
+                if fmt:
+                    cmd += f" --output-format {fmt}"
+                if emit:
+                    cmd += f" --emit {emit}"
+                out.append(cmd)
+    for base in REPORTS:
+        out += [base + (f" --output-format {fmt}" if fmt else "") for fmt in FORMATS]
+    return out + EDGES + ERRORS
+
+
+def run(cmd: str, tmp: str) -> tuple[str, int]:
+    argv = cmd.format(tmp=tmp).split()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    h = hashlib.sha256()
+    for part in (cmd, str(code), out.getvalue(), err.getvalue()):
+        h.update(part.replace(tmp, "{tmp}").encode() + b"\0")
+    if "-o" in argv:
+        path = argv[argv.index("-o") + 1]
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                h.update(fh.read())
+    return h.hexdigest(), code
+
+
+def main() -> int:
+    os.environ.pop("CHENSIEVE_CACHE_DIR", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        for cmd in commands():
+            digest, code = run(cmd, tmp)
+            print(f"{digest}  {code}  {cmd}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
