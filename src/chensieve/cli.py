@@ -10,7 +10,6 @@ and has no effect.
 from __future__ import annotations
 
 import argparse
-import bisect
 import io
 import itertools
 import math
@@ -38,6 +37,22 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# RFC 8259: a string escapes the quote, the backslash and every control
+# character U+0000-U+001F; the five with a short form use it.
+_JSON_ESCAPES = {c: "\\u%04x" % c for c in range(0x20)}
+_JSON_ESCAPES.update(
+    {
+        ord('"'): '\\"',
+        ord("\\"): "\\\\",
+        ord("\b"): "\\b",
+        ord("\f"): "\\f",
+        ord("\n"): "\\n",
+        ord("\r"): "\\r",
+        ord("\t"): "\\t",
+    }
+)
+
+
 def to_json(obj, indent: int = 0) -> str:
     """Minimal JSON writer with floats at 17 significant digits."""
     pad = "  " * indent
@@ -51,8 +66,7 @@ def to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, float):
         return _fmt_float(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{out}"'
+        return f'"{obj.translate(_JSON_ESCAPES)}"'
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -270,27 +284,22 @@ def _cmd_verify(args) -> int:
         return 2
     table = _load_table(args)
     targets = [args.N] if args.N is not None else range(6, args.scan + 1, 2)
-    past = targets[bisect.bisect_right(targets, table.limit) :]
-    if args.scan is not None and past:  # fail before computing any row
-        harness_mod._check_table(past[0], table)
-    checks = [
-        harness_mod.check_lemma41(N, table, z_exp=args.z_exp, y_exp=args.y_exp)
-        for N in targets
-    ]
-    rows = [c.to_row() for c in checks]
+    columns = harness_mod.lemma41_columns(
+        targets, table, z_exp=args.z_exp, y_exp=args.y_exp
+    )
     _render(
         args,
         "verify",
-        lambda: {"rows": [dict(zip(_VERIFY_HEADER, row)) for row in rows]},
+        lambda: {"rows": [dict(zip(_VERIFY_HEADER, row)) for row in zip(*columns)]},
         header=_VERIFY_HEADER,
-        columns=list(zip(*rows)),
+        columns=columns,
         text=lambda: "".join(
-            f"N={c.N} pi2={c.pi2} S_A={c.S_A} Sum_S_Aq={c.sum_S_Aq} "
-            f"S_B={c.S_B} margin={c.margin:.17g} ratio={c.ratio:.17g}\n"
-            for c in checks
+            f"N={N} pi2={pi2} S_A={S_A} Sum_S_Aq={sum_S_Aq} "
+            f"S_B={S_B} margin={margin:.17g} ratio={ratio:.17g}\n"
+            for N, pi2, S_A, sum_S_Aq, S_B, margin, _, ratio in zip(*columns)
         ),
     )
-    return 0 if all(c.pi2 >= 1 for c in checks) else 1
+    return 0 if all(pi2 >= 1 for pi2 in columns[1]) else 1
 
 
 def _cmd_scan(args) -> int:
@@ -418,6 +427,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--loglogN must be finite")
     if args.command == "verify" and not (0.0 < args.z_exp < args.y_exp < 1.0):
         parser.error("--z-exp and --y-exp must satisfy 0 < z-exp < y-exp < 1")
+    # the smallest N checked is 6, so a range that stops below it is empty
+    if args.command == "scan" and args.max < 6:
+        parser.error("--max must be >= 6")
+    if args.command == "verify" and args.scan is not None and args.scan < 6:
+        parser.error("--scan must be >= 6")
     problem = args.output_path and _output_path_problem(args.output_path)
     if problem:
         print(f"error: {problem}", file=sys.stderr)

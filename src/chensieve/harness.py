@@ -19,7 +19,7 @@ import numpy as np
 
 from .ball import Ball
 from .errors import CapacityError, DomainError
-from .primes import PrimeTable, euler_phi, factorize, singular_series_of
+from .primes import PrimeTable, euler_phi, factorize, series_tail, singular_series_of
 
 _SAMPLE_CAP = 64
 
@@ -88,29 +88,36 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.arange(total) + np.repeat(starts - (ends - lens), lens), lens
 
 
-def _triple_elements(N: int, table: PrimeTable, z: float, y: float) -> np.ndarray:
-    """B in ascending (p1, p2, p3) order: p1 in [z, y), y <= p2 <= p3, and
-    p1, p2, p3 coprime to N.
+def _triples(
+    Ns: np.ndarray, cz: np.ndarray, cy: np.ndarray, ps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """B for every N of `Ns` at once, with cz = ceil(z) and cy = ceil(y) per
+    N: the index into `Ns` of each element and the element N - p1 p2 p3,
+    grouped by N and in ascending (p1, p2, p3) order within each N, for
+    p1 in [z, y), y <= p2 <= p3, and p1, p2, p3 coprime to N.
 
     The product constraint p1 p2 p3 < N is enforced exactly, through
     p1 p2^2 < N and p3 <= (N - 1) // (p1 p2).
     """
-    ps = table.primes
-    p1s = ps[np.searchsorted(ps, math.ceil(z)) : np.searchsorted(ps, math.ceil(y))]
-    p1s = p1s[N % p1s != 0]
-    p2_start = int(np.searchsorted(ps, math.ceil(y)))
-    p2_max = [math.isqrt((N - 1) // p1) for p1 in p1s.tolist()]
-    j2, lens = _ranges(p2_start, np.searchsorted(ps, p2_max, side="right"))
-    p1 = np.repeat(p1s, lens)
+    iy = np.searchsorted(ps, cy)
+    j1, lens = _ranges(np.searchsorted(ps, cz), iy)
+    t = np.repeat(np.arange(len(Ns)), lens)
+    p1 = ps[j1]
+    keep = np.flatnonzero(Ns[t] % p1 != 0)
+    t, p1 = t[keep], p1[keep]
+    # isqrt((N - 1) // p1): sqrt is exact to the floor for integers below
+    # 2**52, far past the table cap.
+    p2_max = np.sqrt((Ns[t] - 1) // p1).astype(np.int64)
+    j2, lens = _ranges(iy[t], np.searchsorted(ps, p2_max, side="right"))
+    t, p1 = np.repeat(t, lens), np.repeat(p1, lens)
     p2 = ps[j2]
-    keep = N % p2 != 0
-    j2, p1, p2 = j2[keep], p1[keep], p2[keep]
-    j3, lens = _ranges(j2, np.searchsorted(ps, (N - 1) // (p1 * p2), side="right"))
-    p1 = np.repeat(p1, lens)
-    p2 = np.repeat(p2, lens)
-    p3 = ps[j3]
-    keep = N % p3 != 0
-    return N - p1[keep] * p2[keep] * p3[keep]
+    keep = np.flatnonzero(Ns[t] % p2 != 0)
+    j2, t, p12 = j2[keep], t[keep], p1[keep] * p2[keep]
+    j3, lens = _ranges(j2, np.searchsorted(ps, (Ns[t] - 1) // p12, side="right"))
+    t, p12 = np.repeat(t, lens), np.repeat(p12, lens)
+    N, p3 = Ns[t], ps[j3]
+    keep = np.flatnonzero(N % p3 != 0)
+    return t[keep], N[keep] - p12[keep] * p3[keep]
 
 
 def enumerate_set(spec: SiftedSetSpec, table: PrimeTable) -> np.ndarray:
@@ -122,7 +129,8 @@ def enumerate_set(spec: SiftedSetSpec, table: PrimeTable) -> np.ndarray:
     if spec.base == "A_sub_q":
         a = _base_A(N, table, _divisor_primes(N))
         return a[a % spec.q == 0]
-    return _triple_elements(N, table, spec.z, spec.y)
+    Ns, cz, cy = (np.array([v]) for v in (N, math.ceil(spec.z), math.ceil(spec.y)))
+    return _triples(Ns, cz, cy, table.primes)[1]
 
 
 def _sifting_primes(N: int, level: float, table: PrimeTable) -> list[int]:
@@ -211,13 +219,142 @@ class DecompositionCheck:
         ]
 
 
-def _survivors(elements: np.ndarray, level: float, spf: np.ndarray) -> np.ndarray:
-    """Elements with no prime factor below `level`.  Exact as a sift by the
-    primes below `level` that do not divide N, because every element passed
-    here is coprime to N."""
-    alive = spf[elements] >= math.ceil(level)
-    alive |= elements == 1
-    return elements[alive]
+# (N, p) pairs handled per block of the lemma-4.1 pass; one N with more
+# pairs than this is a block by itself.
+_PAIR_BUDGET = 1 << 17
+
+
+def _un_truncation(table: PrimeTable) -> int:
+    """The truncation point of the singular series in the lemma-4.1 check."""
+    return max(100_000, min(table.limit, 1_000_000))
+
+
+def _lemma41_rhs(N: int, S_A: int, sum_S_Aq: int, S_B: int) -> float:
+    return S_A - 0.5 * sum_S_Aq - 0.5 * S_B - 2.0 * N ** 0.875 - 2.0 * N ** (1.0 / 3.0)
+
+
+def _segment_counts(idx: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """How many of the ascending positions `idx` fall in each segment
+    [ends[i - 1], ends[i]) (the first from 0)."""
+    return np.diff(np.searchsorted(idx, ends), prepend=0)
+
+
+def _small_factor_counts(
+    m: np.ndarray, p: np.ndarray, t: np.ndarray, cy: np.ndarray, spf: np.ndarray
+) -> np.ndarray:
+    """Per target, the sum over its elements m (smallest prime factor p,
+    target index t) of the number of distinct primes below cy[t] that
+    divide m, read off each m's spf chain, which gives the primes in
+    increasing order; m = 1 (p = 1) counts none."""
+    out = np.zeros(len(cy), dtype=np.int64)
+    last = 0
+    while len(m):
+        low = p < cy[t]
+        low &= m > 1
+        out += np.bincount(t[np.flatnonzero(low & (p != last))], minlength=len(cy))
+        m //= p
+        idx = np.flatnonzero(low & (m > 1))
+        m, t, last = m[idx], t[idx], p[idx]
+        p = spf[m]
+    return out
+
+
+def _lemma41_block(
+    Ns: np.ndarray, cz: np.ndarray, cy: np.ndarray, table: PrimeTable, spf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """pi2, S(A, P(z)), sum_q S(A_q, P(z)) and S(B, P(y)) for the N of `Ns`
+    (cz = ceil(z), cy = ceil(y) per N), over all their (N, p) pairs at once.
+
+    m = N - p is in A unless p | N, which holds exactly when p | m.  A's
+    elements are coprime to N, so sifting them by the primes below z that
+    do not divide N keeps m = 1 and the m with spf(m) >= ceil(z); the same
+    holds for B at y.  No prime q >= z that divides N divides a survivor,
+    so sum_q S(A_q, P(z)) counts, per survivor, its distinct prime factors
+    below ceil(y).  Each per-pair array is dropped once spent, which keeps
+    a block's peak near 40 bytes a pair.
+    """
+    ps, isp = table.primes, table.isprime_array
+    k = np.searchsorted(ps, Ns)  # the primes p < N, at least 3 of them
+    ends = np.cumsum(k)
+    if len(Ns) == 1:  # no per-pair copies of the primes or of ceil(z) for one N
+        p, czp = ps[: k[0]], cz[0]
+    else:
+        p, czp = np.concatenate([ps[:n] for n in k.tolist()]), np.repeat(cz, k)
+    m = np.repeat(Ns.astype(np.int32), k)  # m = N - p < 2**31 at any table limit
+    m -= p
+    s = spf[m]
+    ok = isp[m]
+    ok |= isp[m // s]
+    pi2 = _segment_counts(np.flatnonzero(ok), ends)
+    del ok
+    cand = s >= czp
+    cand |= m == 1
+    del czp
+    idx = np.flatnonzero(cand)
+    survivors, s = m[idx], s[idx]
+    del cand, m
+    keep = np.flatnonzero(survivors % p[idx] != 0)
+    survivors, s = survivors[keep], s[keep]
+    S_A = _segment_counts(idx[keep], ends)
+    del p, idx, keep
+    ts = np.repeat(np.arange(len(Ns), dtype=np.int32), S_A)
+    sum_S_Aq = _small_factor_counts(survivors, s, ts, cy, spf)
+    del survivors, s, ts
+    tb, b = _triples(Ns, cz, cy, ps)
+    alive = spf[b] >= cy[tb]
+    alive |= b == 1
+    S_B = np.bincount(tb[np.flatnonzero(alive)], minlength=len(Ns))
+    return pi2, S_A, sum_S_Aq, S_B
+
+
+def lemma41_columns(
+    targets,
+    table: PrimeTable,
+    *,
+    z_exp: float = 0.125,
+    y_exp: float = 1.0 / 3.0,
+) -> tuple[list, ...]:
+    """The lemma-4.1 decomposition at every N of `targets`, as the columns
+    N, pi2, S_A, Sum_S_Aq, S_B, margin, U_N and ratio (Python lists).
+
+    The counts are computed block by block over the (N, p) pairs of
+    consecutive targets (`_lemma41_block`), sifting through the spf array,
+    which is built only as far as the largest target.  U_N is the value of
+    `singular_series_of` truncated at `_un_truncation(table)`, and the
+    margin and ratio are formed per N in Python, so every float is the one
+    a per-N evaluation gives.  Every target is validated before any count.
+    """
+    Ns = list(targets)
+    for N in Ns:
+        if N % 2 != 0 or N < 6:
+            raise DomainError(f"N must be even and >= 6, got {N}")
+    past = next((N for N in Ns if N > table.limit), None)
+    if past is not None:
+        _check_table(past, table)
+    spf = table.spf_upto(max(Ns, default=0))
+    Ns_arr = np.array(Ns, dtype=np.int64)
+    cz = np.array([math.ceil(N ** z_exp) for N in Ns], dtype=np.int32)
+    cy = np.array([math.ceil(N ** y_exp) for N in Ns], dtype=np.int32)
+    ends = np.cumsum(np.searchsorted(table.primes, Ns_arr))
+    counts = [np.zeros(len(Ns), dtype=np.int64) for _ in range(4)]
+    lo = 0
+    while lo < len(Ns):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), lo + 1)
+        block = _lemma41_block(Ns_arr[lo:hi], cz[lo:hi], cy[lo:hi], table, spf)
+        for column, part in zip(counts, block):
+            column[lo:hi] = part
+        lo = hi
+    pi2, S_A, sum_S_Aq, S_B = (c.tolist() for c in counts)
+    P = _un_truncation(table)
+    un = table.twin_product(P).value * _odd_prime_factor_product(Ns_arr, spf)
+    un = (un * (1.0 - 0.5 * series_tail(P))).tolist()
+    margin, ratio = [], []
+    for N, n2, a, aq, bb, u in zip(Ns, pi2, S_A, sum_S_Aq, S_B, un):
+        margin.append(n2 - _lemma41_rhs(N, a, aq, bb))
+        logN = math.log(N)
+        ratio.append(n2 * logN * logN / (u * N))
+    return Ns, pi2, S_A, sum_S_Aq, S_B, margin, un, ratio
 
 
 def check_lemma41(
@@ -227,45 +364,23 @@ def check_lemma41(
     z_exp: float = 0.125,
     y_exp: float = 1.0 / 3.0,
 ) -> DecompositionCheck:
-    """Both sides of the decomposition at one N, in one pass: A and B are
-    enumerated once and sifted through the spf array (their elements are
-    coprime to N), and S(A_q, P(z)) counts the multiples of q among A's
-    survivors, since no q >= z is a sifting prime.  Equal, term by term, to
-    the general `sift_count` path."""
-    if N % 2 != 0 or N < 6:
-        raise DomainError(f"N must be even and >= 6, got {N}")
-    _check_table(N, table)
-    z = N ** z_exp
-    y = N ** y_exp
-    factors = factorize(N)
-    # pi2 first, so its temporaries are freed before A and B are built.
-    pi2 = pi2_bruteforce(N, table)
-    spf = table.spf
-    survivors = _survivors(_base_A(N, table, [p for p, _ in factors]), z, spf)
-    S_A = len(survivors)
-    sum_S_Aq = 0
-    for q in table.primes_between(z, y).tolist():
-        if N % q != 0:
-            sum_S_Aq += int(np.count_nonzero(survivors % q == 0))
-    del survivors
-    B = _triple_elements(N, table, z, y)
-    S_B = len(_survivors(B, y, spf))
-    del B
-    rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B - 2.0 * N ** 0.875 - 2.0 * N ** (1.0 / 3.0)
-    UN = singular_series_of(factors, max(100_000, min(table.limit, 1_000_000)), table)
-    logN = math.log(N)
-    ratio = pi2 * logN * logN / (UN.value * N)
+    """Both sides of the decomposition at one N: the one-row view of
+    `lemma41_columns`, with U_N as its `singular_series_of` Ball.  Equal,
+    term by term, to the general `sift_count` path."""
+    _, (pi2,), (S_A,), (sum_S_Aq,), (S_B,), (margin,), _, (ratio,) = lemma41_columns(
+        [N], table, z_exp=z_exp, y_exp=y_exp
+    )
     return DecompositionCheck(
         N=N,
-        z=z,
-        y=y,
+        z=N ** z_exp,
+        y=N ** y_exp,
         pi2=pi2,
         S_A=S_A,
         sum_S_Aq=sum_S_Aq,
         S_B=S_B,
-        rhs=rhs,
-        margin=pi2 - rhs,
-        UN=UN,
+        rhs=_lemma41_rhs(N, S_A, sum_S_Aq, S_B),
+        margin=margin,
+        UN=singular_series_of(factorize(N), _un_truncation(table), table),
         ratio=ratio,
     )
 

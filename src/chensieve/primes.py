@@ -79,7 +79,9 @@ class PrimeTable:
     `packed` holds one bit per odd number 3 + 2j (1 = prime) in little-endian
     64-bit words; this is also the cache-file payload.  The helper arrays and
     the twin-prime products are computed on first use and kept on the
-    instance, so repeated queries return the same objects.
+    instance, so repeated queries return the same objects.  spf is kept as
+    the longest prefix [0, n] asked for so far (`spf_upto`), so a caller
+    that reads it only below n sieves it only that far.
     """
 
     limit: int
@@ -137,15 +139,24 @@ class PrimeTable:
     @property
     def spf(self) -> np.ndarray:
         """Smallest prime factor for every n in [0, limit] (spf[1] = 1)."""
-        if self._spf is None:
-            spf = np.zeros(self.limit + 1, dtype=np.int32)
-            odd_base = np.flatnonzero(_odd_primality(math.isqrt(self.limit))) * 2 + 3
-            # Largest base prime first, so the smallest prime dividing n
-            # writes spf[n] last; what no base prime divides is 0, 1 or prime.
-            for p in [*odd_base[::-1].tolist(), 2]:
-                spf[p * p :: p] = p
-            rest = np.flatnonzero(spf == 0)
-            spf[rest] = rest
+        return self.spf_upto(self.limit)
+
+    def spf_upto(self, n: int) -> np.ndarray:
+        """Smallest prime factor for every m in [0, n] (spf[1] = 1), sieved
+        only that far.  The longest prefix built is kept, so the array
+        returned may run past n, and `spf` is the prefix that reaches the
+        limit."""
+        self._check_capacity(n)
+        if self._spf is None or len(self._spf) <= n:
+            spf = np.arange(n + 1, dtype=np.int32)
+            odd_base = np.flatnonzero(_odd_primality(math.isqrt(n))) * 2 + 3
+            # Odd base primes largest first, each at its odd multiples from
+            # p*p on, so the smallest one dividing an odd m writes spf[m]
+            # last; then 2 at every even m >= 4.  What no base prime divides
+            # is 0, 1 or a prime, and keeps its own value.
+            for p in odd_base[::-1].tolist():
+                spf[p * p :: 2 * p] = p
+            spf[4::2] = 2
             self._spf = spf
         return self._spf
 
@@ -367,6 +378,13 @@ def singular_series_UN(
     return singular_series_of(factorize(N), truncation_limit, table)
 
 
+def series_tail(truncation_limit: int) -> float:
+    """T + T^2 with T = 1/(P - 1): the bound on |log| of the singular
+    series' tail past the truncation point P."""
+    t = 1.0 / (truncation_limit - 1.0)
+    return t + t * t
+
+
 def singular_series_of(
     factors: list[tuple[int, int]],
     truncation_limit: int,
@@ -382,8 +400,7 @@ def singular_series_of(
             local *= (p - 1.0) / (p - 2.0)
 
     base = table.twin_product(truncation_limit) * local
-    t = 1.0 / (truncation_limit - 1.0)
-    tail = t + t * t
+    tail = series_tail(truncation_limit)
     # True value = base * exp(-s) for some s in [0, tail]; center the ball.
     centered = base * Ball(1.0 - 0.5 * tail, 0.5 * tail + 4.0 * EPS)
     return centered

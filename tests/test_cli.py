@@ -29,6 +29,14 @@ def test_json_writer_17_digits():
     assert payload["x"] == 1.0 / 3.0
 
 
+def test_json_writer_escapes_every_control_character():
+    for c in map(chr, range(0x20)):
+        text = to_json({"x": f"a{c}b"})
+        assert json.loads(text) == {"x": f"a{c}b"}
+    s = "".join(map(chr, range(0x20))) + '"\\/ \x7f\u00e9'
+    assert to_json(s) == json.dumps(s, ensure_ascii=False)
+
+
 def test_constants_json(tmp_path):
     code, text = run(
         tmp_path, "constants", "--table-limit", "200000", "--output-format", "json"
@@ -281,6 +289,23 @@ def test_verify_stdout_pinned(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_STDOUT[argv]
+
+
+# sha256 of stdout, computed before `verify` became one block-by-block pass
+# over all its targets, with spf sieved only as far as the targets reach.
+_PINNED_VERIFY_PASS = {
+    ("verify", "--scan", "700", "--emit", "csv", "--table-limit", "1000000"):
+        "8ebfc9ef00b13e17137d83c766b8be7b4aeda362916edd30480edd7dcd56cc22",
+    ("verify", "--scan", "700", "--output-format", "text", "--table-limit", "1000000"):
+        "011ee5e4404cbd3f6f68568e25428fefcbde689d846b62acb3acfba87d4789b1",
+}
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_VERIFY_PASS))
+def test_verify_block_pass_stdout_pinned(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_VERIFY_PASS[argv]
 
 
 # sha256 of `sievefun` stdout, computed before the grid was tabulated one
@@ -546,7 +571,7 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, case):
 @pytest.mark.parametrize("target", ["{missing}/x.csv", "{dir}"])
 def test_unusable_output_path_fails_before_any_work(tmp_path, capsys, monkeypatch, target):
     checked = []
-    monkeypatch.setattr(harness_mod, "check_lemma41", lambda *a, **k: checked.append(a))
+    monkeypatch.setattr(harness_mod, "lemma41_columns", lambda *a, **k: checked.append(a))
     out = target.format(missing=tmp_path / "missing", dir=tmp_path)
     argv = ["verify", "--scan", "600", "--emit", "csv", "--table-limit", "200000", "-o", out]
     assert _exit_code(argv) == 2
@@ -593,9 +618,26 @@ def test_format_choice_stdout_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_FORMATS[argv]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["scan", "--max", m] for m in ("-3", "0", "1", "2", "4", "5")]
+    + [["verify", "--scan", m] for m in ("-2", "0", "4", "5")],
+)
+def test_ranges_below_6_are_usage_errors(tmp_path, capsys, argv):
+    out = tmp_path / "o.txt"
+    assert _exit_code(argv + ["--table-limit", "10", "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"chensieve: error: --{argv[1][2:]} must be >= 6"
+    ]
+    assert "Traceback" not in err and not out.exists()
+    argv[2] = "6"
+    assert _exit_code(argv + ["--table-limit", "10", "-o", str(out)]) == 0
+
+
 def test_verify_scan_past_table_fails_before_any_row(capsys, monkeypatch):
     checked = []
-    monkeypatch.setattr(harness_mod, "check_lemma41", lambda *a, **k: checked.append(a))
+    monkeypatch.setattr(harness_mod, "_lemma41_block", lambda *a: checked.append(a))
     argv = ["verify", "--scan", "20010", "--table-limit", "20000", "--emit", "csv"]
     assert _exit_code(argv) == 2
     assert checked == []

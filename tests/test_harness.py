@@ -7,7 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from chensieve.errors import DomainError
+from chensieve import harness as harness_mod
+from chensieve.errors import CapacityError, DomainError
 from chensieve.harness import (
     DecompositionCheck,
     ScanReport,
@@ -18,6 +19,7 @@ from chensieve.harness import (
     enumerate_set,
     goldbach_chen_scan,
     inclusion_exclusion_check,
+    lemma41_columns,
     pi2_bruteforce,
     sift_count,
 )
@@ -261,6 +263,55 @@ def test_lemma41_peak_memory_within_pi2():
     lemma = peak(lambda: check_lemma41(N, table))
     pi2 = peak(lambda: pi2_bruteforce(N, table))
     assert lemma <= pi2 + 512 * 1024
+
+
+@pytest.mark.parametrize("z_exp, y_exp", [(0.125, 1.0 / 3.0), (0.2, 0.45), (0.05, 0.9)])
+def test_lemma41_columns_match_general_path_every_small_N(table_1m, monkeypatch, z_exp, y_exp):
+    # a small pair budget splits the blocks in the middle of the range
+    monkeypatch.setattr(harness_mod, "_PAIR_BUDGET", 997)
+    Ns = range(6, 2001, 2)
+    rows = list(zip(*lemma41_columns(Ns, table_1m, z_exp=z_exp, y_exp=y_exp)))
+    assert len(rows) == len(Ns)
+    for N, row in zip(Ns, rows):
+        assert list(row) == lemma41_reference(N, table_1m, z_exp, y_exp).to_row()
+
+
+@pytest.mark.parametrize("N", [30_030, 510_510, 999_998, 1_000_000])
+def test_lemma41_columns_match_general_path_single_N(table_1m, N):
+    rows = list(zip(*lemma41_columns([N], table_1m)))
+    assert [list(row) for row in rows] == [lemma41_reference(N, table_1m).to_row()]
+
+
+def test_lemma41_columns_at_the_table_limit():
+    table = build_prime_table(30_030)
+    got = [list(row) for row in zip(*lemma41_columns([30_030], table))]
+    assert got == [lemma41_reference(30_030, table).to_row()]
+
+
+def test_lemma41_columns_reject_before_any_block(table_small, monkeypatch):
+    blocks = []
+    monkeypatch.setattr(harness_mod, "_lemma41_block", lambda *a: blocks.append(a))
+    with pytest.raises(CapacityError, match="N=10002 exceeds table limit 10000"):
+        lemma41_columns(range(6, 10_005, 2), table_small)
+    for bad in (7, 4):
+        with pytest.raises(DomainError, match=f"got {bad}"):
+            lemma41_columns([10, bad], table_small)
+    assert blocks == []
+
+
+def test_lemma41_columns_traced_peak_over_a_range():
+    """The block budget bounds the pass's memory: 6..20000 (about 1.2e7
+    (N, p) pairs) peaks under 16 MiB, spf included."""
+    table = build_prime_table(1_000_000)
+    table.primes, table.isprime_array, table.twin_product(1_000_000)
+    tracemalloc.start()
+    try:
+        lemma41_columns(range(6, 20_001, 2), table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert len(table.spf_upto(0)) == 20_001  # spf sieved only as far as N reaches
 
 
 # -- identities ---------------------------------------------------------------------------

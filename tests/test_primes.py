@@ -92,6 +92,34 @@ def test_every_small_limit_matches_trial_division():
         assert t.spf.tolist() == [0, 1] + [smallest_divisor(n) for n in range(2, limit + 1)]
 
 
+def test_spf_prefix_matches_full_spf():
+    full = build_prime_table(300).spf
+    for n in range(2, 301):
+        table = build_prime_table(300)
+        prefix = table.spf_upto(n)
+        assert len(prefix) == n + 1
+        assert prefix.tolist() == full[: n + 1].tolist(), n
+    assert table.spf is table.spf_upto(7)  # the full array is a prefix too
+
+
+@pytest.mark.parametrize("order", [(10, 300, 50), (2, 3, 2, 299, 300, 9), (300, 2)])
+def test_spf_prefix_keeps_the_longest_built(order):
+    full = build_prime_table(300).spf.tolist()
+    table = build_prime_table(300)
+    longest = 0
+    for n in order:
+        spf = table.spf_upto(n)
+        longest = max(longest, n)
+        assert len(spf) == longest + 1
+        assert spf.tolist() == full[: longest + 1]
+    assert table.spf.tolist() == full
+
+
+def test_spf_prefix_past_the_limit_is_rejected():
+    with pytest.raises(CapacityError):
+        build_prime_table(100).spf_upto(101)
+
+
 def test_spf_matches_trial_division_to_1e5():
     spf = build_prime_table(100_000).spf
     assert spf.dtype == np.int32

@@ -11,7 +11,8 @@ hashing, so two checkouts can be compared line for line:
 
 The matrix holds the README commands, ``scan`` and ``verify`` under every
 ``--output-format`` x ``--emit`` pair, the other reports in every format,
-edge ``--max`` values and usage errors.  It takes about 5 s on a 2 vCPU
+edge ``--max`` values, ``verify`` cases for every branch of its lemma-4.1
+pass, and usage errors.  It takes about 3 s on a 2 vCPU
 Intel Xeon VM.
 """
 
@@ -76,6 +77,21 @@ EDGES = [
     "verify --scan 8 --emit text --table-limit 100",
 ]
 
+# Cases that reach every branch of the lemma-4.1 pass: many blocks, other
+# exponents, one N past the default pair budget, and rejected targets.
+VERIFY = [
+    "verify --scan 700 --emit csv",
+    "verify --scan 700 --emit json",
+    "verify --scan 700 --emit text",
+    "verify --scan 3000 --z-exp 0.05 --y-exp 0.9 --emit csv",
+    "verify --N 999998 --z-exp 0.05 --y-exp 0.9",
+    "verify --N 3939998 --table-limit 4000000",
+    "verify --N 7",
+    "verify --N 4",
+    "verify --scan 5",
+    "verify --N 1000002 --table-limit 1000000",
+]
+
 ERRORS = [
     "scan --max 20002 --table-limit 20000",
     "scan --max 100 --floor-only --table-limit 50",
@@ -101,7 +117,7 @@ def commands() -> list[str]:
                 out.append(cmd)
     for base in REPORTS:
         out += [base + (f" --output-format {fmt}" if fmt else "") for fmt in FORMATS]
-    return out + EDGES + ERRORS
+    return out + EDGES + VERIFY + ERRORS
 
 
 def run(cmd: str, tmp: str) -> tuple[str, int]:
