@@ -16,6 +16,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import constants as constants_mod
 from . import harness as harness_mod
@@ -110,14 +112,32 @@ def _column_template(column) -> str | None:
     return None
 
 
+def _distinct_float_text(column) -> list[str] | None:
+    """The `%.17g` text of every cell of a float column, formatting each
+    distinct value once, when at most half the values are distinct; None
+    otherwise.  Values are told apart by their bits, so -0.0 keeps "-0"."""
+    bits, inverse = np.unique(
+        np.asarray(column, np.float64).view(np.int64), return_inverse=True
+    )
+    if 2 * len(bits) > len(column):
+        return None
+    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def write_csv(fh, header: list[str], columns) -> None:
     """Write `header` and the rows of `columns`, one sequence per header
-    name.  An all-float or all-int column is formatted by one template; any
+    name.  An all-float or all-int column is formatted by one template; a
+    float column with many repeats from its distinct values' text; any
     other column cell by cell through `_csv_cell`, quoted as RFC 4180 asks."""
     cells, templates = [], []
     for column in columns:
         template = _column_template(column)
-        if template is None:
+        if template == "%.17g":
+            text = _distinct_float_text(column)
+            if text is not None:
+                column, template = text, "%s"
+        elif template is None:
             column, template = [_csv_quote(_csv_cell(v)) for v in column], "%s"
         cells.append(column)
         templates.append(template)
@@ -233,8 +253,9 @@ def _cmd_constants(args) -> int:
 
 def _cmd_sievefun(args) -> int:
     grid = sievefun_mod.build_grid(args.s_max, args.step, tol=args.precision_target)
+    columns = (grid.s, grid.f1_values, grid.f1_radii, grid.F1_values, grid.F1_radii)
     buf = io.StringIO()
-    sievefun_mod.write_grid_csv(grid, buf)
+    write_csv(buf, ["s", "f1", "f1_radius", "F1", "F1_radius"], [c.tolist() for c in columns])
     _emit(buf.getvalue(), args.output_path)
     return 0
 

@@ -27,7 +27,6 @@ the pieces directly.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -210,7 +209,7 @@ def eval_F1(s: float, *, s_max: float = 12.0, tol: float = 1e-12) -> Ball:
 class SieveFunctionGrid:
     """Tabulated f1/F1 on a uniform s-grid with per-node radii.
 
-    The grid holds exactly the nodes that `write_grid_csv` exports; a value
+    The grid holds exactly the nodes that the `sievefun` command exports; a value
     between nodes is read from the pieces (`eval_f1`/`eval_F1`).
     """
 
@@ -243,14 +242,3 @@ def build_grid(
     while len(s) and float(s[-1]) > s_max:
         s = s[:-1]
     return SieveFunctionGrid(s, *system.f1_array(s), *system.F1_array(s))
-
-
-def write_grid_csv(grid: SieveFunctionGrid, fh: io.TextIOBase) -> None:
-    """Export `s,f1,f1_radius,F1,F1_radius` rows at 17 significant digits,
-    formatted from Python floats and written in one call."""
-    columns = (grid.s, grid.f1_values, grid.f1_radii, grid.F1_values, grid.F1_radii)
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    fh.write(
-        "s,f1,f1_radius,F1,F1_radius\n"
-        + "".join(map(row.__mod__, zip(*(c.tolist() for c in columns))))
-    )

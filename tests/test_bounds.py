@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
@@ -18,6 +19,7 @@ from chensieve.bounds import (
 )
 from chensieve.constants import compute_c2
 from chensieve.errors import ConfigError, DomainError
+from chensieve.sievefun import get_system
 
 GAMMA_ORACLE = 0.5772156649015328606065120900824
 EG = math.exp(GAMMA_ORACLE)
@@ -87,6 +89,15 @@ def test_theorem4_annotations_window():
     assert window["log_D_lower"] == pytest.approx(
         0.5 * math.exp(36.0) - 22.0 * 36.0 - 50.0
     )
+
+
+def test_system_to_4_matches_system_to_12_on_its_range():
+    # The stage-4 annotations read f1/F1 from the system built to s_max = 4.
+    s = np.concatenate([np.linspace(1e-3, 4.0, 4001), [2.0, 3.0, 3.9999, 4.0]])
+    short, full = get_system(4.0), get_system(12.0)
+    for name in ("f1_array", "F1_array"):
+        for got, want in zip(getattr(short, name)(s), getattr(full, name)(s)):
+            assert np.array_equal(got, want), name
 
 
 def test_loglog_precondition():

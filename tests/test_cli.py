@@ -11,7 +11,7 @@ import pytest
 
 from chensieve import harness as harness_mod
 from chensieve import primes as primes_mod
-from chensieve.cli import _csv_cell, main, to_json, write_csv
+from chensieve.cli import _csv_cell, _distinct_float_text, main, to_json, write_csv
 from chensieve.primes import build_prime_table, load_cache, save_cache
 
 
@@ -338,6 +338,9 @@ _PINNED_REPORTS = {
         "b5ddba928524e8cd702e3172fc0addc4b4772faec72bedb1c2702fae51892f83",
     ("bounds", "--theorem", "final", "--loglogN", "36", "--epsilon", "9.4e-14"):
         "87e10fd91b0339c8ac217bc393d5e657ca6d7025d8c9d8b79311a90e4194ea86",
+    # s1_lower ~ 3.18: the annotation reads piece [3, 4]
+    ("bounds", "--theorem", "4", "--loglogN", "8"):
+        "ac7bb3150c1b92400892e67138c8c52ebf42ad5189feae84671ea6ca0c69529e",
     ("constants", "--table-limit", "200000"):
         "6c8dc1093b583b101bde34986a8c0873c7603b62cea9cb556cd983d6c64ccb64",
     ("constants", "--table-limit", "200000", "--output-format", "csv"):
@@ -415,15 +418,31 @@ _CELL_COLUMNS = {
 }
 
 
+# Float columns that `write_csv` formats from their distinct values (at most
+# half of the 8 cells distinct), and one just past that threshold.
+_REPEATED_FLOAT_COLUMNS = {
+    "repeats": [0.1, 0.1, 1 / 3, 0.1, 1 / 3, 0.1, 0.1, 1 / 3],
+    "signed_zeros": [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0],
+    "non_finite": [math.nan, math.inf, -math.inf, -math.nan, math.inf, math.nan, -math.inf, math.nan],
+    "half_distinct": [2.5, 1e-300, 2.5, -7.0, 1e300, -7.0, 1e-300, 1e300],
+    "np_float64_repeats": [np.float64(v) for v in (0.1, 0.2, 0.1, 0.2, 0.1, 0.2, 0.1, 0.3)],
+    "float_and_np_float64": [0.5, np.float64(0.5), -0.0, np.float64(0.0), 0.5, 0.0, -0.0, 0.5],
+    "five_of_eight": [1.0, 2.0, 3.0, 4.0, 5.0, 1.0, 2.0, 3.0],
+}
+
+
 def test_write_csv_matches_cell_rule_on_typed_and_mixed_columns():
-    header = list(_CELL_COLUMNS)
-    columns = list(_CELL_COLUMNS.values())
-    buf = io.StringIO()
-    write_csv(buf, header, columns)
-    want = ",".join(header) + "\n" + "".join(
-        ",".join(_csv_cell(v) for v in row) + "\n" for row in zip(*columns)
-    )
-    assert buf.getvalue() == want
+    assert _distinct_float_text(_REPEATED_FLOAT_COLUMNS["half_distinct"]) is not None
+    assert _distinct_float_text(_REPEATED_FLOAT_COLUMNS["five_of_eight"]) is None
+    for table in (_CELL_COLUMNS, _REPEATED_FLOAT_COLUMNS):
+        header = list(table)
+        for rows in (slice(None), slice(1), slice(0)):
+            columns = [column[rows] for column in table.values()]
+            buf = io.StringIO()
+            write_csv(buf, header, columns)
+            assert buf.getvalue() == ",".join(header) + "\n" + "".join(
+                ",".join(_csv_cell(v) for v in row) + "\n" for row in zip(*columns)
+            )
 
 
 def test_write_csv_quotes_cells_that_need_it():

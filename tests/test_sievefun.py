@@ -14,7 +14,6 @@ from chensieve.sievefun import (
     eval_F1,
     eval_f1,
     get_system,
-    write_grid_csv,
 )
 
 # Independent high-precision seed for the oracles below.
@@ -219,17 +218,32 @@ def test_grid_invariants():
     assert np.all(grid.F1_values > 0.0)
 
 
-def test_grid_csv_export():
+def test_grid_csv_export(capsys):
+    assert main(["sievefun", "--s-max", "4", "--step", "0.05"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     grid = build_grid(4.0, 0.05)
-    buf = io.StringIO()
-    write_grid_csv(grid, buf)
-    lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "s,f1,f1_radius,F1,F1_radius"
     assert len(lines) == len(grid) + 1
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(0.05)
     # 17 significant digits survive a round trip
     assert float(first[3]) == grid.F1_values[0]
+
+
+def _grid_csv_per_row(grid) -> str:
+    """The grid CSV as it was written before it went through `cli.write_csv`:
+    every cell of every row formatted with `%.17g`."""
+    columns = (grid.s, grid.f1_values, grid.f1_radii, grid.F1_values, grid.F1_radii)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    return "s,f1,f1_radius,F1,F1_radius\n" + "".join(
+        map(row.__mod__, zip(*(c.tolist() for c in columns)))
+    )
+
+
+@pytest.mark.parametrize("s_max, step", [("8.2", "1e-3"), ("11.7", "1e-3"), ("8.2", "5e-4")])
+def test_sievefun_csv_matches_per_row_writer(capsys, s_max, step):
+    assert main(["sievefun", "--s-max", s_max, "--step", step]) == 0
+    assert capsys.readouterr().out == _grid_csv_per_row(build_grid(float(s_max), float(step)))
 
 
 # -- vectorized tabulation against the per-node loop ----------------------------------

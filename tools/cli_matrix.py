@@ -12,8 +12,8 @@ hashing, so two checkouts can be compared line for line:
 The matrix holds the README commands, ``scan`` and ``verify`` under every
 ``--output-format`` x ``--emit`` pair, the other reports in every format,
 edge ``--max`` values, ``verify`` cases for every branch of its lemma-4.1
-pass, and usage errors.  It takes about 3 s on a 2 vCPU
-Intel Xeon VM.
+pass, the grid and bound sizes of the certify benchmark, and usage errors.
+It takes about 3 s on a 2 vCPU Intel Xeon VM.
 """
 
 from __future__ import annotations
@@ -92,6 +92,16 @@ VERIFY = [
     "verify --N 1000002 --table-limit 1000000",
 ]
 
+# The certify benchmark's grid sizes, and stage 4 with s1_lower below 0
+# (no annotation at s1_lower) and in (0, 4).
+CERTIFY = [
+    "sievefun --s-max 8.2 --step 1e-3 -o {tmp}/grid_8.2.csv",
+    "sievefun --s-max 11.7 --step 1e-3 -o {tmp}/grid_11.7.csv",
+    "sievefun --s-max 8.2 --step 5e-4 -o {tmp}/grid_8.2_fine.csv",
+    "bounds --theorem 4 --loglogN 3",
+    "bounds --theorem 4 --loglogN 8",
+]
+
 ERRORS = [
     "scan --max 20002 --table-limit 20000",
     "scan --max 100 --floor-only --table-limit 50",
@@ -117,7 +127,7 @@ def commands() -> list[str]:
                 out.append(cmd)
     for base in REPORTS:
         out += [base + (f" --output-format {fmt}" if fmt else "") for fmt in FORMATS]
-    return out + EDGES + VERIFY + ERRORS
+    return out + EDGES + VERIFY + CERTIFY + ERRORS
 
 
 def run(cmd: str, tmp: str) -> tuple[str, int]:
