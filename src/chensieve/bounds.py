@@ -30,7 +30,7 @@ from .constants import (
     eps0,
 )
 from .errors import ConfigError, DomainError
-from .quadrature import integrate_ball
+from .quadrature import integrate
 
 DEFAULT_EPSILON = math.exp(-30.0)  # inside the allowed window (e^-100, e^-20)
 HYPOTHESIS_FLOOR_LOGLOG_N = 36.0
@@ -321,15 +321,9 @@ def H_value(alpha: float, tol: float = 1e-12) -> Ball:
     upper = (1.0 - alpha) / 2.0
     if upper - 1.0 / 3.0 <= 4.0 * EPS:
         return Ball(0.0, 0.0)
-    return integrate_ball(
-        lambda b: 1.0 / (b * (1.0 - alpha - b)), 1.0 / 3.0, upper, tol
+    return Ball(
+        *integrate(lambda b: 1.0 / (b * (1.0 - alpha - b)), 1.0 / 3.0, upper, tol)
     )
-
-
-def H_at_z(tol: float = 1e-12) -> Ball:
-    """H_value at alpha = 1/8 (the sifted level z = N^{1/8});
-    closed form (8/7) log(13/8)."""
-    return H_value(0.125, tol)
 
 
 # -- right-hand-side magnitude evaluators ---------------------------------------

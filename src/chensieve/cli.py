@@ -210,7 +210,7 @@ def _load_table(args) -> primes_mod.PrimeTable:
             )
         except CacheError as exc:
             print(f"warning: unreadable cache ({exc}), rebuilding", file=sys.stderr)
-    table = primes_mod.build_prime_table(args.table_limit, threads=args.threads)
+    table = primes_mod.build_prime_table(args.table_limit)
     if path:
         if not args.cache_file:  # the cache directory is made only to save
             os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -327,7 +327,7 @@ def _cmd_scan(args) -> int:
     table = _load_table(args)
     mode = "floor" if args.floor_only else "full"
     report = harness_mod.goldbach_chen_scan(
-        args.max, table, mode=mode, threads=args.threads, collect_rows=args.rows
+        args.max, table, mode=mode, collect_rows=args.rows
     )
     header = ["N", "pi2", "UN", "ratio"]
 

@@ -17,9 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ball import Ball
 from .errors import CapacityError, DomainError
-from .primes import PrimeTable, euler_phi, factorize, series_tail, singular_series_of
+from .primes import PrimeTable, euler_phi, factorize, series_tail
 
 _SAMPLE_CAP = 64
 
@@ -185,40 +184,6 @@ def pi2_bruteforce(N: int, table: PrimeTable) -> int:
 
 # -- the decomposition inequality -------------------------------------------------
 
-
-@dataclass
-class DecompositionCheck:
-    """Both sides of the lemma-4.1 decomposition
-    pi2(N) > S(A,P(z)) - 1/2 sum_{z<=q<y} S(A_q,P(z)) - 1/2 S(B,P(y))
-             - 2 N^{7/8} - 2 N^{1/3},
-    evaluated exactly.  Informative at desk scale: the inequality targets
-    asymptotic N, so small-N margins are recorded, not gated."""
-
-    N: int
-    z: float
-    y: float
-    pi2: int
-    S_A: int
-    sum_S_Aq: int
-    S_B: int
-    rhs: float
-    margin: float
-    UN: Ball
-    ratio: float
-
-    def to_row(self) -> list:
-        return [
-            self.N,
-            self.pi2,
-            self.S_A,
-            self.sum_S_Aq,
-            self.S_B,
-            self.margin,
-            self.UN.value,
-            self.ratio,
-        ]
-
-
 # (N, p) pairs handled per block of the lemma-4.1 pass; one N with more
 # pairs than this is a block by itself.
 _PAIR_BUDGET = 1 << 17
@@ -227,10 +192,6 @@ _PAIR_BUDGET = 1 << 17
 def _un_truncation(table: PrimeTable) -> int:
     """The truncation point of the singular series in the lemma-4.1 check."""
     return max(100_000, min(table.limit, 1_000_000))
-
-
-def _lemma41_rhs(N: int, S_A: int, sum_S_Aq: int, S_B: int) -> float:
-    return S_A - 0.5 * sum_S_Aq - 0.5 * S_B - 2.0 * N ** 0.875 - 2.0 * N ** (1.0 / 3.0)
 
 
 def _segment_counts(idx: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -314,15 +275,21 @@ def lemma41_columns(
     z_exp: float = 0.125,
     y_exp: float = 1.0 / 3.0,
 ) -> tuple[list, ...]:
-    """The lemma-4.1 decomposition at every N of `targets`, as the columns
-    N, pi2, S_A, Sum_S_Aq, S_B, margin, U_N and ratio (Python lists).
+    """Both sides of the lemma-4.1 decomposition
+        pi2(N) > S(A,P(z)) - 1/2 sum_{z<=q<y} S(A_q,P(z)) - 1/2 S(B,P(y))
+                 - 2 N^{7/8} - 2 N^{1/3},
+    z = N^z_exp and y = N^y_exp, at every N of `targets`, as the columns N,
+    pi2, S_A, Sum_S_Aq, S_B, margin (pi2 minus the right-hand side), U_N and
+    ratio (Python lists).  The inequality targets asymptotic N, so desk-scale
+    margins are recorded, not gated.
 
     The counts are computed block by block over the (N, p) pairs of
     consecutive targets (`_lemma41_block`), sifting through the spf array,
     which is built only as far as the largest target.  U_N is the value of
-    `singular_series_of` truncated at `_un_truncation(table)`, and the
-    margin and ratio are formed per N in Python, so every float is the one
-    a per-N evaluation gives.  Every target is validated before any count.
+    `singular_series_UN` truncated at `_un_truncation(table)`.  The powers
+    and logs of N go through the math module, so every float is the one a
+    per-N evaluation in Python gives.  Every target is validated before any
+    count.
     """
     Ns = list(targets)
     for N in Ns:
@@ -337,6 +304,7 @@ def lemma41_columns(
     cy = np.array([math.ceil(N ** y_exp) for N in Ns], dtype=np.int32)
     ends = np.cumsum(np.searchsorted(table.primes, Ns_arr))
     counts = [np.zeros(len(Ns), dtype=np.int64) for _ in range(4)]
+    pi2, S_A, sum_S_Aq, S_B = counts
     lo = 0
     while lo < len(Ns):
         done = int(ends[lo - 1]) if lo else 0
@@ -345,44 +313,14 @@ def lemma41_columns(
         for column, part in zip(counts, block):
             column[lo:hi] = part
         lo = hi
-    pi2, S_A, sum_S_Aq, S_B = (c.tolist() for c in counts)
     P = _un_truncation(table)
     un = table.twin_product(P).value * _odd_prime_factor_product(Ns_arr, spf)
-    un = (un * (1.0 - 0.5 * series_tail(P))).tolist()
-    margin, ratio = [], []
-    for N, n2, a, aq, bb, u in zip(Ns, pi2, S_A, sum_S_Aq, S_B, un):
-        margin.append(n2 - _lemma41_rhs(N, a, aq, bb))
-        logN = math.log(N)
-        ratio.append(n2 * logN * logN / (u * N))
-    return Ns, pi2, S_A, sum_S_Aq, S_B, margin, un, ratio
-
-
-def check_lemma41(
-    N: int,
-    table: PrimeTable,
-    *,
-    z_exp: float = 0.125,
-    y_exp: float = 1.0 / 3.0,
-) -> DecompositionCheck:
-    """Both sides of the decomposition at one N: the one-row view of
-    `lemma41_columns`, with U_N as its `singular_series_of` Ball.  Equal,
-    term by term, to the general `sift_count` path."""
-    _, (pi2,), (S_A,), (sum_S_Aq,), (S_B,), (margin,), _, (ratio,) = lemma41_columns(
-        [N], table, z_exp=z_exp, y_exp=y_exp
-    )
-    return DecompositionCheck(
-        N=N,
-        z=N ** z_exp,
-        y=N ** y_exp,
-        pi2=pi2,
-        S_A=S_A,
-        sum_S_Aq=sum_S_Aq,
-        S_B=S_B,
-        rhs=_lemma41_rhs(N, S_A, sum_S_Aq, S_B),
-        margin=margin,
-        UN=singular_series_of(factorize(N), _un_truncation(table), table),
-        ratio=ratio,
-    )
+    un *= 1.0 - 0.5 * series_tail(P)
+    rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B
+    for e in (0.875, 1.0 / 3.0):  # math.pow, not np.power: see `_ratio`
+        rhs -= 2.0 * np.fromiter((math.pow(N, e) for N in Ns), np.float64, len(Ns))
+    margin, ratio = pi2 - rhs, _ratio(pi2, un, Ns_arr, Ns)
+    return (Ns, *(c.tolist() for c in (*counts, margin, un, ratio)))
 
 
 # -- inclusion-exclusion identity -------------------------------------------------
@@ -544,12 +482,20 @@ def _odd_prime_factor_product(N: np.ndarray, spf: np.ndarray) -> np.ndarray:
     return local
 
 
+def _ratio(pi2: np.ndarray, un: np.ndarray, Ns: np.ndarray, ints) -> np.ndarray:
+    """The normalized count pi2(N) log^2 N / (U_N N) at each N of `Ns`, with
+    `ints` the same N as Python ints (a range or a list).  Their logs are
+    taken by math.log: np.log, like np.power, differs from the math module
+    in the last bit for some N."""
+    L = np.fromiter(map(math.log, ints), np.float64, len(Ns))
+    return pi2 * L * L / (un * Ns)
+
+
 def goldbach_chen_scan(
     N_max: int,
     table: PrimeTable,
     *,
     mode: str = "full",
-    threads: int = 1,
     collect_rows: bool = False,
 ) -> ScanReport:
     """Scan every even 6 <= N <= N_max.
@@ -563,8 +509,7 @@ def goldbach_chen_scan(
     normalized ratio pi2(N) log^2 N / (U_N N); mode='floor' only certifies
     pi2(N) >= 1, by dropping every unresolved N with N - p in the indicator,
     prime by prime, until none is left.  All arithmetic is exact, so the
-    report is deterministic; `threads` is accepted for compatibility and has
-    no effect.
+    report is deterministic.
     """
     if mode not in ("full", "floor"):
         raise DomainError(f"mode must be 'full' or 'floor', got {mode}")
@@ -602,9 +547,7 @@ def goldbach_chen_scan(
     c = counts[3:]
     Ns = np.arange(6, 2 * half, 2, dtype=np.int64)
     un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, table.spf)
-    # math.log, not np.log: the two differ in the last bit for some N.
-    L = np.fromiter(map(math.log, range(6, 2 * half, 2)), dtype=np.float64, count=len(Ns))
-    ratio = c * L * L / (un * Ns)
+    ratio = _ratio(c, un, Ns, range(6, 2 * half, 2))
 
     failures = Ns[c < 1].tolist()
     summary = {}

@@ -5,10 +5,10 @@ primality, Chebyshev sums, smallest-prime-factor factorization, and the
 handful of prime sums and products that the constants pipeline consumes as
 Balls.
 
-Tables are immutable after construction and safe to share across threads;
-all queries are pure.  A table memoizes what it derives from its primes: the
-lazily built arrays and, per truncation point P, the twin-prime factor of the
-singular series (`PrimeTable.twin_product`).
+Tables are immutable after construction and all queries are pure.  A table
+memoizes what it derives from its primes: the lazily built arrays and, per
+truncation point P, the twin-prime factor of the singular series
+(`PrimeTable.twin_product`).
 """
 
 from __future__ import annotations
@@ -110,18 +110,14 @@ class PrimeTable:
         return bool((int(self.packed[j >> 6]) >> (j & 63)) & 1)
 
     @property
-    def odd_flags(self) -> np.ndarray:
-        """Unpacked odd-number primality flags (bit j <-> 3 + 2j)."""
-        n = _odd_count(self.limit)
-        bits = np.unpackbits(self.packed.view(np.uint8), bitorder="little")
-        return bits[:n].astype(bool)
-
-    @property
     def primes(self) -> np.ndarray:
         if self._primes is None:
-            odd = np.flatnonzero(self.odd_flags).astype(np.int64) * 2 + 3
-            head = [2] if self.limit >= 2 else []
-            self._primes = np.concatenate([np.asarray(head, dtype=np.int64), odd])
+            n = _odd_count(self.limit)
+            bits = np.unpackbits(self.packed.view(np.uint8), count=n, bitorder="little")
+            odd = np.flatnonzero(bits.view(bool))  # ~5x faster on bool than on uint8
+            del bits  # held through the arithmetic, it lifts the peak by half at 1e7
+            odd = odd * 2 + 3
+            self._primes = np.concatenate([np.array([2], dtype=np.int64), odd])
         return self._primes
 
     @property
@@ -129,10 +125,7 @@ class PrimeTable:
         """Bool array over [0, limit] for vectorized membership tests."""
         if self._isprime is None:
             arr = np.zeros(self.limit + 1, dtype=bool)
-            if self.limit >= 2:
-                arr[2] = True
-            if self.limit >= 3:
-                arr[3 :: 2][: _odd_count(self.limit)] = self.odd_flags
+            arr[self.primes] = True
             self._isprime = arr
         return self._isprime
 
@@ -190,17 +183,12 @@ class PrimeTable:
         return ball
 
 
-def build_prime_table(limit: int, *, threads: int = 1) -> PrimeTable:
-    """Build the prime table for [2, limit] with the segmented odd-only sieve.
-
-    `threads` is validated for compatibility and has no effect.
-    """
+def build_prime_table(limit: int) -> PrimeTable:
+    """Build the prime table for [2, limit] with the segmented odd-only sieve."""
     if not (2 <= limit <= IMPLEMENTATION_CAP):
         raise CapacityError(
             f"table limit must be in [2, {IMPLEMENTATION_CAP}], got {limit}"
         )
-    if threads < 1:
-        raise CapacityError(f"threads must be >= 1, got {threads}")
     return PrimeTable(limit=limit, packed=_pack_odd_bits(_odd_primality(limit)))
 
 
@@ -375,7 +363,17 @@ def singular_series_UN(
         raise DomainError(
             f"truncation limit must be >= 1e5, got {truncation_limit}"
         )
-    return singular_series_of(factorize(N), truncation_limit, table)
+    if table is None:
+        table = build_prime_table(truncation_limit)
+    local = 1.0
+    for p, _ in factorize(N):
+        if p > 2:
+            local *= (p - 1.0) / (p - 2.0)
+
+    base = table.twin_product(truncation_limit) * local
+    tail = series_tail(truncation_limit)
+    # True value = base * exp(-s) for some s in [0, tail]; center the ball.
+    return base * Ball(1.0 - 0.5 * tail, 0.5 * tail + 4.0 * EPS)
 
 
 def series_tail(truncation_limit: int) -> float:
@@ -383,24 +381,3 @@ def series_tail(truncation_limit: int) -> float:
     series' tail past the truncation point P."""
     t = 1.0 / (truncation_limit - 1.0)
     return t + t * t
-
-
-def singular_series_of(
-    factors: list[tuple[int, int]],
-    truncation_limit: int,
-    table: PrimeTable | None = None,
-) -> Ball:
-    """`singular_series_UN` for the N whose `factorize` output is `factors`,
-    for callers that already factored N; the arguments are not re-checked."""
-    if table is None:
-        table = build_prime_table(truncation_limit)
-    local = 1.0
-    for p, _ in factors:
-        if p > 2:
-            local *= (p - 1.0) / (p - 2.0)
-
-    base = table.twin_product(truncation_limit) * local
-    tail = series_tail(truncation_limit)
-    # True value = base * exp(-s) for some s in [0, tail]; center the ball.
-    centered = base * Ball(1.0 - 0.5 * tail, 0.5 * tail + 4.0 * EPS)
-    return centered

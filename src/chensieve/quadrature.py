@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .ball import Ball
 from .errors import ConfigError
 
 # Bisection depth past which a panel is accepted as it stands.
@@ -106,13 +105,3 @@ def integrate(
     total = math.fsum(values)
     bound = math.fsum(errors) + 4.0 * 2.0 ** -52 * (abs(total) + len(values))
     return sign * total, bound
-
-
-def integrate_ball(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-) -> Ball:
-    value, bound = integrate(f, a, b, tol)
-    return Ball(value, bound)

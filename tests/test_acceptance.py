@@ -2,10 +2,11 @@
 with its measured numbers.  Tolerances and runtime budgets are pinned here
 and nowhere else."""
 
-import json
+import io
 import math
 import random
 import time
+from contextlib import redirect_stdout
 
 import numpy as np
 from scipy import integrate as scipy_integrate
@@ -271,27 +272,20 @@ def test_criterion_8_declared_out_of_reach():
 def test_criterion_9_thread_determinism(tmp_path):
     outputs = {}
     for threads in (1, 4, 8):
-        table = build_prime_table(300_000, threads=threads)
-        scan = goldbach_chen_scan(
-            50_000, table, mode="full", threads=threads, collect_rows=True
-        )
-        out = tmp_path / f"t{threads}.json"
-        code = main(
-            [
-                "constants", "--table-limit", "200000", "--threads", str(threads),
-                "-o", str(out),
-            ]
-        )
-        assert code == 0
-        outputs[threads] = (
-            table.packed.tobytes(),
-            json.dumps(scan.rows),
-            out.read_bytes(),
-        )
+        files = [tmp_path / f"{name}_{threads}" for name in ("table", "scan", "ledger")]
+        for argv in (
+            ["cache", "build", "--table-limit", "300000", "--cache-file", str(files[0])],
+            ["scan", "--max", "50000", "--rows", "--emit", "csv",
+             "--table-limit", "300000", "-o", str(files[1])],
+            ["constants", "--table-limit", "200000", "-o", str(files[2])],
+        ):
+            with redirect_stdout(io.StringIO()):  # `cache build` prints its path
+                assert main(argv + ["--threads", str(threads)]) == 0
+        outputs[threads] = [f.read_bytes() for f in files]
     ok = outputs[1] == outputs[4] == outputs[8]
     _report(
         9,
         ok,
-        "prime table bytes, scan rows, and ledger JSON byte-identical "
-        "across 1/4/8 threads",
+        "prime table cache bytes, scan CSV rows, and ledger JSON byte-identical "
+        "across --threads 1/4/8",
     )

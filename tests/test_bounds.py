@@ -7,7 +7,6 @@ from scipy import integrate as scipy_integrate
 from chensieve.ball import Ball
 from chensieve.bounds import (
     DEFAULT_EPSILON,
-    H_at_z,
     H_value,
     final_coefficient,
     lemma_rhs_evaluators,
@@ -234,8 +233,9 @@ def test_H_endpoint_zero():
 
 def test_H_at_z_closed_form():
     """Partial-fractions oracle: the integral evaluates to
-    log(2 - 3a)/(1 - a); at a = 1/8 that is (8/7) log(13/8) ~ 0.5549."""
-    b = H_at_z()
+    log(2 - 3a)/(1 - a); at a = 1/8 (the sifted level z = N^{1/8}) that is
+    (8/7) log(13/8) ~ 0.5549."""
+    b = H_value(0.125)
     expect = (8.0 / 7.0) * math.log(13.0 / 8.0)
     assert abs(b.value - expect) < 1e-10
 

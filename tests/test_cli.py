@@ -131,6 +131,20 @@ def test_scan_csv_and_thread_determinism(tmp_path):
     assert out1.startswith("N,pi2,UN,ratio\n")
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_a_usage_error(tmp_path, capsys, threads):
+    # the parser is the only reader of --threads, so it is the only guard
+    out = tmp_path / "o.txt"
+    argv = ["scan", "--max", "100", "--table-limit", "1000", "-o", str(out)]
+    assert _exit_code(argv + ["--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "chensieve: error: --threads must be >= 1"
+    ]
+    assert "Traceback" not in err and not out.exists()
+    assert _exit_code(argv + ["--threads", "1"]) == 0
+
+
 def test_scan_floor_json(tmp_path):
     code, text = run(
         tmp_path, "scan", "--max", "3000", "--floor-only", "--table-limit", "200000"

@@ -10,12 +10,10 @@ import pytest
 from chensieve import harness as harness_mod
 from chensieve.errors import CapacityError, DomainError
 from chensieve.harness import (
-    DecompositionCheck,
     ScanReport,
     _p2p3_support,
     SiftedSetSpec,
     bilinear_discrepancy_exact,
-    check_lemma41,
     enumerate_set,
     goldbach_chen_scan,
     inclusion_exclusion_check,
@@ -184,26 +182,29 @@ def test_pi2_validation(table_small):
 
 
 def test_lemma41_structure_at_1e4(table_1m):
-    c = check_lemma41(10_000, table_1m)
-    assert c.pi2 >= 1
-    assert c.S_A <= len(enumerate_set(SiftedSetSpec("A", 10_000), table_1m))
+    N = 10_000
+    ((_, pi2, S_A, sum_S_Aq, S_B, margin, _, _),) = zip(*lemma41_columns([N], table_1m))
+    assert pi2 >= 1
+    assert S_A <= len(enumerate_set(SiftedSetSpec("A", N), table_1m))
     # at desk scale the RHS is swamped by -2 N^{7/8}; margin is positive
-    assert c.rhs < 0
-    assert c.margin > 0
-    assert c.margin == pytest.approx(c.pi2 - c.rhs)
+    rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B - 2.0 * N ** 0.875 - 2.0 * N ** (1.0 / 3.0)
+    assert rhs < 0
+    assert margin > 0
+    assert margin == pytest.approx(pi2 - rhs)
 
 
 def test_lemma41_at_1e6_sample(table_1m):
-    c = check_lemma41(1_000_000, table_1m)
-    assert c.pi2 >= 1
-    assert c.S_A <= 78498
-    assert math.isfinite(c.margin)
-    assert c.ratio > 0
+    ((_, pi2, S_A, _, _, margin, _, ratio),) = zip(*lemma41_columns([1_000_000], table_1m))
+    assert pi2 >= 1
+    assert S_A <= 78498
+    assert math.isfinite(margin)
+    assert ratio > 0
 
 
 def lemma41_reference(N, table, z_exp=0.125, y_exp=1.0 / 3.0):
-    """The decomposition from the general path: one `sift_count` of A, one
-    per q of A_q, one of B, and `singular_series_UN`."""
+    """The row [N, pi2, S_A, Sum_S_Aq, S_B, margin, U_N, ratio] from the
+    general path: one `sift_count` of A, one per q of A_q, one of B,
+    `pi2_bruteforce` and `singular_series_UN`."""
     z, y = N ** z_exp, N ** y_exp
     S_A = sift_count(SiftedSetSpec("A", N, z=z, y=y), table, level=z).count
     sum_S_Aq = sum(
@@ -214,39 +215,14 @@ def lemma41_reference(N, table, z_exp=0.125, y_exp=1.0 / 3.0):
     S_B = sift_count(SiftedSetSpec("B", N, z=z, y=y), table, level=y).count
     pi2 = pi2_bruteforce(N, table)
     rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B - 2.0 * N ** 0.875 - 2.0 * N ** (1.0 / 3.0)
-    UN = singular_series_UN(N, max(100_000, min(table.limit, 1_000_000)), table)
+    UN = singular_series_UN(N, max(100_000, min(table.limit, 1_000_000)), table).value
     logN = math.log(N)
-    return DecompositionCheck(
-        N, z, y, pi2, S_A, sum_S_Aq, S_B, rhs, pi2 - rhs, UN,
-        pi2 * logN * logN / (UN.value * N),
-    )
-
-
-def assert_same_check(got, expect):
-    assert got.to_row() == expect.to_row()
-    assert repr(got.UN) == repr(expect.UN)
-    assert (got.z, got.y, got.rhs) == (expect.z, expect.y, expect.rhs)
-
-
-def test_lemma41_matches_general_path_every_small_N(table_1m):
-    for N in range(6, 2001, 2):
-        assert_same_check(check_lemma41(N, table_1m), lemma41_reference(N, table_1m))
-
-
-@pytest.mark.parametrize("N", [30_030, 510_510, 999_998])
-def test_lemma41_matches_general_path_large_N(table_1m, N):
-    assert_same_check(check_lemma41(N, table_1m), lemma41_reference(N, table_1m))
-
-
-@pytest.mark.parametrize("N", [6, 30, 210, 1_000, 2_310, 30_030, 99_990])
-def test_lemma41_matches_general_path_other_exponents(table_1m, N):
-    got = check_lemma41(N, table_1m, z_exp=0.2, y_exp=0.45)
-    assert_same_check(got, lemma41_reference(N, table_1m, 0.2, 0.45))
+    return [N, pi2, S_A, sum_S_Aq, S_B, pi2 - rhs, UN, pi2 * logN * logN / (UN * N)]
 
 
 def test_lemma41_peak_memory_within_pi2():
-    """The check holds none of its own arrays while pi2 runs: its traced
-    peak stays within 0.5 MB of one pi2_bruteforce call."""
+    """The pass holds none of its own arrays while pi2 runs: at one N its
+    traced peak stays within 0.5 MB of one pi2_bruteforce call."""
     table = build_prime_table(4_000_000)
     table.primes, table.spf, table.isprime_array
     N = 3_939_998
@@ -260,32 +236,40 @@ def test_lemma41_peak_memory_within_pi2():
         finally:
             tracemalloc.stop()
 
-    lemma = peak(lambda: check_lemma41(N, table))
+    lemma = peak(lambda: lemma41_columns([N], table))
     pi2 = peak(lambda: pi2_bruteforce(N, table))
     assert lemma <= pi2 + 512 * 1024
 
 
 @pytest.mark.parametrize("z_exp, y_exp", [(0.125, 1.0 / 3.0), (0.2, 0.45), (0.05, 0.9)])
 def test_lemma41_columns_match_general_path_every_small_N(table_1m, monkeypatch, z_exp, y_exp):
-    # a small pair budget splits the blocks in the middle of the range
-    monkeypatch.setattr(harness_mod, "_PAIR_BUDGET", 997)
     Ns = range(6, 2001, 2)
-    rows = list(zip(*lemma41_columns(Ns, table_1m, z_exp=z_exp, y_exp=y_exp)))
-    assert len(rows) == len(Ns)
-    for N, row in zip(Ns, rows):
-        assert list(row) == lemma41_reference(N, table_1m, z_exp, y_exp).to_row()
+    expect = [lemma41_reference(N, table_1m, z_exp, y_exp) for N in Ns]
+    # a budget of 997 pairs splits the blocks in the middle of the range, and
+    # a budget of 1 makes every N a block of its own
+    for budget in (997, 1):
+        monkeypatch.setattr(harness_mod, "_PAIR_BUDGET", budget)
+        got = lemma41_columns(Ns, table_1m, z_exp=z_exp, y_exp=y_exp)
+        assert [list(row) for row in zip(*got)] == expect
 
 
-@pytest.mark.parametrize("N", [30_030, 510_510, 999_998, 1_000_000])
-def test_lemma41_columns_match_general_path_single_N(table_1m, N):
-    rows = list(zip(*lemma41_columns([N], table_1m)))
-    assert [list(row) for row in rows] == [lemma41_reference(N, table_1m).to_row()]
+@pytest.mark.parametrize(
+    "N, z_exp, y_exp",
+    [
+        pytest.param(N, 0.125, 1.0 / 3.0, id=str(N))
+        for N in (30_030, 510_510, 999_998, 1_000_000)
+    ]
+    + [(N, 0.2, 0.45) for N in (6, 30, 210, 1_000, 2_310, 30_030, 99_990)],
+)
+def test_lemma41_columns_match_general_path_single_N(table_1m, N, z_exp, y_exp):
+    got = lemma41_columns([N], table_1m, z_exp=z_exp, y_exp=y_exp)
+    assert [list(row) for row in zip(*got)] == [lemma41_reference(N, table_1m, z_exp, y_exp)]
 
 
 def test_lemma41_columns_at_the_table_limit():
     table = build_prime_table(30_030)
     got = [list(row) for row in zip(*lemma41_columns([30_030], table))]
-    assert got == [lemma41_reference(30_030, table).to_row()]
+    assert got == [lemma41_reference(30_030, table)]
 
 
 def test_lemma41_columns_reject_before_any_block(table_small, monkeypatch):
@@ -523,21 +507,9 @@ def test_scan_full_small(table_small):
 def test_scan_ratio_consistency(table_1m):
     rep = goldbach_chen_scan(5000, table_1m, mode="full", collect_rows=True)
     row = next(r for r in rep.rows if r[0] == 5000)
-    c = check_lemma41(5000, table_1m)
-    assert row[1] == c.pi2
-    assert row[3] == pytest.approx(c.ratio, rel=1e-3)
-
-
-def test_scan_deterministic_across_threads(table_small):
-    a = goldbach_chen_scan(10_000, table_small, mode="full", collect_rows=True)
-    b = goldbach_chen_scan(
-        10_000, table_small, mode="full", collect_rows=True, threads=4
-    )
-    c = goldbach_chen_scan(
-        10_000, table_small, mode="full", collect_rows=True, threads=8
-    )
-    assert a.rows == b.rows == c.rows
-    assert a.to_dict() == b.to_dict() == c.to_dict()
+    ((_, pi2, _, _, _, _, _, ratio),) = zip(*lemma41_columns([5000], table_1m))
+    assert row[1] == pi2
+    assert row[3] == pytest.approx(ratio, rel=1e-3)
 
 
 def test_scan_floor_mode(table_small):

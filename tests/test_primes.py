@@ -66,11 +66,11 @@ def test_limit_cap_is_1e8():
         build_prime_table(100_000_001)
 
 
-def test_identical_result_across_threads_and_segmentation(monkeypatch):
+def test_identical_result_across_segmentation(monkeypatch):
     base = build_prime_table(300_000)
-    for threads, seg in [(4, primes_mod.SEGMENT_SIZE), (8, 1 << 14), (1, 1 << 12)]:
+    for seg in (1 << 14, 1 << 12):
         monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", seg)
-        other = build_prime_table(300_000, threads=threads)
+        other = build_prime_table(300_000)
         assert np.array_equal(base.packed, other.packed)
 
 
@@ -140,6 +140,17 @@ def test_is_prime_agrees_with_array(table_small):
     arr = table_small.isprime_array
     for n in [0, 1, 2, 3, 4, 9973, 9999, 10000]:
         assert table_small.is_prime(n) == bool(arr[n])
+
+
+def test_bits_past_the_limit_are_ignored():
+    # a cache file's last word may carry set bits past the limit; they name
+    # no prime, and isprime_array must not index past its end for them
+    clean = build_prime_table(1000)
+    packed = clean.packed.copy()
+    packed[-1] |= np.uint64(1) << np.uint64(63)
+    dirty = primes_mod.PrimeTable(limit=1000, packed=packed)
+    assert np.array_equal(dirty.primes, clean.primes)
+    assert np.array_equal(dirty.isprime_array, clean.isprime_array)
 
 
 # -- cache file -------------------------------------------------------------------

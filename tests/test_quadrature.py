@@ -3,8 +3,9 @@ import math
 import pytest
 from scipy import integrate as scipy_integrate
 
+from chensieve.ball import Ball
 from chensieve.errors import ConfigError
-from chensieve.quadrature import integrate, integrate_ball
+from chensieve.quadrature import integrate
 
 
 def test_polynomial_is_exact():
@@ -52,5 +53,5 @@ def test_tolerance_validation():
 
 
 def test_ball_wrapper_contains_truth():
-    b = integrate_ball(math.exp, 0.0, 1.0)
+    b = Ball(*integrate(math.exp, 0.0, 1.0))
     assert b.contains(math.e - 1.0)

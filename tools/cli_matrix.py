@@ -12,7 +12,8 @@ hashing, so two checkouts can be compared line for line:
 The matrix holds the README commands, ``scan`` and ``verify`` under every
 ``--output-format`` x ``--emit`` pair, the other reports in every format,
 edge ``--max`` values, ``verify`` cases for every branch of its lemma-4.1
-pass, the grid and bound sizes of the certify benchmark, and usage errors.
+pass, the grid and bound sizes of the certify benchmark, ``--threads`` values
+it accepts and rejects, and usage errors.
 It takes about 3 s on a 2 vCPU Intel Xeon VM.
 """
 
@@ -102,6 +103,13 @@ CERTIFY = [
     "bounds --theorem 4 --loglogN 8",
 ]
 
+# The --threads flag, accepted without effect and rejected below 1.
+THREADS = [
+    "scan --max 100000 --rows --emit csv --threads 4",
+    "verify --N 10000 --threads 8",
+    "constants --table-limit 200000 --threads 0",
+]
+
 ERRORS = [
     "scan --max 20002 --table-limit 20000",
     "scan --max 100 --floor-only --table-limit 50",
@@ -127,7 +135,7 @@ def commands() -> list[str]:
                 out.append(cmd)
     for base in REPORTS:
         out += [base + (f" --output-format {fmt}" if fmt else "") for fmt in FORMATS]
-    return out + EDGES + VERIFY + CERTIFY + ERRORS
+    return out + EDGES + VERIFY + CERTIFY + THREADS + ERRORS
 
 
 def run(cmd: str, tmp: str) -> tuple[str, int]:
