@@ -252,7 +252,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_sievefun(args) -> int:
-    grid = sievefun_mod.build_grid(args.s_max, args.step, tol=args.precision_target)
+    grid = sievefun_mod.build_grid(args.s_max, args.step)
     columns = (grid.s, grid.f1_values, grid.f1_radii, grid.F1_values, grid.F1_radii)
     buf = io.StringIO()
     write_csv(buf, ["s", "f1", "f1_radius", "F1", "F1_radius"], [c.tolist() for c in columns])

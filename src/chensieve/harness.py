@@ -453,12 +453,11 @@ class ScanReport:
         }
 
 
-def _odd_p2(table: PrimeTable, n: int) -> np.ndarray:
+def _odd_p2(spf: np.ndarray, isp: np.ndarray, n: int) -> np.ndarray:
     """Bool indicator over the odd m = 2j + 1, j < n: "m is a prime or a
     product of two primes".  Odd m = spf(m) * (m / spf(m)) is in P2 exactly
     when it is prime or its cofactor is; spf(1) = 1, so m = 1 reads false."""
-    spf = table.spf[1 : 2 * n : 2]
-    isp = table.isprime_array
+    spf = spf[1 : 2 * n : 2]
     m = np.arange(1, 2 * n, 2, dtype=spf.dtype)
     np.floor_divide(m, spf, out=m)
     return isp[1 : 2 * n : 2] | isp[m]
@@ -517,10 +516,11 @@ def goldbach_chen_scan(
         raise CapacityError(f"N_max={N_max} exceeds table limit {table.limit}")
     half = max(N_max // 2 + 1, 3)  # k = N/2 runs over [3, half)
     isp = table.isprime_array
+    spf = table.spf_upto(max(N_max, 2))  # every m read is <= N_max (or 1)
     ps = table.primes
     odd_ps = ps[1 : np.searchsorted(ps, N_max, side="left")]
     # N - p <= N_max - 3 for odd p, so m < 2 * half - 4 covers every read.
-    odd = _odd_p2(table, half - 2)
+    odd = _odd_p2(spf, isp, half - 2)
 
     if mode == "floor":
         todo = np.arange(3, half, dtype=np.int32)  # k <= limit / 2 < 2**31
@@ -546,7 +546,7 @@ def goldbach_chen_scan(
         counts[h:] += odd[: half - h]
     c = counts[3:]
     Ns = np.arange(6, 2 * half, 2, dtype=np.int64)
-    un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, table.spf)
+    un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, spf)
     ratio = _ratio(c, un, Ns, range(6, 2 * half, 2))
 
     failures = Ns[c < 1].tolist()

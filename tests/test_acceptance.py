@@ -66,7 +66,7 @@ def test_criterion_2_sieve_function_keystone():
     expect = 4.0 - 2.0 * math.exp(GAMMA) * math.log(3.0)
     keystone_ok = abs(b.value - expect) < 1e-9 and b.value < 0.0866
 
-    system = get_system(12.0, 1e-12)
+    system = get_system(12.0)
     rng = np.random.default_rng(2)
     points = 3.0 + rng.uniform(0.01, 8.98, 200)
     worst = {1e-3: 0.0, 2e-3: 0.0}

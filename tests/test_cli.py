@@ -322,16 +322,38 @@ def test_verify_block_pass_stdout_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_VERIFY_PASS[argv]
 
 
-# sha256 of `sievefun` stdout, computed before the grid was tabulated one
-# Chebyshev piece at a time; every byte must survive the vectorized path.
+# sha256 of `sievefun` stdout.  Its s, f1 and F1 columns are those computed
+# before the grid was tabulated one Chebyshev piece at a time (pinned on their
+# own below); the radius columns were re-pinned when each piece radius became
+# a sum of proven terms.
 _PINNED_SIEVEFUN = {
-    ("3", "1e-3"): "9a4bafc00536b37189252a3bfe5925c505e3d17bc60472496ec47ccd5c46c0ab",
-    ("4", "0.05"): "48ffa01d597439255e38229b266e9999dcb96e9c1a2e4082709d998d402bced7",
-    ("6", "1e-3"): "8f7fc96a6fe0d208a07c30beb05c23458bed531ab709062db295f0fc20261afc",
-    ("8.137", "7e-4"): "8c7e27c3a4cc0f4fce5fa5fec72f742009ef9ef29047debdbebd2eb0ad644ce3",
-    ("12", "1e-3"): "0202d1647a607e60e895506c8ae95076715ff77f5279fcc0f320af8f5eb0524a",
-    ("11.999", "5e-4"): "62b48280081897031f37148b233409a553a61087b750fe39e44039148cb303b7",
+    ("3", "1e-3"): "5e1f264e59caab0cc53ba194d2df7cb3c0ac9da91e5aa58ea210147c6903417c",
+    ("4", "0.05"): "1580b092bf53b2db1a95bfeb89ad473c0bacebe07de001f1bbbb681d785f7a0e",
+    ("6", "1e-3"): "1279472d9343263ecd8dcd5fe08620f7417f6372c03eeefc1945961242c9dc94",
+    ("8.137", "7e-4"): "650bcbbfa224360dc2fe41661d1081988bbfc1ad374fdffea823d21b643bd35f",
+    ("12", "1e-3"): "e90816f81833696d4db06822cdf163401b63b776a348ecd4a6b733895894b4ff",
+    ("11.999", "5e-4"): "e37f54f69ad2fcc2c66db9a2b6b08ed094978e28139363fbd7f13780434b3788",
 }
+
+# sha256 of the s, f1 and F1 columns alone (one "s,f1,F1" line per CSV line,
+# header included), computed while the piece radii were still estimates: the
+# proven radii leave every value bit-identical.
+_PINNED_SIEVEFUN_VALUES = {
+    ("3", "1e-3"): "ac51aabefe5d8958f6f19e0ff8a4d4a4c10bf96fae23ab1976f31a4a4a761f50",
+    ("4", "0.05"): "44228602feae578e59100e72083a01971fb6665c004b62137735c74bfaa77005",
+    ("6", "1e-3"): "f3d009bcd1d0f6f932eeac5a1818ace72684e5de070d21574f1762cc14111f38",
+    ("8.137", "7e-4"): "b82172e049ea90f9ccc043b095c7c0a36d53411a8a5e323dafc53349b303f6eb",
+    ("12", "1e-3"): "f606958266bcae147a693a76797c7903a0c31c6497ee301ea2e47a6fec07aeae",
+    ("11.999", "5e-4"): "f92a551ed2b68c7223a88cfc13936b8e20369c7846d303856ff0a016330811c5",
+}
+
+
+@pytest.mark.parametrize("s_max, step", list(_PINNED_SIEVEFUN_VALUES))
+def test_sievefun_values_pinned(capsys, s_max, step):
+    assert main(["sievefun", "--s-max", s_max, "--step", step]) == 0
+    rows = (line.split(",") for line in capsys.readouterr().out.splitlines())
+    values = "".join(f"{r[0]},{r[1]},{r[3]}\n" for r in rows)
+    assert hashlib.sha256(values.encode()).hexdigest() == _PINNED_SIEVEFUN_VALUES[s_max, step]
 
 
 @pytest.mark.parametrize("s_max, step", list(_PINNED_SIEVEFUN))

@@ -203,12 +203,16 @@ def test_lemma41_at_1e6_sample(table_1m):
 
 def lemma41_reference(N, table, z_exp=0.125, y_exp=1.0 / 3.0):
     """The row [N, pi2, S_A, Sum_S_Aq, S_B, margin, U_N, ratio] from the
-    general path: one `sift_count` of A, one per q of A_q, one of B,
-    `pi2_bruteforce` and `singular_series_UN`."""
+    general path: one `sift_count` of A and one of B, `pi2_bruteforce` and
+    `singular_series_UN`.  Each A_q is enumerated as `sift_count` does it, the
+    multiples of q in A, and sifted by the same trial division at level z;
+    A and its sifting primes are built once per N, not once per q."""
     z, y = N ** z_exp, N ** y_exp
     S_A = sift_count(SiftedSetSpec("A", N, z=z, y=y), table, level=z).count
+    A = enumerate_set(SiftedSetSpec("A", N, z=z, y=y), table)
+    primes = harness_mod._sifting_primes(N, z, table)
     sum_S_Aq = sum(
-        sift_count(SiftedSetSpec("A_sub_q", N, z=z, y=y, q=q), table, level=z).count
+        len(harness_mod._sift(A[A % q == 0], primes))
         for q in table.primes_between(z, y).tolist()
         if N % q != 0
     )
@@ -296,6 +300,15 @@ def test_lemma41_columns_traced_peak_over_a_range():
         tracemalloc.stop()
     assert peak <= 16 * 2**20
     assert len(table.spf_upto(0)) == 20_001  # spf sieved only as far as N reaches
+
+
+def test_scan_sieves_spf_only_to_N_max():
+    """Both scan modes read spf at m <= N_max only, so a scan on a larger
+    table sieves spf no further."""
+    for mode in ("full", "floor"):
+        table = build_prime_table(1_000_000)
+        goldbach_chen_scan(20_000, table, mode=mode)
+        assert len(table.spf_upto(0)) == 20_001
 
 
 # -- identities ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import io
 import math
 import warnings
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from chensieve.cli import main
 from chensieve.errors import ConfigError, DomainError
 from chensieve.sievefun import (
     SieveFunctionSystem,
+    _clenshaw,
     build_grid,
     eval_F1,
     eval_f1,
@@ -117,7 +120,7 @@ def test_domain_errors():
 
 
 def test_derivative_relation_via_finite_differences():
-    system = get_system(12.0, 1e-12)
+    system = get_system(12.0)
     h = 1e-3
     points = np.linspace(3.0 + 2 * h, 12.0 - 2 * h, 200)
     worst_f1 = worst_F1 = 0.0
@@ -135,7 +138,7 @@ def test_derivative_relation_via_finite_differences():
 
 
 def test_positive_and_nonincreasing():
-    system = get_system(12.0, 1e-12)
+    system = get_system(12.0)
     f_vals = [system.f1(s).value for s in np.arange(2.0, 12.01, 0.25)]
     F_vals = [system.F1(s).value for s in np.arange(0.0, 12.01, 0.25)]
     assert all(v > 0.0 for v in f_vals)
@@ -145,22 +148,70 @@ def test_positive_and_nonincreasing():
     assert system.F1(12.0).value < system.F1(6.0).value < system.F1(4.0).value
 
 
-def test_ball_honesty_under_tighter_tolerance():
-    loose = SieveFunctionSystem(12.0, tol=1e-9)
-    tight = SieveFunctionSystem(12.0, tol=1e-10)
-    for s in (3.5, 4.0, 5.25, 7.5, 11.0, 12.0):
-        lb = loose.f1(s)
-        assert abs(tight.f1(s).value - lb.value) <= lb.radius
-        lb = loose.F1(s)
-        assert abs(tight.F1(s).value - lb.value) <= lb.radius
-
-
 def test_against_step_doubled_integrator():
     for s_target, tol in [(4.0, 1e-9), (5.0, 1e-8), (6.0, 1e-8)]:
         oracle = dde_oracle_value("f1", s_target)
         assert abs(eval_f1(s_target).value - oracle) < tol
         oracle = dde_oracle_value("F1", s_target)
         assert abs(eval_F1(s_target).value - oracle) < tol
+
+
+# -- proven radii -----------------------------------------------------------------
+
+
+def test_closed_forms_contained_on_2_to_4():
+    # f1(s) = s - 2e^gamma log(s-1) on [2, 4]; on [3, 4],
+    # F1(s) = 2e^gamma (1 + G(s-1) - G(2)) - s with G(u) = log^2(u)/2 + Li2(1/u),
+    # as G'(u) = log(u-1)/u.  Each node is checked in 40-digit arithmetic.
+    grid = build_grid(4.0, 1e-3)
+    columns = (grid.s, grid.f1_values, grid.f1_radii, grid.F1_values, grid.F1_radii)
+    with mpmath.workdps(40):
+        two_eg = 2 * mpmath.exp(mpmath.euler)
+
+        def G(u):
+            return mpmath.log(u) ** 2 / 2 + mpmath.polylog(2, 1 / u)
+
+        G2 = G(mpmath.mpf(2))
+        checked = 0
+        for s, f1, f1_r, F1, F1_r in zip(*(c.tolist() for c in columns)):
+            ms = mpmath.mpf(s)
+            if s >= 2.0:
+                assert abs(f1 - (ms - two_eg * mpmath.log(ms - 1))) <= f1_r, s
+                checked += 1
+            if s >= 3.0:
+                assert abs(F1 - (two_eg * (1 + G(ms - 1) - G2) - ms)) <= F1_r, s
+    assert checked == 2001
+
+
+def test_every_radius_at_most_1e_9():
+    grid = build_grid(12.0, 1e-3)
+    for radii in (grid.f1_radii, grid.F1_radii):
+        assert np.all((radii >= 0.0) & (radii <= 1e-9))
+
+
+def _exact_chebyshev_sum(coef, x: Fraction) -> Fraction:
+    total, t_prev, t = Fraction(0), Fraction(1), x
+    for j, c in enumerate(coef.tolist()):
+        if j == 0:
+            total += Fraction(c)
+            continue
+        total += Fraction(c) * t
+        t_prev, t = t, 2 * x * t - t_prev
+    return total
+
+
+def test_clenshaw_rounding_bound_holds_on_every_piece():
+    # E(c) bounds the float value of each piece against the exact polynomial
+    # of its float coefficients, at random points and at both ends.
+    system = get_system(12.0)
+    rng = np.random.default_rng(13)
+    for piece in system._f1_pieces[1:] + system._F1_pieces[1:]:
+        bound = _clenshaw(piece.poly.coef)
+        points = [piece.lo, piece.hi] + rng.uniform(piece.lo, piece.hi, 12).tolist()
+        for s in points:
+            x = Fraction(2 * s) - (2 * int(piece.lo) + 1)
+            got = float(piece.poly(s))
+            assert abs(Fraction(got) - _exact_chebyshev_sum(piece.poly.coef, x)) <= bound, s
 
 
 # -- grid ---------------------------------------------------------------------------
@@ -284,7 +335,7 @@ _GRID_COLUMNS = ("f1_values", "f1_radii", "F1_values", "F1_radii")
 )
 def test_grid_matches_per_node_loop(s_max, step):
     grid = build_grid(s_max, step)
-    system = get_system(s_max, 1e-12)
+    system = get_system(s_max)
     expect = np.array([_per_node(system, float(s)) for s in grid.s]).T
     for name, column in zip(_GRID_COLUMNS, expect):
         got = getattr(grid, name)
@@ -296,7 +347,7 @@ def test_grid_matches_per_node_loop(s_max, step):
 
 
 def test_array_evaluators_at_piece_edges():
-    system = get_system(12.0, 1e-12)
+    system = get_system(12.0)
     points = sorted(
         {0.5, 1.0, 1.5, 2.0, 2.5, 3.0}
         | {math.nextafter(float(k), d) for k in range(1, 13) for d in (0.0, 13.0)}
@@ -313,7 +364,7 @@ def test_array_evaluators_at_piece_edges():
 
 
 def test_array_evaluator_domain_errors():
-    system = get_system(5.0, 1e-12)
+    system = get_system(5.0)
     with pytest.raises(DomainError):
         system.f1_array(np.array([1.0, 0.0]))
     with pytest.raises(DomainError):

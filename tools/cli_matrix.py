@@ -13,7 +13,8 @@ The matrix holds the README commands, ``scan`` and ``verify`` under every
 ``--output-format`` x ``--emit`` pair, the other reports in every format,
 edge ``--max`` values, ``verify`` cases for every branch of its lemma-4.1
 pass, the grid and bound sizes of the certify benchmark, ``--threads`` values
-it accepts and rejects, and usage errors.
+it accepts and rejects, ``--precision-target`` on ``sievefun`` (which does not
+read it) and on ``constants`` (whose c2 quadrature does), and usage errors.
 It takes about 3 s on a 2 vCPU Intel Xeon VM.
 """
 
@@ -110,6 +111,13 @@ THREADS = [
     "constants --table-limit 200000 --threads 0",
 ]
 
+# --precision-target: checked for every command, read only by the constants
+# ledger's quadrature.
+PRECISION = [
+    "sievefun --s-max 6 --step 0.001 --precision-target 1e-9",
+    "constants --table-limit 200000 --precision-target 1e-9",
+]
+
 ERRORS = [
     "scan --max 20002 --table-limit 20000",
     "scan --max 100 --floor-only --table-limit 50",
@@ -135,7 +143,7 @@ def commands() -> list[str]:
                 out.append(cmd)
     for base in REPORTS:
         out += [base + (f" --output-format {fmt}" if fmt else "") for fmt in FORMATS]
-    return out + EDGES + VERIFY + CERTIFY + THREADS + ERRORS
+    return out + EDGES + VERIFY + CERTIFY + THREADS + PRECISION + ERRORS
 
 
 def run(cmd: str, tmp: str) -> tuple[str, int]:
