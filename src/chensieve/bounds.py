@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .ball import EPS, Ball, exp_gamma_ball
 from .constants import (
@@ -34,11 +33,6 @@ from .quadrature import integrate
 
 DEFAULT_EPSILON = math.exp(-30.0)  # inside the allowed window (e^-100, e^-20)
 HYPOTHESIS_FLOOR_LOGLOG_N = 36.0
-
-
-@lru_cache(maxsize=4)
-def _c2(tol: float = 1e-12) -> Ball:
-    return compute_c2(tol)
 
 
 @dataclass
@@ -181,7 +175,7 @@ def theorem6_coeff(loglog_N: float, epsilon: float) -> BoundReport:
     except OverflowError:
         raise DomainError(f"loglog_N = {loglog_N} is too large: log^1.5 N overflows") from None
     eg = exp_gamma_ball()
-    c2e = _c2() * (1.0 + epsilon)
+    c2e = compute_c2() * (1.0 + epsilon)
     terms = [
         (
             "c2*(1+eps)*4*exp_gamma*(1+eps0)",
@@ -222,7 +216,7 @@ def final_coefficient(
     sqrt_logN = Ball(math.sqrt(logN), 2.0 * EPS * math.sqrt(logN))
     eg = exp_gamma_ball()
     e0 = eps0(loglog_N)
-    c2 = Ball.exact(c2_override) if c2_override is not None else _c2()
+    c2 = Ball.exact(c2_override) if c2_override is not None else compute_c2()
     c2e = c2 * (1.0 + epsilon)
     log3 = Ball(math.log(3.0), 2.0 * EPS)
     log6 = Ball(math.log(6.0), 2.0 * EPS)
@@ -309,7 +303,7 @@ def threshold_report(epsilon: float = DEFAULT_EPSILON) -> ThresholdReport:
 # -- window integrals ----------------------------------------------------------
 
 
-def H_value(alpha: float, tol: float = 1e-12) -> Ball:
+def H_value(alpha: float) -> Ball:
     """(log N) * H(N^alpha) = int_{1/3}^{(1-alpha)/2} db / (b (1 - alpha - b)).
 
     H is the inner window integral of the triple-product set estimate; its
@@ -322,7 +316,7 @@ def H_value(alpha: float, tol: float = 1e-12) -> Ball:
     if upper - 1.0 / 3.0 <= 4.0 * EPS:
         return Ball(0.0, 0.0)
     return Ball(
-        *integrate(lambda b: 1.0 / (b * (1.0 - alpha - b)), 1.0 / 3.0, upper, tol)
+        *integrate(lambda b: 1.0 / (b * (1.0 - alpha - b)), 1.0 / 3.0, upper)
     )
 
 

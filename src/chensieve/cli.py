@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 when a pinned-bound check or scan invariant fails,
 2 on usage errors, a path that cannot be read or written included.  All
 floats print at 17 significant digits and output is byte-identical across
-runs for a fixed configuration; `--threads` is accepted for compatibility
-and has no effect.
+runs for a fixed configuration.  Each command accepts only the options it
+reads, except `--threads`, which all six accept for compatibility and which
+has no effect; any other option is a usage error.
 """
 
 from __future__ import annotations
@@ -223,9 +224,7 @@ def _load_table(args) -> primes_mod.PrimeTable:
 
 def _cmd_constants(args) -> int:
     table = _load_table(args)
-    led = constants_mod.ledger(
-        table, truncation_limit=args.table_limit, tol=args.precision_target
-    )
+    led = constants_mod.ledger(table, truncation_limit=args.table_limit)
     rows = led.rows()
     header = ["name", "value", "radius", "paper_bound", "pass", "provenance"]
 
@@ -300,9 +299,6 @@ _VERIFY_HEADER = ["N", "pi2", "S_A", "Sum_S_Aq", "S_B", "lemma41_margin", "UN", 
 
 
 def _cmd_verify(args) -> int:
-    if (args.N is None) == (args.scan is None):
-        print("verify: give exactly one of --N or --scan", file=sys.stderr)
-        return 2
     table = _load_table(args)
     targets = [args.N] if args.N is not None else range(6, args.scan + 1, 2)
     columns = harness_mod.lemma41_columns(
@@ -371,20 +367,6 @@ def _cmd_cache(args) -> int:
 # -- parser --------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--output-format", choices=["json", "csv", "text"], default="json")
-    p.add_argument("--output-path", "-o", default=None)
-    p.add_argument("--table-limit", type=int, default=1_000_000)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument(
-        "--precision-target",
-        type=float,
-        default=1e-12,
-        help="absolute tolerance handed to the quadrature/constants pipeline",
-    )
-    p.add_argument("--cache-file", default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chensieve",
@@ -395,44 +377,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("constants", help="emit the constants ledger")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_constants)
+    def command(name, fn, summary, *, table=False, report=False, output=True):
+        p = sub.add_parser(name, help=summary)
+        if report:
+            p.add_argument("--output-format", choices=["json", "csv", "text"], default="json")
+        if output:
+            p.add_argument("--output-path", "-o", default=None)
+        if table:
+            p.add_argument("--table-limit", type=int, default=1_000_000)
+            p.add_argument("--cache-file", default=None)
+        p.add_argument("--threads", type=int, default=1)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("sievefun", help="tabulate f1/F1 and export CSV")
-    _add_common(p)
+    command("constants", _cmd_constants, "emit the constants ledger", table=True, report=True)
+
+    p = command("sievefun", _cmd_sievefun, "tabulate f1/F1 and export CSV")
     p.add_argument("--s-max", type=float, default=6.0)
     p.add_argument("--step", type=float, default=1e-3)
-    p.set_defaults(fn=_cmd_sievefun)
 
-    p = sub.add_parser("bounds", help="evaluate the bound-chain coefficients")
-    _add_common(p)
+    p = command("bounds", _cmd_bounds, "evaluate the bound-chain coefficients", report=True)
     p.add_argument("--loglogN", type=float, default=36.0)
     p.add_argument("--epsilon", type=float, default=bounds_mod.DEFAULT_EPSILON)
     p.add_argument("--theorem", choices=["4", "5", "6", "final", "all"], default="all")
-    p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("verify", help="exact per-N decomposition report")
-    _add_common(p)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--scan", type=int, default=None)
+    p = command("verify", _cmd_verify, "exact per-N decomposition report", table=True, report=True)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--N", type=int)
+    target.add_argument("--scan", type=int)
     p.add_argument("--z-exp", type=float, default=0.125, dest="z_exp")
     p.add_argument("--y-exp", type=float, default=1.0 / 3.0, dest="y_exp")
     p.add_argument("--emit", choices=["csv", "json", "text"], default=None)
-    p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("scan", help="representation-count scan over even N")
-    _add_common(p)
+    p = command("scan", _cmd_scan, "representation-count scan over even N",
+                table=True, report=True)
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--floor-only", action="store_true")
     p.add_argument("--rows", action="store_true", help="collect per-N rows")
     p.add_argument("--emit", choices=["csv", "json", "text"], default=None)
-    p.set_defaults(fn=_cmd_scan)
 
-    p = sub.add_parser("cache", help="build or inspect the prime-table cache")
-    _add_common(p)
+    p = command("cache", _cmd_cache, "build or inspect the prime-table cache",
+                table=True, output=False)
     p.add_argument("action", choices=["build", "info"])
-    p.set_defaults(fn=_cmd_cache)
 
     return parser
 
@@ -442,8 +428,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")
-    if not (1e-15 <= args.precision_target <= 1e-6):
-        parser.error("--precision-target must lie in [1e-15, 1e-6]")
     if args.command == "bounds" and not math.isfinite(args.loglogN):
         parser.error("--loglogN must be finite")
     if args.command == "verify" and not (0.0 < args.z_exp < args.y_exp < 1.0):
@@ -453,7 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--max must be >= 6")
     if args.command == "verify" and args.scan is not None and args.scan < 6:
         parser.error("--scan must be >= 6")
-    problem = args.output_path and _output_path_problem(args.output_path)
+    output_path = getattr(args, "output_path", None)
+    problem = output_path and _output_path_problem(output_path)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .ball import (
     EPS,
@@ -96,8 +97,10 @@ def compute_c1() -> Ball:
     return zeta(2) * zeta(3) / zeta(6)
 
 
-def compute_c2(tol: float = 1e-12) -> Ball:
-    """Window integral int_{1/8}^{1/3} log(2 - 3 b) / (b (1 - b)) db + 1e-8.
+@cache
+def compute_c2() -> Ball:
+    """Window integral int_{1/8}^{1/3} log(2 - 3 b) / (b (1 - b)) db + 1e-8,
+    computed once per process; the ledger and the bound stages share it.
 
     The additive 1e-8 pad is part of the constant's definition and is
     treated as exact.
@@ -105,7 +108,7 @@ def compute_c2(tol: float = 1e-12) -> Ball:
     from .quadrature import integrate
 
     value, err = integrate(
-        lambda b: math.log(2.0 - 3.0 * b) / (b * (1.0 - b)), 0.125, 1.0 / 3.0, tol
+        lambda b: math.log(2.0 - 3.0 * b) / (b * (1.0 - b)), 0.125, 1.0 / 3.0
     )
     return Ball(value, err) + Ball.exact(1e-8)
 
@@ -169,7 +172,6 @@ def ledger(
     table: PrimeTable | None = None,
     *,
     truncation_limit: int = 1_000_000,
-    tol: float = 1e-12,
 ) -> ConstantsLedger:
     """Compute every ledger constant and attach its pinned bound."""
     from .primes import singular_series_UN
@@ -194,7 +196,7 @@ def ledger(
         "c0", lambda: compute_c0(table), 48.83215, "prime-power sum formula at 113"
     )
     compute("c1", compute_c1, 1.9436, "zeta(2)zeta(3)/zeta(6), eta-accelerated")
-    compute("c2", lambda: compute_c2(tol), 0.36309, "adaptive quadrature + 1e-8 pad")
+    compute("c2", compute_c2, 0.36309, "adaptive quadrature + 1e-8 pad")
     compute(
         "U_4",
         lambda: singular_series_UN(4, trunc, table),

@@ -144,14 +144,15 @@ class SieveFunctionSystem:
     def _piecewise(pieces: list[_Piece], s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and radii of contiguous pieces at every s.  Each s goes to the
         first piece with lo <= s <= hi (s = k lands on [k-1, k]), the last piece
-        past the end; each piece's polynomial runs once on all of its nodes."""
+        past the end; each piece that holds points runs its polynomial once on
+        all of them, and the others not at all."""
         value, radius = np.empty_like(s), np.empty_like(s)
         his = np.array([piece.hi for piece in pieces])
         which = np.minimum(np.searchsorted(his, s, side="left"), len(pieces) - 1)
-        for i, piece in enumerate(pieces):
+        for i in np.flatnonzero(np.bincount(which, minlength=len(pieces))).tolist():
             on = which == i
-            value[on] = piece.poly(s[on])
-            radius[on] = piece.radius
+            value[on] = pieces[i].poly(s[on])
+            radius[on] = pieces[i].radius
         return value, radius
 
     def _check(self, name: str, s: np.ndarray, low_ok: np.ndarray, low: str) -> None:

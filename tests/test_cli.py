@@ -1,17 +1,27 @@
+import argparse
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chensieve import harness as harness_mod
 from chensieve import primes as primes_mod
-from chensieve.cli import _csv_cell, _distinct_float_text, main, to_json, write_csv
+from chensieve.cli import (
+    _csv_cell,
+    _distinct_float_text,
+    build_parser,
+    main,
+    to_json,
+    write_csv,
+)
 from chensieve.primes import build_prime_table, load_cache, save_cache
 
 
@@ -112,11 +122,13 @@ def test_verify_csv_columns(tmp_path):
     assert int(cells[1]) >= 1
 
 
-def test_verify_requires_exactly_one_target(tmp_path):
-    code, _ = run(tmp_path, "verify")
-    assert code == 2
-    code, _ = run(tmp_path, "verify", "--N", "10", "--scan", "10")
-    assert code == 2
+def test_verify_requires_exactly_one_target(tmp_path, capsys):
+    out = tmp_path / "o.txt"
+    assert _exit_code(["verify", "-o", str(out)]) == 2
+    assert "one of the arguments --N --scan is required" in capsys.readouterr().err
+    assert _exit_code(["verify", "--N", "10", "--scan", "10", "-o", str(out)]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_csv_and_thread_determinism(tmp_path):
@@ -723,3 +735,103 @@ def test_cache_info_oversized_file_is_usage_error(tmp_path, capsys):
     assert main(["cache", "info", "--cache-file", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("cache: ") and "payload" in err
+
+
+# Each command accepts only the options it reads: the five options that
+# several commands share fill 23 option slots across the six commands.
+_SHARED_OPTIONS = (
+    "--table-limit", "--cache-file", "--output-format", "--output-path", "--threads"
+)
+_TABLE = {"--table-limit", "--cache-file"}
+_OUTPUT = {"--output-path", "-o"}
+_ACCEPTED_OPTIONS = {
+    "constants": _TABLE | _OUTPUT | {"--output-format", "--threads"},
+    "sievefun": _OUTPUT | {"--threads", "--s-max", "--step"},
+    "bounds": _OUTPUT | {"--output-format", "--threads", "--loglogN", "--epsilon", "--theorem"},
+    "verify": _TABLE | _OUTPUT | {
+        "--output-format", "--threads", "--N", "--scan", "--z-exp", "--y-exp", "--emit"
+    },
+    "scan": _TABLE | _OUTPUT | {
+        "--output-format", "--threads", "--max", "--floor-only", "--rows", "--emit"
+    },
+    "cache": _TABLE | {"--threads"},
+}
+
+
+def _subcommands() -> dict:
+    actions = build_parser()._actions
+    return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    accepted = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in _subcommands().items()
+    }
+    assert accepted == _ACCEPTED_OPTIONS
+    slots = sum(opt in opts for opts in accepted.values() for opt in _SHARED_OPTIONS)
+    assert slots == 23
+
+
+_BASE_ARGV = {
+    "constants": ["constants", "--table-limit", "200000"],
+    "sievefun": ["sievefun", "--s-max", "3", "--step", "0.1"],
+    "bounds": ["bounds", "--theorem", "5"],
+    "verify": ["verify", "--N", "100", "--table-limit", "1000"],
+    "scan": ["scan", "--max", "100", "--table-limit", "1000"],
+    "cache": ["cache", "build", "--table-limit", "1000", "--cache-file", "{tmp}/pt.bin"],
+}
+_REMOVED = [
+    ("constants", ["--precision-target", "1e-9"]),
+    ("sievefun", ["--output-format", "csv"]),
+    ("sievefun", ["--table-limit", "1000"]),
+    ("sievefun", ["--cache-file", "{tmp}/pt.bin"]),
+    ("sievefun", ["--precision-target", "1e-9"]),
+    ("bounds", ["--table-limit", "5"]),
+    ("bounds", ["--cache-file", "/nonexistent/x"]),
+    ("bounds", ["--precision-target", "1e-9"]),
+    ("verify", ["--precision-target", "1e-9"]),
+    ("scan", ["--precision-target", "1e-9"]),
+    ("cache", ["--output-format", "json"]),
+    ("cache", ["-o", "{tmp}/out.txt"]),
+    ("cache", ["--precision-target", "1e-9"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, extra", _REMOVED, ids=[f"{c}{e[0]}" for c, e in _REMOVED]
+)
+def test_removed_option_is_a_usage_error(tmp_path, capsys, command, extra):
+    base = [arg.format(tmp=tmp_path) for arg in _BASE_ARGV[command]]
+    extra = [arg.format(tmp=tmp_path) for arg in extra]
+    out = tmp_path / "out.txt"
+    if command != "cache":
+        base += ["-o", str(out)]
+    assert _exit_code(base + extra) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(extra)}" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "pt.bin").exists()
+    assert _exit_code(base) == 0
+
+
+def _matrix_module():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_matrix.py"
+    spec = importlib.util.spec_from_file_location("cli_matrix", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_matrix_commands_parse(tmp_path):
+    """Every matrix command outside ERRORS parses, so the matrix cannot
+    drift from the parser."""
+    matrix = _matrix_module()
+    parser = build_parser()
+    rejected = []
+    for cmd in matrix.commands():
+        if cmd not in matrix.ERRORS:
+            try:
+                parser.parse_args(cmd.format(tmp=tmp_path).split())
+            except SystemExit:
+                rejected.append(cmd)
+    assert rejected == []

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from chensieve.bounds import DEFAULT_EPSILON, final_coefficient, theorem6_coeff
 from chensieve.constants import (
     ConstantsLedger,
     compute_c0,
@@ -137,10 +138,13 @@ def test_ledger_rows_sorted_and_deterministic(table_1m):
     assert names == sorted(names)
 
 
-def test_ledger_radii_shrink_with_tighter_tolerance(table_1m):
-    loose = ledger(table_1m, tol=1e-8)
-    tight = ledger(table_1m, tol=1e-13)
-    assert tight["c2"].ball.radius <= loose["c2"].ball.radius
+def test_ledger_and_bound_stages_read_one_c2(table_1m):
+    compute_c2.cache_clear()
+    c2 = compute_c2()
+    assert ledger(table_1m)["c2"].ball is c2
+    final_coefficient(36.0)
+    theorem6_coeff(36.0, DEFAULT_EPSILON)
+    assert compute_c2.cache_info().misses == 1
 
 
 def test_exp_gamma_self_consistency(table_1m):

@@ -13,8 +13,9 @@ The matrix holds the README commands, ``scan`` and ``verify`` under every
 ``--output-format`` x ``--emit`` pair, the other reports in every format,
 edge ``--max`` values, ``verify`` cases for every branch of its lemma-4.1
 pass, the grid and bound sizes of the certify benchmark, ``--threads`` values
-it accepts and rejects, ``--precision-target`` on ``sievefun`` (which does not
-read it) and on ``constants`` (whose c2 quadrature does), and usage errors.
+it accepts and rejects, and usage errors, among them one option per command
+that the command does not accept.  Every command outside ERRORS parses; a
+tier-1 test checks that against ``cli.build_parser()``.
 It takes about 3 s on a 2 vCPU Intel Xeon VM.
 """
 
@@ -61,7 +62,6 @@ REPORTS = [
     "bounds --theorem 5",
     "bounds --theorem 6",
     "bounds --theorem final",
-    "sievefun --s-max 4 --step 0.05",
 ]
 
 EDGES = [
@@ -94,9 +94,11 @@ VERIFY = [
     "verify --N 1000002 --table-limit 1000000",
 ]
 
-# The certify benchmark's grid sizes, and stage 4 with s1_lower below 0
-# (no annotation at s1_lower) and in (0, 4).
+# A small grid (`sievefun` writes only CSV), the certify benchmark's grid
+# sizes, and stage 4 with s1_lower below 0 (no annotation at s1_lower) and
+# in (0, 4).
 CERTIFY = [
+    "sievefun --s-max 4 --step 0.05",
     "sievefun --s-max 8.2 --step 1e-3 -o {tmp}/grid_8.2.csv",
     "sievefun --s-max 11.7 --step 1e-3 -o {tmp}/grid_11.7.csv",
     "sievefun --s-max 8.2 --step 5e-4 -o {tmp}/grid_8.2_fine.csv",
@@ -111,13 +113,6 @@ THREADS = [
     "constants --table-limit 200000 --threads 0",
 ]
 
-# --precision-target: checked for every command, read only by the constants
-# ledger's quadrature.
-PRECISION = [
-    "sievefun --s-max 6 --step 0.001 --precision-target 1e-9",
-    "constants --table-limit 200000 --precision-target 1e-9",
-]
-
 ERRORS = [
     "scan --max 20002 --table-limit 20000",
     "scan --max 100 --floor-only --table-limit 50",
@@ -127,6 +122,19 @@ ERRORS = [
     "bounds --loglogN 800",
     "constants --table-limit 50000",
     "scan --max 100 --table-limit 1000 -o {tmp}/missing/x.csv",
+    # options a command does not accept, one or more per command
+    "sievefun --s-max 4 --step 0.05 --output-format json",
+    "sievefun --s-max 4 --step 0.05 --output-format csv",
+    "sievefun --s-max 4 --step 0.05 --output-format text",
+    "sievefun --s-max 6 --step 0.001 --precision-target 1e-9",
+    "sievefun --s-max 3 --step 0.1 --table-limit 1000 --cache-file {tmp}/sf.bin",
+    "constants --table-limit 200000 --precision-target 1e-9",
+    "constants --table-limit 200000 --precision-target 1e-6",
+    "bounds --table-limit 5 --cache-file /nonexistent/x",
+    "verify --N 10000 --emit csv --precision-target 1e-9",
+    "scan --max 5000 --rows --emit csv --table-limit 200000 --precision-target 1e-9",
+    "cache info --table-limit 10000000 --cache-file {tmp}/pt.bin -o {tmp}/info.txt",
+    "cache info --table-limit 10000000 --cache-file {tmp}/pt.bin --output-format json",
 ]
 
 
@@ -143,7 +151,7 @@ def commands() -> list[str]:
                 out.append(cmd)
     for base in REPORTS:
         out += [base + (f" --output-format {fmt}" if fmt else "") for fmt in FORMATS]
-    return out + EDGES + VERIFY + CERTIFY + THREADS + PRECISION + ERRORS
+    return out + EDGES + VERIFY + CERTIFY + THREADS + ERRORS
 
 
 def run(cmd: str, tmp: str) -> tuple[str, int]:
