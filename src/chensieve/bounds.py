@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 
-from .ball import EPS, Ball, exp_gamma_ball
+from .ball import EPS, Ball, ball_exp, ball_log, ball_pow, ball_sqrt, exp_gamma_ball
 from .constants import (
     EPS0_COEFF,
     FINAL_SQRT_TERM_A,
@@ -63,9 +64,7 @@ class BoundReport:
 
 
 def _report(theorem_id: str, terms: list[tuple[str, Ball]], inputs: dict, annotations=None) -> BoundReport:
-    total = Ball.exact(0.0)
-    for _, b in terms:
-        total = total + b
+    total = sum((b for _, b in terms), Ball.exact(0.0))
     return BoundReport(theorem_id, terms, total, inputs, annotations or {})
 
 
@@ -76,7 +75,7 @@ def remainder_level_window(loglog_N: float) -> dict:
     excluded modulus k1 is only known to be below log^10 x2, the window
     4 - 8(32 loglog N + 50)/log N < s1 < 4 is reported instead of a point.
     """
-    logN = _log_N(loglog_N)
+    logN = _log_N(loglog_N).value
     log_x2 = logN - 100.0 - 4.0 * loglog_N
     return {
         "loglog_N": loglog_N,
@@ -107,17 +106,14 @@ def _sieve_value_annotations(loglog_N: float) -> dict:
     return ann
 
 
-def _log_N(loglog_N: float) -> float:
+def _log_N(loglog_N: float) -> Ball:
     """log N = exp(loglog N), for loglog N >= 1 whose exponential is a double."""
     if not loglog_N >= 1.0:
         raise DomainError(f"loglog_N must be >= 1, got {loglog_N}")
     try:
-        logN = math.exp(loglog_N)
-    except OverflowError:
-        logN = math.inf
-    if math.isinf(logN):
-        raise DomainError(f"loglog_N = {loglog_N} is too large: log N overflows")
-    return logN
+        return ball_exp(loglog_N)
+    except (OverflowError, ValueError):  # exp overflows, or loglog N is inf
+        raise DomainError(f"loglog_N = {loglog_N} is too large: log N overflows") from None
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -133,12 +129,9 @@ def theorem4_coeff(loglog_N: float) -> BoundReport:
     logN = _log_N(loglog_N)
     eg = exp_gamma_ball()
     terms = [
-        ("4*exp_gamma*log3", 4.0 * eg * math.log(3.0) * Ball(1.0, 2.0 * EPS)),
-        ("-0.5198*eps0", Ball.exact(-EPS0_COEFF) * eps0(loglog_N)),
-        (
-            "-767.7471/sqrt_logN",
-            Ball.exact(-LOWER_SQRT_TERM) / Ball(math.sqrt(logN), 2.0 * EPS * math.sqrt(logN)),
-        ),
+        ("4*exp_gamma*log3", 4.0 * eg * ball_log(3.0)),
+        ("-0.5198*eps0", -EPS0_COEFF * eps0(loglog_N)),
+        ("-767.7471/sqrt_logN", -LOWER_SQRT_TERM / ball_sqrt(logN)),
     ]
     return _report(
         "T4_lower", terms, {"loglog_N": loglog_N}, _sieve_value_annotations(loglog_N)
@@ -151,14 +144,8 @@ def theorem5_coeff(loglog_N: float) -> BoundReport:
     logN = _log_N(loglog_N)
     eg = exp_gamma_ball()
     terms = [
-        (
-            "4*exp_gamma*log6*(1+eps0)",
-            4.0 * eg * math.log(6.0) * (1.0 + eps0(loglog_N)) * Ball(1.0, 4.0 * EPS),
-        ),
-        (
-            "+993.2507/sqrt_logN",
-            Ball.exact(UPPER_SQRT_TERM) / Ball(math.sqrt(logN), 2.0 * EPS * math.sqrt(logN)),
-        ),
+        ("4*exp_gamma*log6*(1+eps0)", 4.0 * eg * ball_log(6.0) * (1.0 + eps0(loglog_N))),
+        ("+993.2507/sqrt_logN", UPPER_SQRT_TERM / ball_sqrt(logN)),
     ]
     return _report("T5_upper", terms, {"loglog_N": loglog_N})
 
@@ -171,28 +158,17 @@ def theorem6_coeff(loglog_N: float, epsilon: float) -> BoundReport:
     logN = _log_N(loglog_N)
     _check_epsilon(epsilon)
     try:
-        logN_15 = logN ** 1.5
+        logN_15 = ball_pow(logN, 1.5)
     except OverflowError:
         raise DomainError(f"loglog_N = {loglog_N} is too large: log^1.5 N overflows") from None
     eg = exp_gamma_ball()
-    c2e = compute_c2() * (1.0 + epsilon)
+    c2e = compute_c2() * (1.0 + Ball.exact(epsilon))
     terms = [
-        (
-            "c2*(1+eps)*4*exp_gamma*(1+eps0)",
-            c2e * 4.0 * eg * (1.0 + eps0(loglog_N)),
-        ),
-        (
-            "c2*(1+eps)*860.16295/logN^1.5",
-            c2e * TRIPLE_SQRT_TERM / Ball(logN_15, 4.0 * EPS * logN_15),
-        ),
-        (
-            "remainder_exp(-138)/(eps*logN) [per N/log^2N]",
-            Ball.exact(math.exp(-138.0)) / (epsilon * Ball(logN, 2.0 * EPS * logN)),
-        ),
+        ("c2*(1+eps)*4*exp_gamma*(1+eps0)", c2e * 4.0 * eg * (1.0 + eps0(loglog_N))),
+        ("c2*(1+eps)*860.16295/logN^1.5", c2e * TRIPLE_SQRT_TERM / logN_15),
+        ("remainder_exp(-138)/(eps*logN) [per N/log^2N]", ball_exp(-138.0) / (epsilon * logN)),
     ]
-    return _report(
-        "T6_upper", terms, {"loglog_N": loglog_N, "epsilon": epsilon}
-    )
+    return _report("T6_upper", terms, {"loglog_N": loglog_N, "epsilon": epsilon})
 
 
 def final_coefficient(
@@ -213,31 +189,20 @@ def final_coefficient(
     """
     logN = _log_N(loglog_N)
     _check_epsilon(epsilon)
-    sqrt_logN = Ball(math.sqrt(logN), 2.0 * EPS * math.sqrt(logN))
+    sqrt_logN = ball_sqrt(logN)
     eg = exp_gamma_ball()
     e0 = eps0(loglog_N)
     c2 = Ball.exact(c2_override) if c2_override is not None else compute_c2()
-    c2e = c2 * (1.0 + epsilon)
-    log3 = Ball(math.log(3.0), 2.0 * EPS)
-    log6 = Ball(math.log(6.0), 2.0 * EPS)
+    c2e = c2 * (1.0 + Ball.exact(epsilon))
+    log3, log6 = ball_log(3.0), ball_log(6.0)
+    sqrt_bracket = LOWER_SQRT_TERM + FINAL_SQRT_TERM_A + FINAL_SQRT_TERM_B * c2e
     terms = [
         ("exp_gamma*(4log3-2log6-2c2(1+eps))", eg * (4.0 * log3 - 2.0 * log6 - 2.0 * c2e)),
-        (
-            "-eps0*(2*exp_gamma*(c2(1+eps)+log6)+0.5198)",
-            Ball.exact(-e0) * (2.0 * eg * (c2e + log6) + EPS0_COEFF),
-        ),
-        (
-            "-(767.7471+496.6254+430.0815*c2(1+eps))/sqrt_logN",
-            -(
-                (LOWER_SQRT_TERM + FINAL_SQRT_TERM_A + FINAL_SQRT_TERM_B * c2e)
-                / sqrt_logN
-            ),
-        ),
-        ("-1/logN", Ball.exact(-1.0) / Ball(logN, 2.0 * EPS * logN)),
+        ("-eps0*(2*exp_gamma*(c2(1+eps)+log6)+0.5198)", -e0 * (2.0 * eg * (c2e + log6) + EPS0_COEFF)),
+        ("-(767.7471+496.6254+430.0815*c2(1+eps))/sqrt_logN", -(sqrt_bracket / sqrt_logN)),
+        ("-1/logN", -1.0 / logN),
     ]
-    report = _report(
-        "FINAL", terms, {"loglog_N": loglog_N, "epsilon": epsilon}
-    )
+    report = _report("FINAL", terms, {"loglog_N": loglog_N, "epsilon": epsilon})
     report.annotations["threshold"] = HEADLINE_COEFF
     report.annotations["clears_threshold"] = report.total.strictly_above(HEADLINE_COEFF)
     report.annotations["bracket_note"] = (
@@ -256,12 +221,7 @@ class ThresholdReport:
     note: str
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "crossing_loglog_N": self.crossing_loglog_N,
-            "hypothesis_floor_loglog_N": self.hypothesis_floor_loglog_N,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def threshold_report(epsilon: float = DEFAULT_EPSILON) -> ThresholdReport:
@@ -324,10 +284,10 @@ def H_value(alpha: float) -> Ball:
 
 # selector -> (c, k) of the stated bound c / log^k, and what it is normalized by
 LEMMA_RHS = {
-    "pi_ap_single": (math.exp(-14.0), 4),  # single-modulus AP error, per x
-    "pi_ap_summed": (math.exp(-8.0), 3),  # modulus-averaged AP error, per x
-    "bilinear_form": (math.exp(-144.0), 4),  # bilinear discrepancy in log Y, per XY
-    "residual_remainder": (0.19, 2.3),  # largest single remainder in log N, per N
+    "pi_ap_single": (ball_exp(-14.0), 4),  # single-modulus AP error, per x
+    "pi_ap_summed": (ball_exp(-8.0), 3),  # modulus-averaged AP error, per x
+    "bilinear_form": (ball_exp(-144.0), 4),  # bilinear discrepancy in log Y, per XY
+    "residual_remainder": (Ball.near(Fraction("0.19")), 2.3),  # largest single remainder in log N, per N
 }
 
 
@@ -347,9 +307,9 @@ def lemma_rhs_evaluators(loglog_x: float, selector: str) -> Ball:
         )
     coeff, power = LEMMA_RHS[selector]
     try:
-        bound = Ball.exact(coeff) / math.exp(loglog_x) ** power * Ball(1.0, 8.0 * EPS)
+        bound = coeff / ball_pow(ball_exp(loglog_x), power)
     except OverflowError:
         raise DomainError(f"loglog_x = {loglog_x} is too large: log x overflows") from None
-    if not (bound.value >= sys.float_info.min and bound.radius > 0.0):
+    if not bound.value >= sys.float_info.min:
         raise DomainError(f"loglog_x = {loglog_x} is too large: the bound {bound} underflows")
     return bound

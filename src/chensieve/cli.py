@@ -126,6 +126,13 @@ def _distinct_float_text(column) -> list[str] | None:
     return text[inverse].tolist()
 
 
+def _few_runs(column) -> bool:
+    """Whether runs of equal adjacent values are at most half the cells of a
+    float column: an O(n) count, above its number of distinct values."""
+    bits = np.asarray(column, np.float64).view(np.int64)
+    return 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) <= len(bits)
+
+
 def write_csv(fh, header: list[str], columns) -> None:
     """Write `header` and the rows of `columns`, one sequence per header
     name.  An all-float or all-int column is formatted by one template; a
@@ -134,7 +141,7 @@ def write_csv(fh, header: list[str], columns) -> None:
     cells, templates = [], []
     for column in columns:
         template = _column_template(column)
-        if template == "%.17g":
+        if template == "%.17g" and _few_runs(column):
             text = _distinct_float_text(column)
             if text is not None:
                 column, template = text, "%s"

@@ -15,33 +15,38 @@ from fractions import Fraction
 from functools import cache
 
 from .ball import (
-    EPS,
     Ball,
+    ball_fsum,
+    ball_literal,
     ball_log,
+    ball_pow,
     ball_sqrt,
     exp_gamma_ball,
     exp_neg_gamma_ball,
     gamma_ball,
+    up,
     validate_gamma_literal,
 )
 from .errors import CapacityError, ChensieveError
-from .primes import PrimeTable, build_prime_table, chebyshev
+from .primes import PrimeTable, build_prime_table
 
 # Checked once per process, on first import of this module.
 validate_gamma_literal()
 
-# Prefactors imported as exact pinned literals (not re-derived here).
-F1_PREFACTOR = 255.84406
-F1_UPPER_PREFACTOR = 298.87013
-LOWER_SQRT_TERM = 767.7471
-UPPER_SQRT_TERM = 993.2507
-TRIPLE_SQRT_TERM = 860.16295
-FINAL_SQRT_TERM_A = 496.6254
-FINAL_SQRT_TERM_B = 430.0815
-EPS0_COEFF = 0.5198
-HEADLINE_COEFF = 0.007
-LOWER_CHAIN_TERM = 736.33191
-UPPER_CHAIN_TERM = 845.33239
+# Prefactors imported as pinned decimal literals (not re-derived here), each
+# the Ball of the float nearest it.
+F1_PREFACTOR = Ball.near(Fraction("255.84406"))
+F1_UPPER_PREFACTOR = Ball.near(Fraction("298.87013"))
+LOWER_SQRT_TERM = Ball.near(Fraction("767.7471"))
+UPPER_SQRT_TERM = Ball.near(Fraction("993.2507"))
+TRIPLE_SQRT_TERM = Ball.near(Fraction("860.16295"))
+FINAL_SQRT_TERM_A = Ball.near(Fraction("496.6254"))
+FINAL_SQRT_TERM_B = Ball.near(Fraction("430.0815"))
+EPS0_COEFF = Ball.near(Fraction("0.5198"))
+LOWER_CHAIN_TERM = Ball.near(Fraction("736.33191"))
+UPPER_CHAIN_TERM = Ball.near(Fraction("845.33239"))
+HEADLINE_COEFF = 0.007  # the threshold; a float above 7/1000
+PI_STR = "3.141592653589793238462643383279502884"
 
 
 def zeta(s: int, n: int = 48) -> Ball:
@@ -51,7 +56,7 @@ def zeta(s: int, n: int = 48) -> Ball:
         zeta(s) = -1/(d_n (1 - 2^{1-s})) * sum_{k<n} (-1)^k (d_k - d_n)/(k+1)^s
     where d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), with remainder
     bounded by 3 / ((3 + sqrt 8)^n |1 - 2^{1-s}|).  n = 48 pushes that far
-    below one ulp; the d_k are kept exact.
+    below one ulp; the d_k are exact Fractions, rounded through `Ball.near`.
     """
     if s < 2:
         raise ValueError(f"zeta helper needs integer s >= 2, got {s}")
@@ -63,30 +68,24 @@ def zeta(s: int, n: int = 48) -> Ball:
         acc += t
         d.append(n * acc)
     dn = d[n]
-    total = math.fsum(
-        float((-1) ** k * (d[k] - dn)) / float((k + 1) ** s) for k in range(n)
-    )
-    scale = 1.0 - 2.0 ** (1 - s)
-    value = -total / (float(dn) * scale)
+    terms = [Ball.near((-1) ** k * (d[k] - dn)) / Ball.near((k + 1) ** s) for k in range(n)]
+    total = ball_fsum(terms)
+    scale = 1.0 - 2.0 ** (1 - s)  # exact
     remainder = 3.0 / ((3.0 + math.sqrt(8.0)) ** n * abs(scale))
-    rounding = (2.0 * n + 8.0) * EPS * abs(value)
-    return Ball(value, remainder + rounding)
+    return -total / (Ball.near(dn) * scale) + Ball(0.0, up(remainder))
 
 
 def compute_c0(table: PrimeTable) -> Ball:
     """Large-sieve prefactor built from an exact Chebyshev psi value at 113."""
     if table.limit < 113:
         raise CapacityError("c0 needs a prime table covering [2, 113]")
-    psi113 = chebyshev(113.0, "psi", table)
-    # psi(113) sums ~35 logs, each within 1 ulp of exact.
-    psi_ball = Ball(psi113, 80.0 * EPS * psi113)
-    log2 = ball_log(Ball.exact(2.0))
-    log43 = ball_log(Ball.exact(4.0)) - ball_log(Ball.exact(3.0))
-    power = 2.0 ** 6.5
-    a = Ball(power, 2.0 * EPS * power) / (
-        9.0 * Ball(math.pi, 2.0 * EPS * math.pi) * log2
-    )
-    b = Ball(1.0 / 3.0, EPS) + 3.0 / (2.0 * log2)
+    # psi(113): log p once for each power of p up to 113
+    ps = table.primes_between(2, 114).tolist()
+    psi_ball = ball_fsum([ball_log(p) for p in ps for k in range(1, 7) if p**k <= 113])
+    log2 = ball_log(2.0)
+    log43 = ball_log(4.0) - ball_log(3.0)
+    a = ball_pow(2.0, 6.5) / (9.0 * ball_literal(PI_STR) * log2)
+    b = Ball.near(Fraction(1, 3)) + 3.0 / (2.0 * log2)
     c = (2.0 + ball_log(log2 / log43)) / log2
     d = ball_sqrt(psi_ball / 113.0)
     return a * b * c * d
@@ -113,9 +112,9 @@ def compute_c2() -> Ball:
     return Ball(value, err) + Ball.exact(1e-8)
 
 
-def eps0(N_loglog: float) -> float:
+def eps0(N_loglog: float) -> Ball:
     """1 / max{57, loglog N}; the caller supplies loglog N directly."""
-    return 1.0 / max(57.0, N_loglog)
+    return 1.0 / Ball.exact(max(57.0, N_loglog))
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,7 @@ def ledger(
         None,
         f"singular series, truncated at {trunc}",
     )
-    compute("eps0_floor", lambda: Ball.exact(eps0(36.0)), None, "1/max(57, 36) = 1/57")
+    compute("eps0_floor", lambda: eps0(36.0), None, "1/max(57, 36) = 1/57")
     for name, value in [
         ("lit_f1_prefactor", F1_PREFACTOR),
         ("lit_F1_prefactor", F1_UPPER_PREFACTOR),
@@ -215,7 +214,7 @@ def ledger(
         ("lit_eps0_coeff", EPS0_COEFF),
         ("lit_lower_chain_term", LOWER_CHAIN_TERM),
         ("lit_upper_chain_term", UPPER_CHAIN_TERM),
-        ("lit_headline_coeff", HEADLINE_COEFF),
+        ("lit_headline_coeff", Ball.near(Fraction("0.007"))),
     ]:
-        led.add(name, Ball.exact(value), None, "pinned literal")
+        led.add(name, value, None, "pinned literal")
     return led

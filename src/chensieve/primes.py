@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ball import EPS, Ball, exp_neg_gamma_ball
+from .ball import Ball, ball_fsum, ball_prod, exp_neg_gamma_ball, up
 from .errors import CacheError, CapacityError, DomainError
 
 # Largest supported table.  Memory is the constraint: an int32 spf array
@@ -175,10 +175,9 @@ class PrimeTable:
             else:
                 ps = self.primes
                 ps = ps[: np.searchsorted(ps, P, side="right")]
+                # (p - 1)^2 = 4 ((p - 1)/2)^2 is exact below 2^55
                 odd = ps[ps > 2].astype(np.float64)
-                prod = float(np.prod(1.0 - 1.0 / (odd - 1.0) ** 2))
-                rel_round = (2.0 * len(odd) + 8.0) * EPS
-                ball = 2.0 * exp_neg_gamma_ball() * Ball(prod, abs(prod) * rel_round)
+                ball = 2.0 * exp_neg_gamma_ball() * ball_prod(1.0 - 1.0 / (odd - 1.0) ** 2)
             self._twin[P] = ball
         return ball
 
@@ -322,16 +321,13 @@ def euler_phi(k: int) -> int:
 
 
 def mertens_product(x: float, table: PrimeTable) -> Ball:
-    """prod_{p <= x} (1 - 1/p) with a worst-case rounding radius."""
+    """prod_{p <= x} (1 - 1/p) with its rounding radius."""
     if x < 2:
         raise DomainError(f"product needs x >= 2, got {x}")
     table._check_capacity(x)
     ps = table.primes
     ps = ps[: np.searchsorted(ps, math.floor(x), side="right")].astype(np.float64)
-    value = float(np.prod(1.0 - 1.0 / ps))
-    # Each factor carries <= 1 ulp input error, each multiply <= 1/2 ulp.
-    rel = (2.0 * len(ps) + 4.0) * EPS
-    return Ball(value, abs(value) * rel)
+    return ball_prod(1.0 - 1.0 / ps)
 
 
 def recip_prime_sum(a: float, b: float, table: PrimeTable) -> Ball:
@@ -342,8 +338,7 @@ def recip_prime_sum(a: float, b: float, table: PrimeTable) -> Ball:
     ps = table.primes_between(a, b).astype(np.float64)
     if len(ps) == 0:
         return Ball(0.0, 0.0)
-    value = math.fsum(1.0 / ps)
-    return Ball(value, 4.0 * EPS * (abs(value) + 1.0))
+    return ball_fsum(1.0 / ps)
 
 
 def singular_series_UN(
@@ -365,15 +360,16 @@ def singular_series_UN(
         )
     if table is None:
         table = build_prime_table(truncation_limit)
-    local = 1.0
+    local = Ball.exact(1.0)
     for p, _ in factorize(N):
         if p > 2:
-            local *= (p - 1.0) / (p - 2.0)
+            local = local * (Ball.exact(p - 1.0) / (p - 2.0))
 
     base = table.twin_product(truncation_limit) * local
-    tail = series_tail(truncation_limit)
-    # True value = base * exp(-s) for some s in [0, tail]; center the ball.
-    return base * Ball(1.0 - 0.5 * tail, 0.5 * tail + 4.0 * EPS)
+    half = 0.5 * series_tail(truncation_limit)
+    # True value = base * exp(-s) for some s in [0, tail], so the factor lies
+    # in [1 - tail, 1]; `up` covers the tail's own rounding.
+    return base * (1.0 - Ball(half, up(half)))
 
 
 def series_tail(truncation_limit: int) -> float:

@@ -14,8 +14,8 @@ is prev's float value at k minus the antiderivative of p, g's degree-48
 Chebyshev interpolant with float coefficients c.  A piece's radius bounds the
 true function minus the exact polynomial of the piece's coefficients, and
 minus that polynomial's float value, on the whole piece.  It sums five proven
-terms, each rounded up by `_up`, whose relative pad 2^-40 covers forming a
-term from nonnegative floats and one log (u = 2^-53; E is `_clenshaw`'s):
+terms, each rounded up by `ball.up`, whose relative pad 2^-40 covers forming
+a term from nonnegative floats and one log (u = 2^-53; E is `_clenshaw`'s):
 - start: prev.radius + E(prev), for prev's float value at k.
 - propagated: src.radius * log(k/(k-1)), the integral of src.radius/(t-1).
 - interpolation: (sum |h_j| + 4u (sum |a| + k sum |c|)) / (k-1) >= |g - p|,
@@ -46,7 +46,7 @@ import numpy as np
 from numpy.polynomial import Chebyshev
 from numpy.polynomial.chebyshev import chebmulx
 
-from .ball import Ball, exp_gamma_ball
+from .ball import U, Ball, exp_gamma_ball, up
 from .errors import ConfigError, DomainError
 
 S_MAX_CAP = 12.0
@@ -60,13 +60,6 @@ class _Piece:
     hi: float
     poly: Chebyshev
     radius: float  # uniform enclosure radius valid on [lo, hi]
-
-
-U = 2.0**-53  # unit roundoff
-
-
-def _up(x: float) -> float:
-    return math.nextafter(x * (1.0 + 2.0**-40), math.inf)
 
 
 def _clenshaw(c: np.ndarray) -> float:
@@ -99,10 +92,11 @@ class SieveFunctionSystem:
 
         two_eg = exp_gamma_ball() * 2.0
         self._two_eg = two_eg.value
-        # Closed-form seeds: f1 linear on [0, 2]; F1 linear on [0, 3].
+        # Closed-form seeds: f1 linear on [0, 2]; F1 = two_eg - s on [0, 3], whose
+        # subtraction rounds the most at s = 0, so the Ball two_eg - 0 bounds it.
         F1_seed = Chebyshev([two_eg.value - 1.5, -1.5], domain=[0.0, 3.0])
         self._f1_pieces = [_Piece(0.0, 2.0, Chebyshev([1.0, 1.0], domain=[0.0, 2.0]), 0.0)]
-        self._F1_pieces = [_Piece(0.0, 3.0, F1_seed, two_eg.radius)]
+        self._F1_pieces = [_Piece(0.0, 3.0, F1_seed, (two_eg - 0.0).radius)]
         self._build()
 
     # -- construction ---------------------------------------------------------
@@ -127,7 +121,7 @@ class SieveFunctionSystem:
             2.0 * U * sum_c + _clenshaw(partial.coef) + U * abs(poly.coef[0]),  # integration
             _clenshaw(poly.coef),  # evaluation
         )
-        return _Piece(lo, hi, poly, _up(math.fsum(map(_up, terms))))
+        return _Piece(lo, hi, poly, up(math.fsum(map(up, terms))))
 
     def _build(self) -> None:
         # Each step reads the pieces on [k-1, k] (the seeds at the start:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
@@ -289,12 +290,13 @@ def test_rhs_evaluator_values():
     assert lemma_rhs_evaluators(36.0, "bilinear_form").value == pytest.approx(
         math.exp(-288.0), rel=1e-12
     )
-    # criterion 8's inputs, pinned bit for bit before the domain checks
+    # criterion 8's inputs, pinned bit for bit before the domain checks; the
+    # radii were re-pinned when Ball took over every rounding bound
     assert [lemma_rhs_evaluators(36.0, s) for s in _RHS_SELECTORS] == [
-        Ball(2.406976550610464e-69, 6.413473886929383e-84),
-        Ball(4.1863939993042326e-51, 1.1154794419632365e-65),
-        Ball(8.37894253381937e-126, 2.232598781533756e-140),
-        Ball(2.0853093925577477e-37, 5.5563804026033064e-52),
+        Ball(2.406976550610464e-69, 3.739979518714163e-84),
+        Ball(4.1863939993042326e-51, 5.622527007257416e-66),
+        Ball(8.37894253381937e-126, 1.37703832558964e-140),
+        Ball(2.0853093925577477e-37, 2.149117754694561e-52),
     ]
 
 
@@ -326,3 +328,49 @@ def test_rhs_evaluator_unknown_selector():
 
 def test_default_epsilon_in_window():
     assert math.exp(-100.0) < DEFAULT_EPSILON < math.exp(-20.0)
+
+
+# -- 60-digit oracle: every term and total holds its exact real ------------------
+
+
+def _stage_truths(loglog_N: float, epsilon: float, c2) -> dict[str, list]:
+    """Each stage's terms, in report order, from the formulas in 60 digits."""
+    logN = mp.exp(mp.mpf(loglog_N))
+    e0 = 1 / max(mp.mpf(57), mp.mpf(loglog_N))
+    eg, log3, log6 = mp.exp(mp.euler), mp.log(3), mp.log(6)
+    c2e = c2 * (1 + mp.mpf(epsilon))
+    lit = mp.mpf
+    return {
+        "T4_lower": [4 * eg * log3, -lit("0.5198") * e0, -lit("767.7471") / mp.sqrt(logN)],
+        "T5_upper": [4 * eg * log6 * (1 + e0), lit("993.2507") / mp.sqrt(logN)],
+        "T6_upper": [
+            c2e * 4 * eg * (1 + e0),
+            c2e * lit("860.16295") / logN ** mp.mpf(1.5),
+            mp.exp(-138) / (mp.mpf(epsilon) * logN),
+        ],
+        "FINAL": [
+            eg * (4 * log3 - 2 * log6 - 2 * c2e),
+            -e0 * (2 * eg * (c2e + log6) + lit("0.5198")),
+            -(lit("767.7471") + lit("496.6254") + lit("430.0815") * c2e) / mp.sqrt(logN),
+            -1 / logN,
+        ],
+    }
+
+
+@pytest.mark.parametrize("loglog_N", [8.0, 20.0, 36.0, 36.5, 60.0])
+def test_every_bound_term_and_total_holds_its_60_digit_value(loglog_N, c2_60):
+    reports = [
+        theorem4_coeff(loglog_N),
+        theorem5_coeff(loglog_N),
+        theorem6_coeff(loglog_N, DEFAULT_EPSILON),
+        final_coefficient(loglog_N, DEFAULT_EPSILON),
+    ]
+    with mp.workdps(60):
+        truths = _stage_truths(loglog_N, DEFAULT_EPSILON, c2_60)
+        for rep in reports:
+            want = truths[rep.theorem_id]
+            assert len(want) == len(rep.terms)
+            for (label, ball), truth in zip(rep.terms, want):
+                assert abs(truth - mp.mpf(ball.value)) <= mp.mpf(ball.radius), label
+            total = mp.fsum(want)
+            assert abs(total - mp.mpf(rep.total.value)) <= mp.mpf(rep.total.radius), rep.theorem_id

@@ -337,14 +337,15 @@ def test_verify_block_pass_stdout_pinned(capsys, argv):
 # sha256 of `sievefun` stdout.  Its s, f1 and F1 columns are those computed
 # before the grid was tabulated one Chebyshev piece at a time (pinned on their
 # own below); the radius columns were re-pinned when each piece radius became
-# a sum of proven terms.
+# a sum of proven terms, and again when the F1 seed's radius took in the
+# rounding of 2 e^gamma - s.
 _PINNED_SIEVEFUN = {
-    ("3", "1e-3"): "5e1f264e59caab0cc53ba194d2df7cb3c0ac9da91e5aa58ea210147c6903417c",
-    ("4", "0.05"): "1580b092bf53b2db1a95bfeb89ad473c0bacebe07de001f1bbbb681d785f7a0e",
-    ("6", "1e-3"): "1279472d9343263ecd8dcd5fe08620f7417f6372c03eeefc1945961242c9dc94",
-    ("8.137", "7e-4"): "650bcbbfa224360dc2fe41661d1081988bbfc1ad374fdffea823d21b643bd35f",
-    ("12", "1e-3"): "e90816f81833696d4db06822cdf163401b63b776a348ecd4a6b733895894b4ff",
-    ("11.999", "5e-4"): "e37f54f69ad2fcc2c66db9a2b6b08ed094978e28139363fbd7f13780434b3788",
+    ("3", "1e-3"): "77057bdd31c7e0ca2312b68cb9ff747ab4e6dfbd669b767040661af8511908aa",
+    ("4", "0.05"): "7a73c7aadae5f957dc8c5252891949caa6fb83a9c1cf772d68f162a0b4903d30",
+    ("6", "1e-3"): "ea00ff394b836875526ac8f6eacab23ccbf92558d7675ea2bb6e215412e3c59f",
+    ("8.137", "7e-4"): "8ac60270146b431b7cdc85dc70279cb27cfad0ed2b9c82e10761a211c4099d10",
+    ("12", "1e-3"): "32bac5e308b1ad90d83485f0224326b5f65c24975e7b67db394c6728776d9f02",
+    ("11.999", "5e-4"): "bd0ae5bfcb4eb0e28ad59fb9e5b7398bbb1c15f797da7705ccd9792d5f2a10e9",
 }
 
 # sha256 of the s, f1 and F1 columns alone (one "s,f1,F1" line per CSV line,
@@ -378,23 +379,25 @@ def test_sievefun_stdout_pinned(capsys, s_max, step):
 # sha256 of `bounds` and `constants` stdout, computed before the unreached
 # bound helpers and Ball constructors were deleted; stage 4 always carries
 # its sieve-value annotations.  The constants CSV is pinned with its three
-# comma-holding provenance cells quoted (see the test below it).
+# comma-holding provenance cells quoted (see the test below it).  The radii
+# were re-pinned when Ball took over every rounding bound; the values alone
+# are pinned separately below.
 _PINNED_REPORTS = {
     ("bounds", "--theorem", "all"):
-        "cf79f8f7eff88c78809856cbb04e6faa8058cdf0bffaf2796f6d939654c8241c",
+        "2f3f884f0c2fc89ca1d9c7b69d42fbb344ad4f9dfeb8c710aee0d88499261fd6",
     ("bounds", "--theorem", "all", "--output-format", "text"):
-        "b5ddba928524e8cd702e3172fc0addc4b4772faec72bedb1c2702fae51892f83",
+        "c79725a7ccde1dd7869efd5be93b0ef19d86d02dfd3f6928050a2adad918c545",
     ("bounds", "--theorem", "final", "--loglogN", "36", "--epsilon", "9.4e-14"):
-        "87e10fd91b0339c8ac217bc393d5e657ca6d7025d8c9d8b79311a90e4194ea86",
+        "8f2519a749c564c31752b9f40a26447543d6c1ef3607d90e1ff3bdd95cdda988",
     # s1_lower ~ 3.18: the annotation reads piece [3, 4]
     ("bounds", "--theorem", "4", "--loglogN", "8"):
-        "ac7bb3150c1b92400892e67138c8c52ebf42ad5189feae84671ea6ca0c69529e",
+        "b72b3be8f0081bc1723f484f3676152aaa2520439e292967deb75b63a83255b2",
     ("constants", "--table-limit", "200000"):
-        "6c8dc1093b583b101bde34986a8c0873c7603b62cea9cb556cd983d6c64ccb64",
+        "6513243b8019f3e0c4f416f84736c5168781f3e0cb9c6ee8ff58379f125c3c12",
     ("constants", "--table-limit", "200000", "--output-format", "csv"):
-        "fe510b99d4b08d86785787f6c3882a8a1721e4052c9221e19d9fd0fac3cae9b9",
+        "006990f8fedf81131fe3c72ac3f4778a842dc8416394e55ee74bd136a03e9b63",
     ("constants", "--table-limit", "200000", "--output-format", "text"):
-        "2f9f487bd67a87bdf94b6903a4fe3665e48b86f1b62ef25bea1feae8f9c5e295",
+        "198ca79fc2262ccbf49c8f79d1a0b07b5b2807c7d993078161e47bea34ed43e7",
 }
 
 
@@ -405,9 +408,41 @@ def test_report_stdout_pinned(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == _PINNED_REPORTS[argv]
 
 
+# sha256 of the JSON reports with every "radius" field dropped (dumped with
+# sorted keys), computed before Ball took over every rounding bound: the
+# radii may move with the rounding model, the values and flags may not.
+_PINNED_REPORT_VALUES = {
+    ("bounds", "--theorem", "all"):
+        "306f257fa23d06ec0667b9bb75a9d7854fb62b452a70c3f116f164411def6fb0",
+    ("bounds", "--theorem", "final", "--loglogN", "36", "--epsilon", "9.4e-14"):
+        "36f274b80e143cb9732208caf797641e79ad80b37823c68edeadb966b064b5da",
+    ("bounds", "--theorem", "4", "--loglogN", "8"):
+        "1a2bda881696c661879db240e11fc6c8faf6c793bf30d94c3263e8d359e8e5ee",
+    ("constants", "--table-limit", "200000"):
+        "2a8be69814d0f8e1d05f442a5b03981bd947cb72acd12c6c7f18ba43ae146719",
+}
+
+
+def _without_radii(obj):
+    if isinstance(obj, dict):
+        return {k: _without_radii(v) for k, v in obj.items() if k != "radius"}
+    if isinstance(obj, list):
+        return [_without_radii(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("argv", list(_PINNED_REPORT_VALUES))
+def test_report_values_pinned_apart_from_radii(capsys, argv):
+    assert main(list(argv)) == 0
+    values = _without_radii(json.loads(capsys.readouterr().out))
+    digest = hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
+    assert digest == _PINNED_REPORT_VALUES[argv]
+
+
 _CONSTANTS_CSV = ("constants", "--table-limit", "200000", "--output-format", "csv")
-# sha256 of the constants CSV as it was written with every cell unquoted.
-_UNQUOTED_CONSTANTS_CSV = "2a9476c91869246fd0185a0f7dc2e31afa7cb6702fc6544d98f2388d0807e287"
+# sha256 of the constants CSV as it was written with every cell unquoted
+# (radii re-pinned with the reports above).
+_UNQUOTED_CONSTANTS_CSV = "c48a81e9253eb00b09a1bd8fae1bcc18568279014404dcbc8e65a4b0ecec2f0c"
 
 
 def test_constants_csv_rows_parse_to_six_fields(capsys):
@@ -491,6 +526,34 @@ def test_write_csv_matches_cell_rule_on_typed_and_mixed_columns():
             assert buf.getvalue() == ",".join(header) + "\n" + "".join(
                 ",".join(_csv_cell(v) for v in row) + "\n" for row in zip(*columns)
             )
+
+
+def test_write_csv_sorts_only_columns_with_enough_adjacent_repeats(monkeypatch):
+    calls = []
+    real_unique = np.unique
+
+    def counted_unique(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real_unique(*args, **kwargs)
+
+    # an all-distinct column never reaches np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: pytest.fail("np.unique called"))
+    distinct = (np.arange(1, 1001) * 1e-3).tolist()
+    buf = io.StringIO()
+    write_csv(buf, ["s"], [distinct])
+    assert buf.getvalue() == "s\n" + "".join("%.17g\n" % v for v in distinct)
+
+    # a column of runs does; one with repeats that are never adjacent does
+    # not, and writes the same text as the distinct-value path would
+    monkeypatch.setattr(np, "unique", counted_unique)
+    runs = [0.1] * 500 + [0.2] * 500
+    scattered = [0.1, 0.2] * 500
+    for column, sorted_calls in ((runs, [1000]), (scattered, [])):
+        calls.clear()
+        buf = io.StringIO()
+        write_csv(buf, ["x"], [column])
+        assert calls == sorted_calls
+        assert buf.getvalue() == "x\n" + "".join(t + "\n" for t in _distinct_float_text(column))
 
 
 def test_write_csv_quotes_cells_that_need_it():
@@ -660,7 +723,8 @@ def test_cache_env_dir_is_a_file_is_usage_error(tmp_path, capsys, monkeypatch):
 # sha256 of stdout for the format choices no other pin covers, computed
 # before the per-command format dispatchers became one renderer: text forms,
 # `verify` JSON by default, `--emit` over `--output-format`, and the JSON
-# that a csv request falls back to when the report has no rows.
+# that a csv request falls back to when the report has no rows (the `bounds`
+# line re-pinned with the reports' radii).
 _PINNED_FORMATS = {
     ("verify", "--N", "30030", "--output-format", "text", "--table-limit", "200000"):
         "0a40eb186ad6c7c6b0581e1f29790eb6789915a3efc1af972e7e927ef8ff1cd6",
@@ -674,7 +738,7 @@ _PINNED_FORMATS = {
     ("scan", "--max", "5000", "--emit", "csv", "--table-limit", "200000"):
         "32100605aeb57e2f3e055b5500ccf9c338e61a76fd757f4834c749984b49206f",
     ("bounds", "--theorem", "all", "--output-format", "csv"):
-        "cf79f8f7eff88c78809856cbb04e6faa8058cdf0bffaf2796f6d939654c8241c",
+        "2f3f884f0c2fc89ca1d9c7b69d42fbb344ad4f9dfeb8c710aee0d88499261fd6",
 }
 
 

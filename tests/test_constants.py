@@ -114,9 +114,9 @@ def test_c2_simpson_oracle():
 
 
 def test_eps0():
-    assert eps0(36.0) == 1.0 / 57.0
-    assert eps0(57.0) == 1.0 / 57.0
-    assert eps0(100.0) == 1.0 / 100.0
+    assert eps0(36.0).value == 1.0 / 57.0
+    assert eps0(57.0).value == 1.0 / 57.0
+    assert eps0(100.0).value == 1.0 / 100.0
 
 
 def test_ledger_all_pass(table_1m):
@@ -153,3 +153,55 @@ def test_exp_gamma_self_consistency(table_1m):
     eng = led["exp_neg_gamma"].ball
     prod = eg * eng
     assert abs(prod.value - 1.0) < 1e-14
+
+
+# -- 60-digit oracle: every ledger Ball holds its exact real -------------------
+
+_LITERAL_DIGITS = {
+    "lit_f1_prefactor": "255.84406",
+    "lit_F1_prefactor": "298.87013",
+    "lit_lower_sqrt_term": "767.7471",
+    "lit_upper_sqrt_term": "993.2507",
+    "lit_triple_sqrt_term": "860.16295",
+    "lit_final_sqrt_term_a": "496.6254",
+    "lit_final_sqrt_term_b": "430.0815",
+    "lit_eps0_coeff": "0.5198",
+    "lit_lower_chain_term": "736.33191",
+    "lit_upper_chain_term": "845.33239",
+    "lit_headline_coeff": "0.007",
+}
+
+
+def c0_oracle() -> mp.mpf:
+    psi = mp.fsum(mp.log(p) for p in mp_primes(113) for k in range(1, 7) if p**k <= 113)
+    log2 = mp.log(2)
+    return (
+        mp.mpf(2) ** mp.mpf("6.5") / (9 * mp.pi * log2)
+        * (mp.mpf(1) / 3 + 3 / (2 * log2))
+        * ((2 + mp.log(log2 / mp.log(mp.mpf(4) / 3))) / log2)
+        * mp.sqrt(psi / 113)
+    )
+
+
+def mp_primes(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def test_every_ledger_ball_holds_its_60_digit_value(c2_60):
+    led = ledger(build_prime_table(200_000))
+    with mp.workdps(60):
+        truths = {
+            "gamma": mp.euler,
+            "exp_gamma": mp.exp(mp.euler),
+            "exp_neg_gamma": mp.exp(-mp.euler),
+            "c0": c0_oracle(),
+            "c1": mp.zeta(2) * mp.zeta(3) / mp.zeta(6),
+            "c2": c2_60,
+            "U_4": 2 * mp.exp(-mp.euler) * mp.twinprime,
+            "eps0_floor": mp.mpf(1) / 57,
+            **{name: mp.mpf(digits) for name, digits in _LITERAL_DIGITS.items()},
+        }
+        assert set(truths) == set(led.entries)
+        for name, truth in truths.items():
+            ball = led[name].ball
+            assert abs(truth - mp.mpf(ball.value)) <= mp.mpf(ball.radius), name

@@ -10,6 +10,7 @@ import pytest
 from chensieve.ball import Ball
 from chensieve.cli import main
 from chensieve.errors import ConfigError, DomainError
+from chensieve import sievefun
 from chensieve.sievefun import (
     SieveFunctionSystem,
     _clenshaw,
@@ -384,3 +385,19 @@ def test_sievefun_cli_warning_free(s_max, step, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.count("\n") == len(build_grid(s_max, step)) + 1
+
+
+def test_F1_seed_covers_its_own_subtraction(monkeypatch):
+    """With e^gamma a zero-radius Ball, 2 e^gamma may be anything in the Ball
+    2.0 * e^gamma makes; F1 on [0, 3] must hold 2 e^gamma - s for each, so its
+    radius covers the rounding of the float two_eg - s too."""
+    x = sievefun.exp_gamma_ball().value
+    monkeypatch.setattr(sievefun, "exp_gamma_ball", lambda: Ball(x, 0.0))
+    two_eg = Ball(x, 0.0) * 2.0
+    s = np.concatenate([np.linspace(0.0, 3.0, 3001), np.arange(1, 3001) * 1e-3])
+    value, radius = SieveFunctionSystem(3.0).F1_array(s)
+    with mpmath.workdps(40):
+        for si, v, r in zip(s.tolist(), value.tolist(), radius.tolist()):
+            for sign in (-1, 1):  # the ends of the Ball two_eg, exactly
+                exact = mpmath.mpf(two_eg.value) + sign * mpmath.mpf(two_eg.radius) - si
+                assert abs(exact - mpmath.mpf(v)) <= mpmath.mpf(r), si
