@@ -29,6 +29,7 @@ from .errors import CacheError, ChensieveError
 SCHEMA = "chen-report/1"
 CACHE_ENV = "CHENSIEVE_CACHE_DIR"
 _CSV_BLOCK = 4096  # rows formatted per write
+_CSV_KERNEL_ROWS = 3000  # measured: in a fresh process, fewer rows are faster cell by cell
 
 
 # -- deterministic serialization -------------------------------------------------
@@ -113,47 +114,81 @@ def _column_template(column) -> str | None:
     return None
 
 
-def _distinct_float_text(column) -> list[str] | None:
-    """The `%.17g` text of every cell of a float column, formatting each
-    distinct value once, when at most half the values are distinct; None
-    otherwise.  Values are told apart by their bits, so -0.0 keeps "-0"."""
-    bits, inverse = np.unique(
-        np.asarray(column, np.float64).view(np.int64), return_inverse=True
-    )
-    if 2 * len(bits) > len(column):
-        return None
-    text = np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)
-    return text[inverse].tolist()
+def _column_cells(column):
+    """A function that writes the text of rows [lo, hi) of `column` into
+    the rows of an (hi - lo) x `csvtext.CELL` byte array, or None for a
+    column that is not all floats or all ints.  An array is written as its
+    `tolist()` would be."""
+    # imported here: only a CSV large enough to use the kernels repays the
+    # time and memory their module and tables take
+    from . import csvtext
+
+    if isinstance(column, np.ndarray) and not (
+        column.dtype.kind in "biu" or column.dtype == np.float64
+    ):
+        column = column.tolist()
+    if not isinstance(column, np.ndarray):
+        template = _column_template(column)
+        if template is None:
+            return None
+        try:
+            column = np.asarray(column, np.float64 if template == "%.17g" else np.int64)
+        except OverflowError:  # ints past 64 bits
+            return None
+    if column.dtype.kind in "biu":
+        return lambda lo, hi, out: csvtext.int_cells(column[lo:hi], out)
+    bits = column.view(np.int64)
+    if 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) > len(bits):
+        return lambda lo, hi, out: csvtext.float_cells(column[lo:hi], out)
+    # runs of equal values are at most half the cells: format each distinct
+    # value once (told apart by their bits, so -0.0 keeps "-0")
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.empty((len(distinct), csvtext.CELL), np.uint8)
+    csvtext.float_cells(distinct.view(np.float64), text)
+    return lambda lo, hi, out: np.take(text, inverse[lo:hi], axis=0, out=out)
 
 
-def _few_runs(column) -> bool:
-    """Whether runs of equal adjacent values are at most half the cells of a
-    float column: an O(n) count, above its number of distinct values."""
-    bits = np.asarray(column, np.float64).view(np.int64)
-    return 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) <= len(bits)
-
-
-def write_csv(fh, header: list[str], columns) -> None:
-    """Write `header` and the rows of `columns`, one sequence per header
-    name.  An all-float or all-int column is formatted by one template; a
-    float column with many repeats from its distinct values' text; any
-    other column cell by cell through `_csv_cell`, quoted as RFC 4180 asks."""
+def _write_cells(fh, columns) -> None:
+    """Write the rows of `columns` cell by cell: an all-float or all-int
+    column through one `%` template, any other through `_csv_cell`, quoted
+    as RFC 4180 asks."""
     cells, templates = [], []
     for column in columns:
+        if isinstance(column, np.ndarray):
+            column = column.tolist()
         template = _column_template(column)
-        if template == "%.17g" and _few_runs(column):
-            text = _distinct_float_text(column)
-            if text is not None:
-                column, template = text, "%s"
-        elif template is None:
+        if template is None:
             column, template = [_csv_quote(_csv_cell(v)) for v in column], "%s"
         cells.append(column)
         templates.append(template)
     row = ",".join(templates) + "\n"
-    fh.write(",".join(map(_csv_quote, header)) + "\n")
     rows = zip(*cells)  # formatted a block at a time, so no row list is held whole
     for block in iter(lambda: list(itertools.islice(rows, _CSV_BLOCK)), []):
         fh.write("".join(map(row.__mod__, block)))
+
+
+def write_csv(fh, header: list[str], columns) -> None:
+    """Write `header` and the rows of `columns`, one sequence (a list or an
+    array) per header name.  When every column is all floats or all ints
+    and there are at least `_CSV_KERNEL_ROWS` rows, the cells are laid out
+    `_CSV_BLOCK` rows at a time by the whole-column kernels of `csvtext`
+    and joined in numpy; otherwise they are written cell by cell."""
+    fh.write(",".join(map(_csv_quote, header)) + "\n")
+    n = min(map(len, columns), default=0)
+    writers = [_column_cells(c) for c in columns] if n >= _CSV_KERNEL_ROWS else None
+    if writers is None or None in writers:
+        _write_cells(fh, columns)
+        return
+    from .csvtext import CELL
+
+    for lo in range(0, n, _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, n)
+        block = np.empty((hi - lo, len(writers), CELL + 1), np.uint8)
+        block[:, :, CELL] = ord(",")
+        block[:, -1, CELL] = ord("\n")
+        for j, write in enumerate(writers):
+            write(lo, hi, block[:, j, :CELL])
+        fh.write(block.tobytes().translate(None, b"\0").decode())
 
 
 def _output_path_problem(path: str) -> str | None:
@@ -261,7 +296,7 @@ def _cmd_sievefun(args) -> int:
     grid = sievefun_mod.build_grid(args.s_max, args.step)
     columns = (grid.s, grid.f1_values, grid.f1_radii, grid.F1_values, grid.F1_radii)
     buf = io.StringIO()
-    write_csv(buf, ["s", "f1", "f1_radius", "F1", "F1_radius"], [c.tolist() for c in columns])
+    write_csv(buf, ["s", "f1", "f1_radius", "F1", "F1_radius"], columns)
     _emit(buf.getvalue(), args.output_path)
     return 0
 
@@ -311,19 +346,23 @@ def _cmd_verify(args) -> int:
     columns = harness_mod.lemma41_columns(
         targets, table, z_exp=args.z_exp, y_exp=args.y_exp
     )
+
+    def rows():
+        return zip(*(c.tolist() for c in columns))
+
     _render(
         args,
         "verify",
-        lambda: {"rows": [dict(zip(_VERIFY_HEADER, row)) for row in zip(*columns)]},
+        lambda: {"rows": [dict(zip(_VERIFY_HEADER, row)) for row in rows()]},
         header=_VERIFY_HEADER,
         columns=columns,
         text=lambda: "".join(
             f"N={N} pi2={pi2} S_A={S_A} Sum_S_Aq={sum_S_Aq} "
             f"S_B={S_B} margin={margin:.17g} ratio={ratio:.17g}\n"
-            for N, pi2, S_A, sum_S_Aq, S_B, margin, _, ratio in zip(*columns)
+            for N, pi2, S_A, sum_S_Aq, S_B, margin, _, ratio in rows()
         ),
     )
-    return 0 if all(pi2 >= 1 for pi2 in columns[1]) else 1
+    return 0 if (columns[1] >= 1).all() else 1
 
 
 def _cmd_scan(args) -> int:
@@ -337,7 +376,7 @@ def _cmd_scan(args) -> int:
     def payload() -> dict:
         if report.columns is None:
             return {"result": report.to_dict()}
-        rows = [dict(zip(header, row)) for row in zip(*report.columns)]
+        rows = [dict(zip(header, row)) for row in report.rows]
         return {"result": report.to_dict(), "rows": rows}
 
     _render(

@@ -221,10 +221,16 @@ def _small_factor_counts(
 
 
 def _lemma41_block(
-    Ns: np.ndarray, cz: np.ndarray, cy: np.ndarray, table: PrimeTable, spf: np.ndarray
+    Ns: np.ndarray,
+    cz: np.ndarray,
+    cy: np.ndarray,
+    table: PrimeTable,
+    spf: np.ndarray,
+    isp: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """pi2, S(A, P(z)), sum_q S(A_q, P(z)) and S(B, P(y)) for the N of `Ns`
-    (cz = ceil(z), cy = ceil(y) per N), over all their (N, p) pairs at once.
+    (cz = ceil(z), cy = ceil(y) per N), over all their (N, p) pairs at once;
+    spf and the primality array isp are read at m < max(Ns) only.
 
     m = N - p is in A unless p | N, which holds exactly when p | m.  A's
     elements are coprime to N, so sifting them by the primes below z that
@@ -234,7 +240,7 @@ def _lemma41_block(
     below ceil(y).  Each per-pair array is dropped once spent, which keeps
     a block's peak near 40 bytes a pair.
     """
-    ps, isp = table.primes, table.isprime_array
+    ps = table.primes
     k = np.searchsorted(ps, Ns)  # the primes p < N, at least 3 of them
     ends = np.cumsum(k)
     if len(Ns) == 1:  # no per-pair copies of the primes or of ceil(z) for one N
@@ -274,22 +280,22 @@ def lemma41_columns(
     *,
     z_exp: float = 0.125,
     y_exp: float = 1.0 / 3.0,
-) -> tuple[list, ...]:
+) -> tuple[np.ndarray, ...]:
     """Both sides of the lemma-4.1 decomposition
         pi2(N) > S(A,P(z)) - 1/2 sum_{z<=q<y} S(A_q,P(z)) - 1/2 S(B,P(y))
                  - 2 N^{7/8} - 2 N^{1/3},
     z = N^z_exp and y = N^y_exp, at every N of `targets`, as the columns N,
     pi2, S_A, Sum_S_Aq, S_B, margin (pi2 minus the right-hand side), U_N and
-    ratio (Python lists).  The inequality targets asymptotic N, so desk-scale
+    ratio (numpy arrays).  The inequality targets asymptotic N, so desk-scale
     margins are recorded, not gated.
 
     The counts are computed block by block over the (N, p) pairs of
-    consecutive targets (`_lemma41_block`), sifting through the spf array,
-    which is built only as far as the largest target.  U_N is the value of
-    `singular_series_UN` truncated at `_un_truncation(table)`.  The powers
-    and logs of N go through the math module, so every float is the one a
-    per-N evaluation in Python gives.  Every target is validated before any
-    count.
+    consecutive targets (`_lemma41_block`), sifting through the spf and
+    primality arrays, which are built only as far as the largest target.
+    U_N is the value of `singular_series_UN` truncated at
+    `_un_truncation(table)`.  The powers and logs of N go through the math
+    module, so every float is the one a per-N evaluation in Python gives.
+    Every target is validated before any count.
     """
     Ns = list(targets)
     for N in Ns:
@@ -299,6 +305,7 @@ def lemma41_columns(
     if past is not None:
         _check_table(past, table)
     spf = table.spf_upto(max(Ns, default=0))
+    isp = table.isprime_upto(max(Ns, default=0))
     Ns_arr = np.array(Ns, dtype=np.int64)
     cz = np.array([math.ceil(N ** z_exp) for N in Ns], dtype=np.int32)
     cy = np.array([math.ceil(N ** y_exp) for N in Ns], dtype=np.int32)
@@ -309,7 +316,7 @@ def lemma41_columns(
     while lo < len(Ns):
         done = int(ends[lo - 1]) if lo else 0
         hi = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), lo + 1)
-        block = _lemma41_block(Ns_arr[lo:hi], cz[lo:hi], cy[lo:hi], table, spf)
+        block = _lemma41_block(Ns_arr[lo:hi], cz[lo:hi], cy[lo:hi], table, spf, isp)
         for column, part in zip(counts, block):
             column[lo:hi] = part
         lo = hi
@@ -320,7 +327,7 @@ def lemma41_columns(
     for e in (0.875, 1.0 / 3.0):  # math.pow, not np.power: see `_ratio`
         rhs -= 2.0 * np.fromiter((math.pow(N, e) for N in Ns), np.float64, len(Ns))
     margin, ratio = pi2 - rhs, _ratio(pi2, un, Ns_arr, Ns)
-    return (Ns, *(c.tolist() for c in (*counts, margin, un, ratio)))
+    return Ns_arr, *counts, margin, un, ratio
 
 
 # -- inclusion-exclusion identity -------------------------------------------------
@@ -437,14 +444,14 @@ class ScanReport:
     argmin_pi2: int | None = None
     min_ratio: float | None = None
     argmin_ratio: int | None = None
-    columns: tuple[list[int], list[int], list[float], list[float]] | None = None
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def rows(self) -> list[list] | None:
-        """Per-N rows [N, pi2, U_N, ratio], read off `columns`."""
+        """Per-N rows [N, pi2, U_N, ratio] of Python numbers, read off `columns`."""
         if self.columns is None:
             return None
-        return [list(row) for row in zip(*self.columns)]
+        return [list(row) for row in zip(*(c.tolist() for c in self.columns))]
 
     def to_dict(self) -> dict:
         """The summary fields in declaration order; the columns go out separately."""
@@ -515,8 +522,8 @@ def goldbach_chen_scan(
     if N_max > table.limit:
         raise CapacityError(f"N_max={N_max} exceeds table limit {table.limit}")
     half = max(N_max // 2 + 1, 3)  # k = N/2 runs over [3, half)
-    isp = table.isprime_array
-    spf = table.spf_upto(max(N_max, 2))  # every m read is <= N_max (or 1)
+    # every m read is <= N_max (or 1)
+    isp, spf = table.isprime_upto(max(N_max, 2)), table.spf_upto(max(N_max, 2))
     ps = table.primes
     odd_ps = ps[1 : np.searchsorted(ps, N_max, side="left")]
     # N - p <= N_max - 3 for odd p, so m < 2 * half - 4 covers every read.
@@ -561,7 +568,7 @@ def goldbach_chen_scan(
         )
     columns = None
     if collect_rows:
-        columns = (Ns.tolist(), c.tolist(), un.tolist(), ratio.tolist())
+        columns = (Ns, c, un, ratio)
     return ScanReport(
         N_max=N_max,
         mode=mode,

@@ -79,9 +79,10 @@ class PrimeTable:
     `packed` holds one bit per odd number 3 + 2j (1 = prime) in little-endian
     64-bit words; this is also the cache-file payload.  The helper arrays and
     the twin-prime products are computed on first use and kept on the
-    instance, so repeated queries return the same objects.  spf is kept as
-    the longest prefix [0, n] asked for so far (`spf_upto`), so a caller
-    that reads it only below n sieves it only that far.
+    instance, so repeated queries return the same objects.  spf and the
+    primality array are kept as the longest prefix [0, n] asked for so far
+    (`spf_upto`, `isprime_upto`), so a caller that reads them only below n
+    builds them only that far.
     """
 
     limit: int
@@ -123,9 +124,17 @@ class PrimeTable:
     @property
     def isprime_array(self) -> np.ndarray:
         """Bool array over [0, limit] for vectorized membership tests."""
-        if self._isprime is None:
-            arr = np.zeros(self.limit + 1, dtype=bool)
-            arr[self.primes] = True
+        return self.isprime_upto(self.limit)
+
+    def isprime_upto(self, n: int) -> np.ndarray:
+        """Bool array of primality for every m in [0, n], built only that
+        far.  As with `spf_upto`, the longest prefix built is kept, so the
+        array returned may run past n."""
+        self._check_capacity(n)
+        if self._isprime is None or len(self._isprime) <= n:
+            ps = self.primes
+            arr = np.zeros(n + 1, dtype=bool)
+            arr[ps[: np.searchsorted(ps, n, side="right")]] = True
             self._isprime = arr
         return self._isprime
 

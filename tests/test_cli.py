@@ -7,16 +7,20 @@ import json
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chensieve import cli as cli_mod
+from chensieve import csvtext
 from chensieve import harness as harness_mod
 from chensieve import primes as primes_mod
 from chensieve.cli import (
     _csv_cell,
-    _distinct_float_text,
     build_parser,
     main,
     to_json,
@@ -501,8 +505,7 @@ _CELL_COLUMNS = {
 }
 
 
-# Float columns that `write_csv` formats from their distinct values (at most
-# half of the 8 cells distinct), and one just past that threshold.
+# Float columns with repeats, some of them non-finite or signed zeros.
 _REPEATED_FLOAT_COLUMNS = {
     "repeats": [0.1, 0.1, 1 / 3, 0.1, 1 / 3, 0.1, 0.1, 1 / 3],
     "signed_zeros": [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0],
@@ -514,18 +517,43 @@ _REPEATED_FLOAT_COLUMNS = {
 }
 
 
+def _csv_by_cell_rule(header, columns) -> str:
+    return ",".join(header) + "\n" + "".join(
+        ",".join(_csv_cell(v) for v in row) + "\n" for row in zip(*columns)
+    )
+
+
+def _csv_text(header, columns) -> str:
+    buf = io.StringIO()
+    write_csv(buf, header, columns)
+    return buf.getvalue()
+
+
 def test_write_csv_matches_cell_rule_on_typed_and_mixed_columns():
-    assert _distinct_float_text(_REPEATED_FLOAT_COLUMNS["half_distinct"]) is not None
-    assert _distinct_float_text(_REPEATED_FLOAT_COLUMNS["five_of_eight"]) is None
+    # Past the kernel's row cutoff, each column repeated whole (runs as in
+    # the column) and each cell repeated in place (few runs, so the distinct
+    # values are formatted once).
+    copies = -(-cli_mod._CSV_KERNEL_ROWS // 7)
     for table in (_CELL_COLUMNS, _REPEATED_FLOAT_COLUMNS):
-        header = list(table)
         for rows in (slice(None), slice(1), slice(0)):
             columns = [column[rows] for column in table.values()]
-            buf = io.StringIO()
-            write_csv(buf, header, columns)
-            assert buf.getvalue() == ",".join(header) + "\n" + "".join(
-                ",".join(_csv_cell(v) for v in row) + "\n" for row in zip(*columns)
-            )
+            assert _csv_text(list(table), columns) == _csv_by_cell_rule(list(table), columns)
+        for name, column in table.items():
+            for long in (column * copies, [v for v in column for _ in range(copies)]):
+                assert _csv_text([name], [long]) == _csv_by_cell_rule([name], [long])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int32, np.uint64, np.uint8, bool])
+def test_write_csv_writes_an_array_as_its_list(dtype):
+    rng = np.random.default_rng(7)
+    n = cli_mod._CSV_KERNEL_ROWS + 5
+    raw = rng.integers(0, 2**64, n, dtype=np.uint64)
+    if np.dtype(dtype).kind == "f":  # raw bits: NaNs and infinities included
+        column = np.frombuffer(raw.tobytes(), dtype)[:n]
+    else:
+        column = (raw % 2 if dtype is bool else raw).astype(dtype)
+    for rows in (slice(None), slice(3)):
+        assert _csv_text(["x"], [column[rows]]) == _csv_by_cell_rule(["x"], [column[rows].tolist()])
 
 
 def test_write_csv_sorts_only_columns_with_enough_adjacent_repeats(monkeypatch):
@@ -536,24 +564,120 @@ def test_write_csv_sorts_only_columns_with_enough_adjacent_repeats(monkeypatch):
         calls.append(len(args[0]))
         return real_unique(*args, **kwargs)
 
+    n = 2 * cli_mod._CSV_KERNEL_ROWS  # past the kernel's row cutoff
     # an all-distinct column never reaches np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: pytest.fail("np.unique called"))
-    distinct = (np.arange(1, 1001) * 1e-3).tolist()
-    buf = io.StringIO()
-    write_csv(buf, ["s"], [distinct])
-    assert buf.getvalue() == "s\n" + "".join("%.17g\n" % v for v in distinct)
+    distinct = np.arange(1, n + 1) * 1e-3
+    for column in (distinct, distinct.tolist()):
+        assert _csv_text(["s"], [column]) == "s\n" + "".join("%.17g\n" % v for v in distinct.tolist())
 
-    # a column of runs does; one with repeats that are never adjacent does
-    # not, and writes the same text as the distinct-value path would
+    # a column of runs does, once; one with repeats that are never adjacent
+    # does not; both write the `%.17g` text of every cell
     monkeypatch.setattr(np, "unique", counted_unique)
-    runs = [0.1] * 500 + [0.2] * 500
-    scattered = [0.1, 0.2] * 500
-    for column, sorted_calls in ((runs, [1000]), (scattered, [])):
+    runs = [0.1] * (n // 2) + [0.2] * (n // 2)
+    scattered = [0.1, 0.2] * (n // 2)
+    for column, sorted_calls in ((runs, [n]), (scattered, [])):
         calls.clear()
-        buf = io.StringIO()
-        write_csv(buf, ["x"], [column])
+        assert _csv_text(["x"], [column]) == "x\n" + "".join("%.17g\n" % v for v in column)
         assert calls == sorted_calls
-        assert buf.getvalue() == "x\n" + "".join(t + "\n" for t in _distinct_float_text(column))
+
+
+# -- the whole-column kernels against `%.17g` and `%d` ---------------------------
+
+
+def _float_cells(values) -> list[str]:
+    x = np.asarray(values, dtype=np.float64)
+    out = np.zeros((len(x), csvtext.CELL), np.uint8)
+    csvtext.float_cells(x, out)
+    return [bytes(row).replace(b"\0", b"").decode() for row in out]
+
+
+def _int_cells(values) -> list[str]:
+    out = np.zeros((len(values), csvtext.CELL), np.uint8)
+    csvtext.int_cells(values, out)
+    return [bytes(row).replace(b"\0", b"").decode() for row in out]
+
+
+def _assert_printf(values) -> None:
+    x = np.asarray(values, dtype=np.float64)
+    assert _float_cells(x) == ["%.17g" % v for v in x.tolist()]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_float_kernel_matches_printf_on_any_bits(patterns):
+    # every float64 bit pattern: NaN payloads, subnormals, signed zeros, infinities
+    _assert_printf(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+def test_float_kernel_matches_printf_at_powers_of_ten():
+    powers = np.array([float(f"1e{e}") for e in range(-324, 309)])
+    values = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    _assert_printf(np.concatenate([values, -values]))
+    # some lie below their power of ten and round up to it at 17 digits
+    assert Fraction(1e98) < 10**98 and _float_cells([1e98, 1e-14]) == ["1e+98", "1e-14"]
+    assert Fraction(1e-14) < Fraction(1, 10**14)
+
+
+def test_float_kernel_matches_printf_at_format_switch_points():
+    # %g writes 1e-4 in fixed and 1e-5 in exponent form, 1e16 in fixed and
+    # 1e17 in exponent form; just below 1e16 and 1e17, floor(log10 x) may
+    # round up, and a scaled value may round up to 10^17
+    values = []
+    for edge in (1e-5, 1e-4, 1e16, 1e17):
+        for toward in (0.0, np.inf):
+            run = [edge]
+            for _ in range(64):
+                run.append(np.nextafter(run[-1], toward))
+            values += run
+    values += [99999999999999984.0, 9999999999999998.0, 0.000099999999999999991]
+    _assert_printf(values)
+
+
+def test_float_kernel_matches_printf_near_ties():
+    # Doubles whose scaled value |x| 10^k, k = 16 - floor(log10 |x|), lies
+    # within 2^-6 of a half, found exactly with Fraction across the whole
+    # range of k the kernel takes; the ones within 2^-7 must fall back.
+    rng = np.random.default_rng(11)
+    x = rng.uniform(1, 10, 40_000) * 10.0 ** rng.integers(-11, 44, 40_000)
+    near = []
+    for v in x.tolist():
+        k = 16 - int(("%.16e" % v).split("e")[1])
+        y = Fraction(v) * Fraction(10) ** k
+        if 10**16 <= y < 10**17 and abs(y - math.floor(y) - Fraction(1, 2)) < Fraction(1, 64):
+            near.append(v)
+    assert len(near) > 600
+    _assert_printf(near)
+
+
+def test_float_kernel_leaves_few_values_to_printf(monkeypatch):
+    # The fast path must take almost every value: a kernel that falls back on
+    # everything still prints the right text.
+    fallback = []
+    real = csvtext.printf_cells
+
+    def counted(values):
+        fallback.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(csvtext, "printf_cells", counted)
+    x = np.random.default_rng(3).uniform(0, 12, 100_000)
+    _assert_printf(x)
+    assert sum(fallback) < 0.04 * len(x)
+
+
+def test_int_kernel_matches_printf():
+    ints = [0, 99, 10**16 - 1, 10**16, 123456789012345678, 2**63 - 1]
+    ints += [10**e + d for e in range(19) for d in (-1, 0, 1)]
+    ints += [-v for v in ints] + [-(2**63)]
+    assert _int_cells(np.array(ints, dtype=np.int64)) == ["%d" % v for v in ints]
+    assert _int_cells(np.array([True, False])) == ["1", "0"]
+    big = [0, 1, 10**19, 2**64 - 1, 2**63]
+    assert _int_cells(np.array(big, dtype=np.uint64)) == ["%d" % v for v in big]
+    for dtype in (np.int8, np.int16, np.int32, np.uint32):
+        info = np.iinfo(dtype)
+        small = sorted({info.min, info.min + 1, max(info.min, -1), 0, 1, info.max - 1, info.max})
+        assert _int_cells(np.array(small, dtype=dtype)) == ["%d" % v for v in small]
 
 
 def test_write_csv_quotes_cells_that_need_it():
@@ -596,6 +720,18 @@ def test_scan_traced_peaks_not_above_per_N_scan():
     table = _ready_table(1_000_000)
     floor = _traced_peak(lambda: harness_mod.goldbach_chen_scan(1_000_000, table, mode="floor"))
     assert floor <= 18.25
+
+
+def test_floor_scan_peak_does_not_grow_with_the_table_limit():
+    # The scan builds spf and the primality array only as far as N_max, so
+    # with its primes unpacked a 1e7 table costs it no more than a 1e6 one
+    # (22.1 against 13.5 MiB when the primality array ran to the limit).
+    peaks = []
+    for limit in (1_000_000, 10_000_000):
+        table = build_prime_table(limit)
+        table.primes
+        peaks.append(_traced_peak(lambda: harness_mod.goldbach_chen_scan(1_000_000, table, mode="floor")))
+    assert peaks[1] <= peaks[0] + 1.0
 
 
 # sha256 of `scan` stdout and of a `cache build` file, computed before the

@@ -12,11 +12,12 @@ hashing, so two checkouts can be compared line for line:
 The matrix holds the README commands, ``scan`` and ``verify`` under every
 ``--output-format`` x ``--emit`` pair, the other reports in every format,
 edge ``--max`` values, ``verify`` cases for every branch of its lemma-4.1
-pass, the grid and bound sizes of the certify benchmark, ``--threads`` values
+pass, the grid and bound sizes of the certify benchmark, CSVs that reach the
+edge paths of the whole-column formatting kernels, ``--threads`` values
 it accepts and rejects, and usage errors, among them one option per command
 that the command does not accept.  Every command outside ERRORS parses; a
 tier-1 test checks that against ``cli.build_parser()``.
-It takes about 3 s on a 2 vCPU Intel Xeon VM.
+It takes about 5 s on a 2 vCPU Intel Xeon VM.
 """
 
 from __future__ import annotations
@@ -106,6 +107,14 @@ CERTIFY = [
     "bounds --theorem 4 --loglogN 8",
 ]
 
+# CSV written by the whole-column kernels: the smallest grid step (radii
+# near 1e-13 and F1 below 1e-11, which the float kernel leaves to `%.17g`)
+# and a scan whose rows span many write blocks.
+CSV = [
+    "sievefun --s-max 12 --step 1e-4 -o {tmp}/fine.csv",
+    "scan --max 200000 --rows --emit csv -o {tmp}/multi.csv",
+]
+
 # The --threads flag, accepted without effect and rejected below 1.
 THREADS = [
     "scan --max 100000 --rows --emit csv --threads 4",
@@ -151,7 +160,7 @@ def commands() -> list[str]:
                 out.append(cmd)
     for base in REPORTS:
         out += [base + (f" --output-format {fmt}" if fmt else "") for fmt in FORMATS]
-    return out + EDGES + VERIFY + CERTIFY + THREADS + ERRORS
+    return out + EDGES + VERIFY + CERTIFY + CSV + THREADS + ERRORS
 
 
 def run(cmd: str, tmp: str) -> tuple[str, int]:
