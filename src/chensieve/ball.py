@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EPS = 2.0**-52  # one ulp at 1.0
 U = 2.0**-53  # unit roundoff
 ETA = math.ulp(0.0)  # the smallest subnormal
 
@@ -84,9 +83,6 @@ class Ball:
     @staticmethod
     def _coerce(x: "Ball | float | int") -> "Ball":
         return x if isinstance(x, Ball) else Ball.exact(x)
-
-    def contains(self, x: float) -> bool:
-        return abs(x - self.value) <= self.radius
 
     def strictly_below(self, bound: float) -> bool:
         return self.value + self.radius < bound

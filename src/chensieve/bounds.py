@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ball import EPS, Ball, ball_exp, ball_log, ball_pow, ball_sqrt, exp_gamma_ball
+from .ball import Ball, ball_exp, ball_log, ball_pow, ball_sqrt, exp_gamma_ball
 from .constants import (
     EPS0_COEFF,
     FINAL_SQRT_TERM_A,
@@ -30,10 +30,8 @@ from .constants import (
     eps0,
 )
 from .errors import ConfigError, DomainError
-from .quadrature import integrate
 
 DEFAULT_EPSILON = math.exp(-30.0)  # inside the allowed window (e^-100, e^-20)
-HYPOTHESIS_FLOOR_LOGLOG_N = 36.0
 
 
 @dataclass
@@ -171,29 +169,20 @@ def theorem6_coeff(loglog_N: float, epsilon: float) -> BoundReport:
     return _report("T6_upper", terms, {"loglog_N": loglog_N, "epsilon": epsilon})
 
 
-def final_coefficient(
-    loglog_N: float,
-    epsilon: float = DEFAULT_EPSILON,
-    *,
-    c2_override: float | None = None,
-) -> BoundReport:
+def final_coefficient(loglog_N: float, epsilon: float = DEFAULT_EPSILON) -> BoundReport:
     """The headline coefficient: pi_2(N) log N / (U_N |A|) exceeds
 
         e^gamma (4 log 3 - 2 log 6 - 2 c2 (1+eps))
         - eps0(N) (2 e^gamma (c2 (1+eps) + log 6) + 0.5198)
         - (767.7471 + 496.6254 + 430.0815 c2 (1+eps)) / sqrt(log N)
         - 1/log N.
-
-    `c2_override` substitutes a worst-case value for c2 (e.g. its pinned
-    upper bound) to probe sensitivity.
     """
     logN = _log_N(loglog_N)
     _check_epsilon(epsilon)
     sqrt_logN = ball_sqrt(logN)
     eg = exp_gamma_ball()
     e0 = eps0(loglog_N)
-    c2 = Ball.exact(c2_override) if c2_override is not None else compute_c2()
-    c2e = c2 * (1.0 + Ball.exact(epsilon))
+    c2e = compute_c2() * (1.0 + Ball.exact(epsilon))
     log3, log6 = ball_log(3.0), ball_log(6.0)
     sqrt_bracket = LOWER_SQRT_TERM + FINAL_SQRT_TERM_A + FINAL_SQRT_TERM_B * c2e
     terms = [
@@ -211,73 +200,6 @@ def final_coefficient(
         "upstream of this display"
     )
     return report
-
-
-@dataclass
-class ThresholdReport:
-    epsilon: float
-    crossing_loglog_N: float | None
-    hypothesis_floor_loglog_N: float
-    note: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def threshold_report(epsilon: float = DEFAULT_EPSILON) -> ThresholdReport:
-    """Locate where the final coefficient crosses the 0.007 threshold.
-
-    Bisects over loglog N.  The crossing reported here is a property of the
-    coefficient arithmetic alone; the exp(exp(36)) floor quoted alongside is
-    imposed by the validity hypotheses of the underlying prime-distribution
-    error estimates, not by this arithmetic, and both numbers are reported.
-    """
-    _check_epsilon(epsilon)
-
-    def gap(ll: float) -> float:
-        return final_coefficient(ll, epsilon).total.value - HEADLINE_COEFF
-
-    lo, hi = 8.0, HYPOTHESIS_FLOOR_LOGLOG_N
-    crossing: float | None
-    if gap(hi) <= 0.0:
-        crossing = None
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        crossing = 0.5 * (lo + hi)
-    note = (
-        "the coefficient arithmetic crosses the threshold at the reported "
-        "loglog N; the exp(exp(36)) floor comes from the hypotheses of the "
-        "prime-distribution error estimates feeding the bound chain, not "
-        "from this arithmetic"
-    )
-    return ThresholdReport(epsilon, crossing, HYPOTHESIS_FLOOR_LOGLOG_N, note)
-
-
-# -- window integrals ----------------------------------------------------------
-
-
-def H_value(alpha: float) -> Ball:
-    """(log N) * H(N^alpha) = int_{1/3}^{(1-alpha)/2} db / (b (1 - alpha - b)).
-
-    H is the inner window integral of the triple-product set estimate; its
-    closed form is log(2 - 3 alpha)/(1 - alpha), and integrating
-    H_value(alpha)/alpha over [1/8, 1/3] reproduces c2 minus its 1e-8 pad.
-    """
-    if not (0.125 - 1e-12 <= alpha <= 1.0 / 3.0 + 1e-12):
-        raise DomainError(f"alpha must lie in [1/8, 1/3], got {alpha}")
-    upper = (1.0 - alpha) / 2.0
-    if upper - 1.0 / 3.0 <= 4.0 * EPS:
-        return Ball(0.0, 0.0)
-    return Ball(
-        *integrate(lambda b: 1.0 / (b * (1.0 - alpha - b)), 1.0 / 3.0, upper)
-    )
 
 
 # -- right-hand-side magnitude evaluators ---------------------------------------

@@ -117,26 +117,18 @@ def _column_template(column) -> str | None:
 def _column_cells(column):
     """A function that writes the text of rows [lo, hi) of `column` into
     the rows of an (hi - lo) x `csvtext.CELL` byte array, or None for a
-    column that is not all floats or all ints.  An array is written as its
-    `tolist()` would be."""
+    column that is not an int, bool or float64 array.  An array is written
+    as its `tolist()` would be."""
+    if not isinstance(column, np.ndarray):
+        return None
     # imported here: only a CSV large enough to use the kernels repays the
     # time and memory their module and tables take
     from . import csvtext
 
-    if isinstance(column, np.ndarray) and not (
-        column.dtype.kind in "biu" or column.dtype == np.float64
-    ):
-        column = column.tolist()
-    if not isinstance(column, np.ndarray):
-        template = _column_template(column)
-        if template is None:
-            return None
-        try:
-            column = np.asarray(column, np.float64 if template == "%.17g" else np.int64)
-        except OverflowError:  # ints past 64 bits
-            return None
     if column.dtype.kind in "biu":
         return lambda lo, hi, out: csvtext.int_cells(column[lo:hi], out)
+    if column.dtype != np.float64:
+        return None
     bits = column.view(np.int64)
     if 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) > len(bits):
         return lambda lo, hi, out: csvtext.float_cells(column[lo:hi], out)
@@ -169,10 +161,11 @@ def _write_cells(fh, columns) -> None:
 
 def write_csv(fh, header: list[str], columns) -> None:
     """Write `header` and the rows of `columns`, one sequence (a list or an
-    array) per header name.  When every column is all floats or all ints
-    and there are at least `_CSV_KERNEL_ROWS` rows, the cells are laid out
-    `_CSV_BLOCK` rows at a time by the whole-column kernels of `csvtext`
-    and joined in numpy; otherwise they are written cell by cell."""
+    array) per header name.  When every column is an int, bool or float64
+    array and there are at least `_CSV_KERNEL_ROWS` rows, the cells are
+    laid out `_CSV_BLOCK` rows at a time by the whole-column kernels of
+    `csvtext` and joined in numpy; otherwise they are written cell by
+    cell, with the same text."""
     fh.write(",".join(map(_csv_quote, header)) + "\n")
     n = min(map(len, columns), default=0)
     writers = [_column_cells(c) for c in columns] if n >= _CSV_KERNEL_ROWS else None

@@ -20,8 +20,6 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .primes import PrimeTable, euler_phi, factorize, series_tail
 
-_SAMPLE_CAP = 64
-
 BASES = ("A", "A_sub_q", "B")
 
 
@@ -56,7 +54,6 @@ class SiftedSetSpec:
 @dataclass(frozen=True)
 class SiftResult:
     count: int
-    survivors_sample: tuple[int, ...]
     spec: SiftedSetSpec
 
 
@@ -156,7 +153,7 @@ def sift_count(
     if level is None:
         level = spec.sift_level
     kept = _sift(elements, _sifting_primes(spec.N, level, table))
-    return SiftResult(int(len(kept)), tuple(int(v) for v in kept[:_SAMPLE_CAP]), spec)
+    return SiftResult(int(len(kept)), spec)
 
 
 # -- representation counting ----------------------------------------------------

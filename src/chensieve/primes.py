@@ -1,9 +1,8 @@
 """Exact prime and arithmetic-function engine over ranges up to ~1e8.
 
 Everything here is integer-exact: a segmented odd-only bit sieve backs
-primality, Chebyshev sums, smallest-prime-factor factorization, and the
-handful of prime sums and products that the constants pipeline consumes as
-Balls.
+primality, smallest-prime-factor arrays, factorization, and the handful of
+prime sums and products that the constants pipeline consumes as Balls.
 
 Tables are immutable after construction and all queries are pure.  A table
 memoizes what it derives from its primes: the lazily built arrays and, per
@@ -245,32 +244,6 @@ def load_cache(path: str | os.PathLike) -> PrimeTable:
     return PrimeTable(limit=limit, packed=packed)
 
 
-# -- Chebyshev sums -----------------------------------------------------------
-
-
-def chebyshev(x: float, kind: str, table: PrimeTable) -> float:
-    """theta(x) = sum of log p over p <= x; psi(x) also sums prime powers.
-
-    Summation is deterministic: log values are accumulated with fsum in
-    ascending order of p (and of p^a for psi).
-    """
-    table._check_capacity(x)
-    if kind not in ("theta", "psi"):
-        raise DomainError(f"kind must be 'theta' or 'psi', got {kind!r}")
-    ps = table.primes
-    ps = ps[: np.searchsorted(ps, math.floor(x), side="right")]
-    terms = list(np.log(ps.astype(np.float64)))
-    if kind == "psi":
-        for p in ps[ps.astype(np.int64) ** 2 <= x]:
-            p = int(p)
-            lp = math.log(p)
-            m = p * p
-            while m <= x:
-                terms.append(lp)
-                m *= p
-    return math.fsum(terms)
-
-
 # -- multiplicative helpers ---------------------------------------------------
 
 
@@ -299,13 +272,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime factors."""
-    if n < 1:
-        raise DomainError(f"omega undefined for {n}")
-    return len(factorize(n))
 
 
 def omega_range(limit: int) -> np.ndarray:

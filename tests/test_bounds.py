@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 
+from chensieve import bounds
 from chensieve.ball import Ball
 from chensieve.bounds import (
     DEFAULT_EPSILON,
-    H_value,
     final_coefficient,
     lemma_rhs_evaluators,
     remainder_level_window,
     theorem4_coeff,
     theorem5_coeff,
     theorem6_coeff,
-    threshold_report,
 )
 from chensieve.constants import compute_c2
 from chensieve.errors import ConfigError, DomainError
@@ -181,14 +180,16 @@ def test_final_coefficient_first_term_at_small_epsilon():
     assert first > 0.007 + eps0_term
 
 
-def test_final_coefficient_with_worst_case_c2():
-    rep = final_coefficient(36.0, math.exp(-30.0), c2_override=0.36309)
+def test_final_coefficient_with_worst_case_c2(monkeypatch):
+    monkeypatch.setattr(bounds, "compute_c2", lambda: Ball.exact(0.36309))
+    rep = final_coefficient(36.0, math.exp(-30.0))
     assert rep.total.strictly_above(0.007)
 
 
-def test_final_coefficient_worst_case_never_flips_sign():
+def test_final_coefficient_worst_case_never_flips_sign(monkeypatch):
+    monkeypatch.setattr(bounds, "compute_c2", lambda: Ball.exact(0.36309))
     for ll in (36.0, 40.0, 60.0, 100.0):
-        rep = final_coefficient(ll, math.exp(-30.0), c2_override=0.36309)
+        rep = final_coefficient(ll, math.exp(-30.0))
         assert rep.total.value > 0.0
 
 
@@ -198,17 +199,6 @@ def test_final_coefficient_monotone_in_loglog_N():
         final_coefficient(ll, eps).total.value for ll in range(36, 101, 4)
     ]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-
-
-def test_threshold_report():
-    rep = threshold_report(math.exp(-30.0))
-    assert rep.crossing_loglog_N is not None
-    assert rep.crossing_loglog_N <= 36.0
-    assert rep.hypothesis_floor_loglog_N == 36.0
-    assert "hypotheses" in rep.note
-    gap_lo = final_coefficient(rep.crossing_loglog_N - 1e-6).total.value
-    gap_hi = final_coefficient(rep.crossing_loglog_N + 1e-6).total.value
-    assert gap_lo < 0.007 < gap_hi
 
 
 @pytest.mark.parametrize("loglog_N", [math.nan, math.inf, 0.5, 800.0])
@@ -222,53 +212,6 @@ def test_remainder_level_window_large_but_finite(loglog_N):
     window = remainder_level_window(loglog_N)
     assert window["log_N"] == math.exp(loglog_N)
     assert all(math.isfinite(v) for v in window.values())
-
-
-# -- window integrals -----------------------------------------------------------------
-
-
-def test_H_endpoint_zero():
-    b = H_value(1.0 / 3.0)
-    assert b.value == 0.0 and b.radius == 0.0
-
-
-def test_H_at_z_closed_form():
-    """Partial-fractions oracle: the integral evaluates to
-    log(2 - 3a)/(1 - a); at a = 1/8 (the sifted level z = N^{1/8}) that is
-    (8/7) log(13/8) ~ 0.5549."""
-    b = H_value(0.125)
-    expect = (8.0 / 7.0) * math.log(13.0 / 8.0)
-    assert abs(b.value - expect) < 1e-10
-
-
-def test_H_closed_form_across_range():
-    for alpha in (0.125, 0.2, 0.25, 0.3, 0.33):
-        b = H_value(alpha)
-        expect = math.log(2.0 - 3.0 * alpha) / (1.0 - alpha)
-        assert abs(b.value - expect) <= b.radius + 1e-12
-
-
-def test_H_decreasing_and_vanishing():
-    alphas = [0.125, 0.15, 0.2, 0.25, 0.3, 1.0 / 3.0]
-    values = [H_value(a).value for a in alphas]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] == 0.0
-
-
-def test_H_alpha_domain():
-    with pytest.raises(DomainError):
-        H_value(0.1)
-    with pytest.raises(DomainError):
-        H_value(0.4)
-
-
-def test_H_double_integral_reproduces_c2():
-    """2-D quadrature oracle: int_{1/8}^{1/3} H_value(a)/a da = c2 - 1e-8."""
-    outer, _ = scipy_integrate.quad(
-        lambda a: H_value(a).value / a, 0.125, 1.0 / 3.0, epsabs=1e-12, limit=200
-    )
-    c2 = compute_c2().value
-    assert abs(outer - (c2 - 1e-8)) < 1e-8
 
 
 # -- rhs magnitude evaluators ------------------------------------------------------------

@@ -532,7 +532,8 @@ def _csv_text(header, columns) -> str:
 def test_write_csv_matches_cell_rule_on_typed_and_mixed_columns():
     # Past the kernel's row cutoff, each column repeated whole (runs as in
     # the column) and each cell repeated in place (few runs, so the distinct
-    # values are formatted once).
+    # values are formatted once), as a list (cell by cell) and as an array
+    # (the kernels).
     copies = -(-cli_mod._CSV_KERNEL_ROWS // 7)
     for table in (_CELL_COLUMNS, _REPEATED_FLOAT_COLUMNS):
         for rows in (slice(None), slice(1), slice(0)):
@@ -541,6 +542,10 @@ def test_write_csv_matches_cell_rule_on_typed_and_mixed_columns():
         for name, column in table.items():
             for long in (column * copies, [v for v in column for _ in range(copies)]):
                 assert _csv_text([name], [long]) == _csv_by_cell_rule([name], [long])
+                array = np.asarray(long)
+                if array.dtype.kind in "biu" or array.dtype == np.float64:
+                    expect = _csv_by_cell_rule([name], [array.tolist()])
+                    assert _csv_text([name], [array]) == expect
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int32, np.uint64, np.uint8, bool])
@@ -574,11 +579,11 @@ def test_write_csv_sorts_only_columns_with_enough_adjacent_repeats(monkeypatch):
     # a column of runs does, once; one with repeats that are never adjacent
     # does not; both write the `%.17g` text of every cell
     monkeypatch.setattr(np, "unique", counted_unique)
-    runs = [0.1] * (n // 2) + [0.2] * (n // 2)
-    scattered = [0.1, 0.2] * (n // 2)
+    runs = np.repeat([0.1, 0.2], n // 2)
+    scattered = np.tile([0.1, 0.2], n // 2)
     for column, sorted_calls in ((runs, [n]), (scattered, [])):
         calls.clear()
-        assert _csv_text(["x"], [column]) == "x\n" + "".join("%.17g\n" % v for v in column)
+        assert _csv_text(["x"], [column]) == "x\n" + "".join("%.17g\n" % v for v in column.tolist())
         assert calls == sorted_calls
 
 

@@ -13,16 +13,16 @@ from chensieve.constants import (
     ledger,
     zeta,
 )
-from chensieve.primes import build_prime_table, chebyshev
+from chensieve.primes import build_prime_table
 
 
 def test_zeta_closed_forms():
-    assert abs(zeta(2).value - math.pi**2 / 6.0) < 1e-14
-    mp.mp.dps = 30
-    for s in (2, 3, 6, 4):
-        b = zeta(s)
-        assert abs(b.value - float(mp.zeta(s))) <= b.radius + 1e-15
-        assert b.radius < 1e-12
+    with mp.workdps(50):
+        truths = {2: mp.pi**2 / 6, 3: mp.zeta(3), 4: mp.pi**4 / 90, 6: mp.pi**6 / 945}
+        for s, truth in truths.items():
+            b = zeta(s)
+            assert abs(mp.mpf(b.value) - truth) <= mp.mpf(b.radius), s
+            assert b.radius < 1e-12
 
 
 def test_c0_below_pinned_bound(table_1m):
@@ -33,38 +33,11 @@ def test_c0_below_pinned_bound(table_1m):
     assert 48.83 < b.value < 48.83215
 
 
-def test_c0_psi_delegation(table_1m):
-    # the psi(113) sub-value equals direct prime-power summation
-    direct = 0.0
-    for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-              61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]:
-        m = p
-        while m <= 113:
-            direct += math.log(p)
-            m *= p
-    assert abs(chebyshev(113, "psi", table_1m) - direct) < 1e-12
-
-
 def test_c0_high_precision_recomputation(table_1m):
     """Recompute c0 with 50-digit arithmetic; must land inside the Ball."""
-    mp.mp.dps = 50
-    psi = mp.mpf(0)
-    for p in [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
-              61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]:
-        m = p
-        while m <= 113:
-            psi += mp.log(p)
-            m *= p
-    log2 = mp.log(2)
-    c0 = (
-        mp.mpf(2) ** mp.mpf("6.5")
-        / (9 * mp.pi * log2)
-        * (mp.mpf(1) / 3 + 3 / (2 * log2))
-        * ((2 + mp.log(log2 / mp.log(mp.mpf(4) / 3))) / log2)
-        * mp.sqrt(psi / 113)
-    )
     b = compute_c0(table_1m)
-    assert abs(float(c0) - b.value) <= b.radius
+    with mp.workdps(50):
+        assert abs(mp.mpf(b.value) - c0_oracle()) <= mp.mpf(b.radius)
 
 
 def test_c1_below_pinned_bound():

@@ -148,7 +148,6 @@ def test_sift_against_filter_oracle(table_small):
     # and every element is odd anyway)
     expect = [e for e in elements if e % 3 != 0]
     assert res.count == len(expect)
-    assert list(res.survivors_sample) == expect[:64]
 
 
 def test_sift_never_exceeds_set_size(table_small):

@@ -12,11 +12,10 @@ from chensieve.cli import main
 from chensieve.errors import CacheError, CapacityError, DomainError
 from chensieve.primes import (
     build_prime_table,
-    chebyshev,
     euler_phi,
+    factorize,
     load_cache,
     mertens_product,
-    omega,
     omega_range,
     recip_prime_sum,
     save_cache,
@@ -258,62 +257,14 @@ def test_primes_between_against_filter_oracle(table_small):
             assert table_small.primes_between(a, b).tolist() == expect, (a, b)
 
 
-# -- Chebyshev sums ----------------------------------------------------------------
-
-
-def test_theta_at_two(table_small):
-    assert abs(chebyshev(2, "theta", table_small) - math.log(2)) < 1e-15
-
-
-def test_psi_at_ten(table_small):
-    expect = 3 * math.log(2) + 2 * math.log(3) + math.log(5) + math.log(7)
-    assert abs(chebyshev(10, "psi", table_small) - expect) < 1e-14
-
-
-def test_psi_113_two_summation_orders(table_small):
-    value = chebyshev(113, "psi", table_small)
-    # independent order: descending prime powers, plain accumulation
-    terms = []
-    for p in trial_division_primes(113):
-        m = p
-        while m <= 113:
-            terms.append(math.log(p))
-            m *= p
-    assert abs(value - sum(sorted(terms, reverse=True))) < 1e-12
-
-
-def test_theta_psi_ordering_and_gap(table_1m):
-    for x in [10.0, 1000.0, 99_991.0, 1_000_000.0]:
-        th = chebyshev(x, "theta", table_1m)
-        ps = chebyshev(x, "psi", table_1m)
-        assert th <= ps
-        gap = sum(
-            chebyshev(x ** (1.0 / a), "theta", table_1m)
-            for a in range(2, int(math.log2(x)) + 1)
-        )
-        assert abs((ps - th) - gap) < 1e-9
-
-
-def test_chebyshev_kind_validation(table_small):
-    with pytest.raises(DomainError):
-        chebyshev(10, "xi", table_small)
-
-
 # -- omega -------------------------------------------------------------------------
-
-
-def test_omega_examples():
-    assert omega(12) == 2
-    assert omega(1) == 0
-    with pytest.raises(DomainError):
-        omega(0)
 
 
 def test_omega_range_matches_pointwise():
     arr = omega_range(3000)
     assert arr.dtype == np.uint8
     for n in range(2, 3000, 7):
-        assert int(arr[n]) == omega(n)
+        assert int(arr[n]) == len(factorize(n))
     # tiny limits: omega(0) and omega(1) are stored as 0
     for limit in (0, 1, 2, 3):
         arr = omega_range(limit)

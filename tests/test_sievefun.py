@@ -70,10 +70,12 @@ def test_f1_boundary_segment():
 
 
 def test_F1_closed_form_segment():
-    for s in (0.0, 1.0, 2.0, 2.5, 3.0):
-        b = eval_F1(s)
-        assert abs(b.value - (TWO_EG - s)) <= b.radius + 1e-14
-        assert b.radius <= 1e-12
+    with mpmath.workdps(40):
+        for s in (0.0, 1.0, 2.0, 2.5, 3.0):
+            b = eval_F1(s)
+            truth = 2 * mpmath.exp(mpmath.euler) - s
+            assert abs(mpmath.mpf(b.value) - truth) <= mpmath.mpf(b.radius), s
+            assert b.radius <= 1e-12
 
 
 def test_f1_at_3_closed_form():
@@ -245,8 +247,10 @@ def test_grid_nodes_match_evaluator():
 def test_grid_F1_closed_form_node():
     grid = build_grid(5.0, 1e-3)
     i = _node(grid, 2.5)
-    b = Ball(float(grid.F1_values[i]), float(grid.F1_radii[i]))
-    assert abs(b.value - (TWO_EG - grid.s[i])) <= b.radius + 1e-14
+    v, r, s = (float(c[i]) for c in (grid.F1_values, grid.F1_radii, grid.s))
+    with mpmath.workdps(40):
+        truth = 2 * mpmath.exp(mpmath.euler) - s
+        assert abs(mpmath.mpf(v) - truth) <= mpmath.mpf(r)
 
 
 def test_grid_f1_at_6_against_oracle():
