@@ -1,7 +1,8 @@
 """Single command-line entry point with reproducible machine-readable output.
 
-Exit codes: 0 success, 1 when a pinned-bound check or scan invariant fails,
-2 on usage errors, a path that cannot be read or written included.  All
+Exit codes: 0 success, 1 when a pinned-bound check or scan invariant fails
+or a run-time certificate of a bulk count does not hold, 2 on usage errors,
+a path that cannot be read or written included.  All
 floats print at 17 significant digits and output is byte-identical across
 runs for a fixed configuration.  Each command accepts only the options it
 reads, except `--threads`, which all six accept for compatibility and which
@@ -24,7 +25,7 @@ from . import constants as constants_mod
 from . import harness as harness_mod
 from . import primes as primes_mod
 from . import sievefun as sievefun_mod
-from .errors import CacheError, ChensieveError
+from .errors import CacheError, CertificateError, ChensieveError
 
 SCHEMA = "chen-report/1"
 CACHE_ENV = "CHENSIEVE_CACHE_DIR"
@@ -483,6 +484,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ChensieveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,3 +19,7 @@ class ConfigError(ChensieveError, ValueError):
 
 class CacheError(ChensieveError, ValueError):
     """A cache file is missing, truncated, or fails validation."""
+
+
+class CertificateError(ChensieveError):
+    """A bulk computation failed the check that certifies its result."""

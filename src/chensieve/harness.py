@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, CertificateError, DomainError
 from .primes import PrimeTable, euler_phi, factorize, series_tail
 
 BASES = ("A", "A_sub_q", "B")
@@ -467,6 +467,81 @@ def _odd_p2(spf: np.ndarray, isp: np.ndarray, n: int) -> np.ndarray:
     return isp[1 : 2 * n : 2] | isp[m]
 
 
+# float64 unit roundoff, an upper bound on sqrt(5), and the twiddle-factor
+# error beta assumed of numpy's pocketfft (see `_shift_counts`).
+_U = Fraction(1, 2**53)
+_SQRT5_UP = Fraction(2236068, 10**6)
+_BETA = Fraction(1, 2**50)
+
+
+def _percival_bound(a_sq: int, b_sq: int, n: int) -> Fraction:
+    """Percival's bound (Math. Comp. 72, 2003, Theorem 5.1) on the largest
+    error of a float64 FFT convolution of length n = 2**k of two vectors
+    with squared 2-norms a_sq and b_sq:
+        |a|_2 |b|_2 ((1 + u)^{3k} (1 + u sqrt 5)^{3k + 1} (1 + beta)^{3k} - 1),
+    rounded up: the arithmetic is exact, and sqrt 5 and |a|_2 |b|_2 are
+    replaced by upper bounds."""
+    k = n.bit_length() - 1
+    growth = (1 + _U) ** (3 * k) * (1 + _U * _SQRT5_UP) ** (3 * k + 1)
+    growth *= (1 + _BETA) ** (3 * k)
+    return (math.isqrt(a_sq * b_sq) + 1) * (growth - 1)
+
+
+def _shift_counts(hs: np.ndarray, odd: np.ndarray, half: int) -> np.ndarray:
+    """c[k] = #{h in hs : odd[k - h]} for k < half, as int32, from one
+    float64 rfft/irfft convolution of the shift indicator (1 at each h of
+    `hs`, all distinct and below half) with `odd`.  Its length n is the
+    power of two at or past the linear length half + len(odd) - 1, so no
+    term wraps into [0, half).  Three checks certify the result at run time
+    and raise CertificateError when one fails:
+
+    - Percival's bound (`_percival_bound`) must be below 1/2, so rounding
+      each output gives the exact count.  The bound takes each twiddle
+      factor of numpy's pocketfft to be within beta = 2**-50 (8 units of
+      roundoff) of its true value.  That beta is an assumption about
+      pocketfft, which builds its twiddles as products of two tables of
+      doubles, not a proven property; so is applying a bound stated for the
+      complex FFT to the real-input rfft.
+    - Every output must lie within 1/4 of its integer.
+    - Exact checksum: the counts must sum to sum_h S[min(half - h,
+      len(odd))], with S the prefix count of `odd`.  This shares no
+      arithmetic with the transform.
+    Each FFT array is dropped once spent, so the peak is about three
+    arrays of 8n bytes.
+    """
+    n = 1 << (half + len(odd) - 2).bit_length()
+    bound = _percival_bound(len(hs), int(np.count_nonzero(odd)), n)
+    if bound >= Fraction(1, 2):
+        raise CertificateError(
+            f"pi2 convolution: Percival bound {float(bound):.3g} >= 1/2 at n = {n}"
+        )
+    a = np.zeros(n)
+    a[hs] = 1.0
+    spectrum = np.fft.rfft(a)
+    del a
+    b = np.zeros(n)
+    b[: len(odd)] = odd
+    spectrum *= np.fft.rfft(b)
+    del b
+    c = np.fft.irfft(spectrum, n)[:half]
+    del spectrum
+    counts = np.rint(c)
+    c -= counts
+    worst = float(np.max(np.abs(c, out=c), initial=0.0))
+    if worst > 0.25:
+        raise CertificateError(
+            f"pi2 convolution: rounding check, an output lies {worst:.3g} > 1/4 "
+            "from its integer"
+        )
+    counts = counts.astype(np.int32)
+    prefix = np.concatenate([[0], np.cumsum(odd, dtype=np.int64)])
+    want = int(prefix[np.minimum(half - hs, len(odd))].sum())
+    got = int(counts.sum(dtype=np.int64))
+    if got != want:
+        raise CertificateError(f"pi2 convolution: checksum {got} != {want}")
+    return counts
+
+
 def _odd_prime_factor_product(N: np.ndarray, spf: np.ndarray) -> np.ndarray:
     """prod (p - 1)/(p - 2) over the odd primes p dividing each N, multiplied
     in increasing p as a per-N walk down the spf chain does, so each float is
@@ -507,12 +582,15 @@ def goldbach_chen_scan(
     primes", built at odd m only (`_odd_p2`): an odd prime p reaches the odd
     N - p, and p = 2 reaches N - 2 = 2(N/2 - 1), which is in P2 exactly when
     N/2 - 1 is prime.  Arrays run over k = N/2, and an odd p shifts by
-    h = (p + 1)/2.  mode='full' adds the indicator shifted by each prime,
-    which gives pi2(N) for every N <= N_max in one pass, and tracks the
-    normalized ratio pi2(N) log^2 N / (U_N N); mode='floor' only certifies
-    pi2(N) >= 1, by dropping every unresolved N with N - p in the indicator,
-    prime by prime, until none is left.  All arithmetic is exact, so the
-    report is deterministic.
+    h = (p + 1)/2.  mode='full' gets pi2(N) for every N <= N_max from one
+    certified FFT convolution of the shifts with the indicator
+    (`_shift_counts`), and tracks the normalized ratio pi2(N) log^2 N /
+    (U_N N); mode='floor' only certifies pi2(N) >= 1.  It ORs the shifted
+    indicator into a whole array of resolved N, prime by prime, while more
+    than 1/64 of the N are unresolved, then drops every unresolved N with
+    N - p in the indicator, prime by prime, until none is left; the handoff
+    keeps a table with real failures from sweeping every prime.  The counts
+    are exact, so the report is deterministic.
     """
     if mode not in ("full", "floor"):
         raise DomainError(f"mode must be 'full' or 'floor', got {mode}")
@@ -525,14 +603,21 @@ def goldbach_chen_scan(
     odd_ps = ps[1 : np.searchsorted(ps, N_max, side="left")]
     # N - p <= N_max - 3 for odd p, so m < 2 * half - 4 covers every read.
     odd = _odd_p2(spf, isp, half - 2)
+    hs = (odd_ps + 1) // 2
 
     if mode == "floor":
-        todo = np.arange(3, half, dtype=np.int32)  # k <= limit / 2 < 2**31
-        todo = todo[~isp[todo - 1]]  # p = 2
-        for p in odd_ps.tolist():
-            if len(todo) == 0 or p >= 2 * todo[-1]:
+        done = np.zeros(half, dtype=bool)
+        done[3:] = isp[2 : half - 1]  # p = 2
+        swept = 0
+        while swept < len(hs) and 64 * (half - 3 - np.count_nonzero(done)) > half:
+            h = hs[swept]
+            done[h + 1 :] |= odd[1 : half - h]
+            swept += 1
+        todo = np.flatnonzero(~done[3:]) + 3
+        for h in hs[swept:].tolist():
+            if len(todo) == 0 or h > todo[-1]:
                 break
-            todo = todo[~odd[np.maximum(todo - (p + 1) // 2, 0)]]
+            todo = todo[~odd[np.maximum(todo - h, 0)]]
         failures = (2 * todo).tolist()
         return ScanReport(
             N_max=N_max,
@@ -542,12 +627,8 @@ def goldbach_chen_scan(
             failures=failures,
         )
 
-    counts = np.zeros(half, dtype=np.int32)
+    counts = _shift_counts(hs, odd, half)
     counts[3:] += isp[2 : half - 1]  # p = 2
-    odd = odd.astype(np.int32)  # int32 += int32 runs twice as fast as += bool
-    for p in odd_ps.tolist():
-        h = (p + 1) // 2
-        counts[h:] += odd[: half - h]
     c = counts[3:]
     Ns = np.arange(6, 2 * half, 2, dtype=np.int64)
     un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, spf)

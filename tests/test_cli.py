@@ -727,6 +727,51 @@ def test_scan_traced_peaks_not_above_per_N_scan():
     assert floor <= 18.25
 
 
+def test_scan_traced_peaks_at_1e6():
+    # Ceilings in MiB, with the table's arrays built before tracing.  The
+    # floor scan's whole-array sweeps peak at 4.7 (8.7 with the shrinking
+    # index lists they replaced); the full scan frees each FFT array once
+    # spent and stays at or below the 40.6 of the shifted adds.
+    table = _ready_table(1_000_000)
+    floor = _traced_peak(lambda: harness_mod.goldbach_chen_scan(1_000_000, table, mode="floor"))
+    assert floor <= 6
+    full = _traced_peak(lambda: harness_mod.goldbach_chen_scan(1_000_000, table, mode="full"))
+    assert full <= 40.6
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("rounding", "pi2 convolution: rounding check, an output lies 0.3 > 1/4 from its integer"),
+        ("checksum", "pi2 convolution: checksum 34758 != 34757"),
+        ("bound", "pi2 convolution: Percival bound 0.5 >= 1/2 at n = 1024"),
+    ],
+)
+def test_failed_convolution_check_exits_1(tmp_path, capsys, monkeypatch, fault, message):
+    # +0.3 on one output of the inverse FFT that `harness` calls trips the
+    # rounding check; +1.0 keeps every output on an integer, so only the
+    # checksum sees it.
+    irfft = np.fft.irfft
+
+    def faulty(spectrum, n):
+        out = irfft(spectrum, n)
+        out[100] += 0.3 if fault == "rounding" else 1.0
+        return out
+
+    if fault == "bound":
+        monkeypatch.setattr(harness_mod, "_percival_bound", lambda *a: Fraction(1, 2))
+    else:
+        monkeypatch.setattr(harness_mod.np.fft, "irfft", faulty)
+    out = tmp_path / "rows.csv"
+    argv = ["scan", "--max", "1000", "--rows", "--emit", "csv", "--table-limit", "1000"]
+    assert main(argv + ["-o", str(out)]) == 1
+    assert not out.exists()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n" * 2
+
+
 def test_floor_scan_peak_does_not_grow_with_the_table_limit():
     # The scan builds spf and the primality array only as far as N_max, so
     # with its primes unpacked a 1e7 table costs it no more than a 1e6 one

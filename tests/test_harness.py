@@ -4,6 +4,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -607,6 +608,77 @@ def test_scan_matches_per_N_oracle(N_max, limit):
     # A limit equal to N_max uses the last index of every array; a larger
     # one moves the U_N truncation point.
     assert_scan_matches_oracle(N_max, build_prime_table(limit))
+
+
+def test_scan_matches_per_N_oracle_at_every_small_N_max():
+    # Every FFT length from 8 to 512, and every floor scan whose sweeps run
+    # until no N is left (below N_max = 126, 1/64 of the N is under one).
+    for N_max in range(6, 401):
+        assert_scan_matches_oracle(N_max, build_prime_table(N_max))
+
+
+@pytest.mark.parametrize("k", range(10, 17))
+def test_scan_matches_per_N_oracle_at_FFT_size_edges(k, monkeypatch):
+    # The convolution length n is the power of two at or past N_max - 1, so
+    # it doubles between N_max = 2**k and 2**k + 2.  A table at N_max uses
+    # the last index of every array; the larger one runs each array past
+    # N_max and moves the U_N truncation point.
+    lengths = {}
+    irfft = np.fft.irfft
+
+    def spy(spectrum, n):
+        lengths[N_max] = n
+        return irfft(spectrum, n)
+
+    monkeypatch.setattr(harness_mod.np.fft, "irfft", spy)
+    larger = build_prime_table(2 ** (k + 1))
+    for N_max in range(2**k - 2, 2**k + 4):
+        assert_scan_matches_oracle(N_max, build_prime_table(N_max))
+        assert_scan_matches_oracle(N_max, larger)
+    assert lengths == {
+        N_max: 2**k if N_max <= 2**k + 1 else 2 ** (k + 1)
+        for N_max in range(2**k - 2, 2**k + 4)
+    }
+
+
+def test_percival_bound_is_rounded_up():
+    # Against the formula at 50 digits, and below 1/2 by far at the table
+    # cap: about pi(1e8) shifts, at most 5e7 odd m and n = 2**27.
+    with mp.workdps(50):
+        for a_sq, b_sq, n in [(1, 1, 4), (78_497, 210_035, 2**20), (5_761_454, 50_000_000, 2**27)]:
+            k = n.bit_length() - 1
+            u, beta = mp.mpf(2) ** -53, mp.mpf(2) ** -50
+            growth = (1 + u) ** (3 * k) * (1 + u * mp.sqrt(5)) ** (3 * k + 1) * (1 + beta) ** (3 * k)
+            exact = mp.sqrt(a_sq * b_sq) * (growth - 1)
+            bound = harness_mod._percival_bound(a_sq, b_sq, n)
+            assert exact <= mp.mpf(bound.numerator) / bound.denominator <= exact * (1 + 1e-6) + 1e-12
+    assert harness_mod._percival_bound(5_761_454, 50_000_000, 2**27) < 1e-5
+
+
+def test_floor_sweeps_with_and_without_a_sparse_remainder(monkeypatch):
+    # With 3, 5 and 7 dropped from a 1e5 table, N = 8..20 have no
+    # representation: fewer than 1/64 of the N, so the sweeps stop with
+    # them unresolved and the sparse loop carries them through every later
+    # prime.  Below N_max = 126, 1/64 of the N is under one, so the sweeps
+    # run until every N is resolved and the sparse loop has none.
+    packed = build_prime_table(100_000).packed.copy()
+    packed[0] &= ~np.uint64(0b111)
+    thin = PrimeTable(limit=100_000, packed=packed)
+    zeros = [8, 10, 12, 14, 16, 18, 20]
+    assert [N for N in range(6, 200, 2) if pi2_bruteforce(N, thin) == 0] == zeros
+    assert goldbach_chen_scan(100_000, thin, mode="full").failures == zeros
+    small = build_prime_table(124)
+    # The sparse loop is the only caller of np.maximum in a floor scan, so
+    # its calls show whether the sweeps left it any N.
+    calls = []
+    maximum = np.maximum
+    monkeypatch.setattr(harness_mod.np, "maximum", lambda *a: calls.append(1) or maximum(*a))
+    assert goldbach_chen_scan(124, small, mode="floor").floor_holds
+    assert calls == []
+    floor = goldbach_chen_scan(100_000, thin, mode="floor")
+    assert calls
+    monkeypatch.undo()
+    assert floor.failures == zeros and not floor.floor_holds
 
 
 # -- one-pass scan against the single-N oracle ----------------------------------------

@@ -11,11 +11,12 @@ hashing, so two checkouts can be compared line for line:
 
 The matrix holds the README commands, ``scan`` and ``verify`` under every
 ``--output-format`` x ``--emit`` pair, the other reports in every format,
-edge ``--max`` values, ``verify`` cases for every branch of its lemma-4.1
-pass, the grid and bound sizes of the certify benchmark, CSVs that reach the
-edge paths of the whole-column formatting kernels, ``--threads`` values
-it accepts and rejects, and usage errors, among them one option per command
-that the command does not accept.  Every command outside ERRORS parses; a
+edge ``--max`` values (two of them on either side of an FFT length step),
+``verify`` cases for every branch of its lemma-4.1 pass, the grid and bound
+sizes of the certify benchmark, CSVs that reach the edge paths of the
+whole-column formatting kernels, ``--threads`` values it accepts and
+rejects, and usage errors, among them one option per command that the
+command does not accept.  Every command outside ERRORS parses; a
 tier-1 test checks that against ``cli.build_parser()``.
 It takes about 5 s on a 2 vCPU Intel Xeon VM.
 """
@@ -71,6 +72,8 @@ EDGES = [
         (-3, 10), (0, 10), (1, 10), (2, 10), (4, 10), (5, 10), (6, 10), (7, 10),
         (8, 10), (10, 10), (9, 10), (5000, 5000), (5001, 5001), (20001, 20001),
         (36000, 36000), (24000, 24000),
+        # the scan's FFT length moves from 2**17 to 2**18 between these two
+        (131072, 131072), (131074, 131074),
     ]
 ] + [
     "scan --max 24000 --rows --emit json --table-limit 24000",
