@@ -197,13 +197,23 @@ def _segment_counts(idx: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.diff(np.searchsorted(idx, ends), prepend=0)
 
 
+def _odd_spf_of(entries: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """spf of the odd m, in m's dtype, from their entries of the odd spf
+    store (`PrimeTable.odd_spf_upto`): the entry, or m itself where it is 0
+    (m = 1 or a prime).  The cast copy is filled in place, which keeps the
+    traced peaks below what an np.where with its temporaries reaches."""
+    s = entries.astype(m.dtype)
+    np.copyto(s, m, where=s == 0)
+    return s
+
+
 def _small_factor_counts(
-    m: np.ndarray, p: np.ndarray, t: np.ndarray, cy: np.ndarray, spf: np.ndarray
+    m: np.ndarray, p: np.ndarray, t: np.ndarray, cy: np.ndarray, store: np.ndarray
 ) -> np.ndarray:
-    """Per target, the sum over its elements m (smallest prime factor p,
+    """Per target, the sum over its odd elements m (smallest prime factor p,
     target index t) of the number of distinct primes below cy[t] that
-    divide m, read off each m's spf chain, which gives the primes in
-    increasing order; m = 1 (p = 1) counts none."""
+    divide m, read off each m's spf chain in the odd store, which gives the
+    primes in increasing order; m = 1 (p = 1) counts none."""
     out = np.zeros(len(cy), dtype=np.int64)
     last = 0
     while len(m):
@@ -213,7 +223,7 @@ def _small_factor_counts(
         m //= p
         idx = np.flatnonzero(low & (m > 1))
         m, t, last = m[idx], t[idx], p[idx]
-        p = spf[m]
+        p = _odd_spf_of(store[m >> 1], m)
     return out
 
 
@@ -222,34 +232,39 @@ def _lemma41_block(
     cz: np.ndarray,
     cy: np.ndarray,
     table: PrimeTable,
-    spf: np.ndarray,
+    store: np.ndarray,
     isp: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """pi2, S(A, P(z)), sum_q S(A_q, P(z)) and S(B, P(y)) for the N of `Ns`
-    (cz = ceil(z), cy = ceil(y) per N), over all their (N, p) pairs at once;
-    spf and the primality array isp are read at m < max(Ns) only.
+    (cz = ceil(z), cy = ceil(y) per N), over all their (N, p) pairs with p
+    odd at once; the odd spf store and the primality array isp are read at
+    m < max(Ns) only.
 
-    m = N - p is in A unless p | N, which holds exactly when p | m.  A's
-    elements are coprime to N, so sifting them by the primes below z that
-    do not divide N keeps m = 1 and the m with spf(m) >= ceil(z); the same
-    holds for B at y.  No prime q >= z that divides N divides a survivor,
-    so sum_q S(A_q, P(z)) counts, per survivor, its distinct prime factors
-    below ceil(y).  Each per-pair array is dropped once spent, which keeps
-    a block's peak near 40 bytes a pair.
+    p = 2 is taken in closed form: N - 2 = 2(N/2 - 1) is in P2 exactly when
+    N/2 - 1 is prime, and 2 | N keeps N - 2 out of A.  So every m = N - p
+    read is odd, and so is every element of B, as p1 >= z >= 2 cannot
+    divide the even N.  m is in A unless p | N, which holds exactly when
+    p | m.  A's elements are coprime to N, so sifting them by the primes
+    below z that do not divide N keeps m = 1 and the m with spf(m) >=
+    ceil(z); the same holds for B at y.  No prime q >= z that divides N
+    divides a survivor, so sum_q S(A_q, P(z)) counts, per survivor, its
+    distinct prime factors below ceil(y).  Each per-pair array is dropped
+    once spent, which keeps a block's peak near 40 bytes a pair.
     """
     ps = table.primes
-    k = np.searchsorted(ps, Ns)  # the primes p < N, at least 3 of them
+    k = np.searchsorted(ps, Ns) - 1  # the odd primes p < N, at least 2 of them
     ends = np.cumsum(k)
     if len(Ns) == 1:  # no per-pair copies of the primes or of ceil(z) for one N
-        p, czp = ps[: k[0]], cz[0]
+        p, czp = ps[1 : k[0] + 1], cz[0]
     else:
-        p, czp = np.concatenate([ps[:n] for n in k.tolist()]), np.repeat(cz, k)
+        p, czp = np.concatenate([ps[1 : n + 1] for n in k.tolist()]), np.repeat(cz, k)
     m = np.repeat(Ns.astype(np.int32), k)  # m = N - p < 2**31 at any table limit
     m -= p
-    s = spf[m]
+    s = _odd_spf_of(store[m >> 1], m)
     ok = isp[m]
     ok |= isp[m // s]
     pi2 = _segment_counts(np.flatnonzero(ok), ends)
+    pi2 += isp[Ns // 2 - 1]  # p = 2
     del ok
     cand = s >= czp
     cand |= m == 1
@@ -262,10 +277,10 @@ def _lemma41_block(
     S_A = _segment_counts(idx[keep], ends)
     del p, idx, keep
     ts = np.repeat(np.arange(len(Ns), dtype=np.int32), S_A)
-    sum_S_Aq = _small_factor_counts(survivors, s, ts, cy, spf)
+    sum_S_Aq = _small_factor_counts(survivors, s, ts, cy, store)
     del survivors, s, ts
     tb, b = _triples(Ns, cz, cy, ps)
-    alive = spf[b] >= cy[tb]
+    alive = _odd_spf_of(store[b >> 1], b) >= cy[tb]
     alive |= b == 1
     S_B = np.bincount(tb[np.flatnonzero(alive)], minlength=len(Ns))
     return pi2, S_A, sum_S_Aq, S_B
@@ -287,8 +302,9 @@ def lemma41_columns(
     margins are recorded, not gated.
 
     The counts are computed block by block over the (N, p) pairs of
-    consecutive targets (`_lemma41_block`), sifting through the spf and
-    primality arrays, which are built only as far as the largest target.
+    consecutive targets (`_lemma41_block`), sifting through the odd spf
+    store and the primality array, which are built only as far as the
+    largest target.
     U_N is the value of `singular_series_UN` truncated at
     `_un_truncation(table)`.  The powers and logs of N go through the math
     module, so every float is the one a per-N evaluation in Python gives.
@@ -301,7 +317,7 @@ def lemma41_columns(
     past = next((N for N in Ns if N > table.limit), None)
     if past is not None:
         _check_table(past, table)
-    spf = table.spf_upto(max(Ns, default=0))
+    store = table.odd_spf_upto(max(Ns, default=0))
     isp = table.isprime_upto(max(Ns, default=0))
     Ns_arr = np.array(Ns, dtype=np.int64)
     cz = np.array([math.ceil(N ** z_exp) for N in Ns], dtype=np.int32)
@@ -313,12 +329,12 @@ def lemma41_columns(
     while lo < len(Ns):
         done = int(ends[lo - 1]) if lo else 0
         hi = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), lo + 1)
-        block = _lemma41_block(Ns_arr[lo:hi], cz[lo:hi], cy[lo:hi], table, spf, isp)
+        block = _lemma41_block(Ns_arr[lo:hi], cz[lo:hi], cy[lo:hi], table, store, isp)
         for column, part in zip(counts, block):
             column[lo:hi] = part
         lo = hi
     P = _un_truncation(table)
-    un = table.twin_product(P).value * _odd_prime_factor_product(Ns_arr, spf)
+    un = table.twin_product(P).value * _odd_prime_factor_product(Ns_arr, store)
     un *= 1.0 - 0.5 * series_tail(P)
     rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B
     for e in (0.875, 1.0 / 3.0):  # math.pow, not np.power: see `_ratio`
@@ -457,13 +473,16 @@ class ScanReport:
         }
 
 
-def _odd_p2(spf: np.ndarray, isp: np.ndarray, n: int) -> np.ndarray:
+def _odd_p2(store: np.ndarray, isp: np.ndarray, n: int) -> np.ndarray:
     """Bool indicator over the odd m = 2j + 1, j < n: "m is a prime or a
     product of two primes".  Odd m = spf(m) * (m / spf(m)) is in P2 exactly
-    when it is prime or its cofactor is; spf(1) = 1, so m = 1 reads false."""
-    spf = spf[1 : 2 * n : 2]
-    m = np.arange(1, 2 * n, 2, dtype=spf.dtype)
-    np.floor_divide(m, spf, out=m)
+    when it is prime or its cofactor is.  Every nonzero entry of the odd
+    store is an odd prime, so `| 1` changes only its 0s (m = 1 or a prime)
+    into the divisor 1: the cofactor read there is m itself, which the prime
+    test already covers, and m = 1 reads false.  This needs no spf of the
+    primes, so it skips `_odd_spf_of` and its int32 copy."""
+    m = np.arange(1, 2 * n, 2, dtype=np.int32)
+    np.floor_divide(m, store[:n] | 1, out=m)
     return isp[1 : 2 * n : 2] | isp[m]
 
 
@@ -542,16 +561,16 @@ def _shift_counts(hs: np.ndarray, odd: np.ndarray, half: int) -> np.ndarray:
     return counts
 
 
-def _odd_prime_factor_product(N: np.ndarray, spf: np.ndarray) -> np.ndarray:
+def _odd_prime_factor_product(N: np.ndarray, store: np.ndarray) -> np.ndarray:
     """prod (p - 1)/(p - 2) over the odd primes p dividing each N, multiplied
-    in increasing p as a per-N walk down the spf chain does, so each float is
-    the one that walk gives."""
-    n = N // (N & -N)  # odd part
+    in increasing p as a per-N walk down the spf chain of N's odd part in
+    the odd store does, so each float is the one that walk gives."""
+    n = (N // (N & -N)).astype(np.int32)  # odd part
     local = np.ones(len(N))
     idx = np.flatnonzero(n > 1)
-    n, last = n[idx], np.zeros(len(idx), dtype=spf.dtype)
+    n, last = n[idx], np.zeros(len(idx), dtype=np.int32)
     while len(idx):
-        p = spf[n]
+        p = _odd_spf_of(store[n >> 1], n)
         new = p != last  # each prime once, however often it divides N
         local[idx[new]] *= (p[new] - 1.0) / (p[new] - 2.0)
         n //= p
@@ -598,11 +617,11 @@ def goldbach_chen_scan(
         raise CapacityError(f"N_max={N_max} exceeds table limit {table.limit}")
     half = max(N_max // 2 + 1, 3)  # k = N/2 runs over [3, half)
     # every m read is <= N_max (or 1)
-    isp, spf = table.isprime_upto(max(N_max, 2)), table.spf_upto(max(N_max, 2))
+    isp, store = table.isprime_upto(max(N_max, 2)), table.odd_spf_upto(max(N_max, 2))
     ps = table.primes
     odd_ps = ps[1 : np.searchsorted(ps, N_max, side="left")]
     # N - p <= N_max - 3 for odd p, so m < 2 * half - 4 covers every read.
-    odd = _odd_p2(spf, isp, half - 2)
+    odd = _odd_p2(store, isp, half - 2)
     hs = (odd_ps + 1) // 2
 
     if mode == "floor":
@@ -631,7 +650,7 @@ def goldbach_chen_scan(
     counts[3:] += isp[2 : half - 1]  # p = 2
     c = counts[3:]
     Ns = np.arange(6, 2 * half, 2, dtype=np.int64)
-    un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, spf)
+    un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, store)
     ratio = _ratio(c, un, Ns, range(6, 2 * half, 2))
 
     failures = Ns[c < 1].tolist()

@@ -1,8 +1,9 @@
 """Exact prime and arithmetic-function engine over ranges up to ~1e8.
 
-Everything here is integer-exact: a segmented odd-only bit sieve backs
-primality, smallest-prime-factor arrays, factorization, and the handful of
-prime sums and products that the constants pipeline consumes as Balls.
+Everything here is integer-exact: one windowed odd-only sieve backs
+primality and the smallest-prime-factor store, beside factorization and
+the handful of prime sums and products that the constants pipeline
+consumes as Balls.
 
 Tables are immutable after construction and all queries are pure.  A table
 memoizes what it derives from its primes: the lazily built arrays and, per
@@ -22,44 +23,67 @@ import numpy as np
 from .ball import Ball, ball_fsum, ball_prod, exp_neg_gamma_ball, up
 from .errors import CacheError, CapacityError, DomainError
 
-# Largest supported table.  Memory is the constraint: an int32 spf array
-# costs 4*limit bytes (~400 MB at this cap), the packed bitset ~limit/16.
+# Largest supported table.  Memory is the constraint: the odd smallest-
+# prime-factor store and the primality array each cost a byte per integer
+# (~100 MB each at this cap), the packed bitset ~limit/16.
 IMPLEMENTATION_CAP = 100_000_000
 
 CACHE_MAGIC = b"CHEN-PT1\n"
 
-# Odd-index convention: bit/entry j represents the odd number 3 + 2j.
+# Odd-index conventions: bit j of the bitset represents the odd number 3 + 2j;
+# entry j of the sieve's windows and of the spf store represents 2j + 1.
 
 
 def _odd_count(limit: int) -> int:
     return (limit - 1) // 2 if limit >= 3 else 0
 
 
-# Odd indices marked per sieve segment.  Segment writes are disjoint and
+# Odd entries marked per sieve window.  Window writes are disjoint and
 # position-fixed, so the result does not depend on this value.
 SEGMENT_SIZE = 1 << 18
 
 
-def _odd_primality(limit: int) -> np.ndarray:
-    """Primality flags of the odd numbers 3 + 2j <= limit.
-
-    A segmented odd-only sieve; its base primes, the odd primes up to
-    isqrt(limit), come from the same sieve run at isqrt(limit).
-    """
-    n = _odd_count(limit)
-    flags = np.ones(n, dtype=bool)
-    if limit < 9:  # no odd composite below 9
-        return flags
-    base = (np.flatnonzero(_odd_primality(math.isqrt(limit))) * 2 + 3).tolist()
+def _sieve_odd(out: np.ndarray, base: list[int], marks: list) -> None:
+    """The sieve's one loop, over the odd m = 2j + 1 of `out` (entry j),
+    window by window: in each window, each base prime p of `base`, in that
+    order, writes its mark (the entry of `marks` beside it) at the odd
+    multiples of p from p*p on."""
+    n = len(out)
     for lo in range(0, n, SEGMENT_SIZE):
         hi = min(lo + SEGMENT_SIZE, n)
-        for p in base:
-            # the odd multiples of p from p*p on sit at (p*p - 3)//2 + k*p
-            j = (p * p - 3) // 2
+        for p, mark in zip(base, marks):
+            j = p * p // 2
             if j < lo:
                 j = lo + (j - lo) % p
-            flags[j:hi:p] = False
-    return flags
+            out[j:hi:p] = mark
+
+
+def _odd_base(limit: int) -> list[int]:
+    """The odd primes up to isqrt(limit), from the sieve run at isqrt(limit)
+    (limit >= 9)."""
+    return (np.flatnonzero(_odd_primality(math.isqrt(limit))) * 2 + 3).tolist()
+
+
+def _odd_primality(limit: int) -> np.ndarray:
+    """Primality flags of the odd numbers 3 + 2j <= limit."""
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    if limit >= 9:  # no odd composite below 9
+        base = _odd_base(limit)
+        _sieve_odd(flags, base, [False] * len(base))
+    return flags[1:]
+
+
+def _odd_spf(limit: int) -> np.ndarray:
+    """The odd spf store to `limit`: entry j is the smallest prime factor of
+    m = 2j + 1 <= limit as uint16, or 0 where m is 1 or a prime.  The base
+    primes go largest first, each marking with itself, so in each window the
+    smallest one dividing m writes its entry last; every base prime is at
+    most isqrt(1e8) = 10^4, below 2^16."""
+    store = np.zeros((limit + 1) // 2, dtype=np.uint16)
+    if limit >= 9:
+        base = _odd_base(limit)[::-1]
+        _sieve_odd(store, base, base)
+    return store
 
 
 def _pack_odd_bits(flags: np.ndarray) -> np.ndarray:
@@ -78,15 +102,17 @@ class PrimeTable:
     `packed` holds one bit per odd number 3 + 2j (1 = prime) in little-endian
     64-bit words; this is also the cache-file payload.  The helper arrays and
     the twin-prime products are computed on first use and kept on the
-    instance, so repeated queries return the same objects.  spf and the
-    primality array are kept as the longest prefix [0, n] asked for so far
-    (`spf_upto`, `isprime_upto`), so a caller that reads them only below n
-    builds them only that far.
+    instance, so repeated queries return the same objects.  The odd spf
+    store, its int32 expansion and the primality array are kept as the
+    longest prefix asked for so far (`odd_spf_upto`, `spf_upto`,
+    `isprime_upto`), so a caller that reads them only below n builds them
+    only that far.
     """
 
     limit: int
     packed: np.ndarray
     _primes: np.ndarray | None = field(default=None, repr=False)
+    _store: np.ndarray | None = field(default=None, repr=False)
     _spf: np.ndarray | None = field(default=None, repr=False)
     _isprime: np.ndarray | None = field(default=None, repr=False)
     _twin: dict[int, Ball] = field(default_factory=dict, repr=False)
@@ -116,8 +142,11 @@ class PrimeTable:
             bits = np.unpackbits(self.packed.view(np.uint8), count=n, bitorder="little")
             odd = np.flatnonzero(bits.view(bool))  # ~5x faster on bool than on uint8
             del bits  # held through the arithmetic, it lifts the peak by half at 1e7
-            odd = odd * 2 + 3
-            self._primes = np.concatenate([np.array([2], dtype=np.int64), odd])
+            out = np.empty(len(odd) + 1, dtype=np.int64)
+            out[0] = 2
+            np.multiply(odd, 2, out=out[1:])
+            out[1:] += 3
+            self._primes = out
         return self._primes
 
     @property
@@ -127,8 +156,8 @@ class PrimeTable:
 
     def isprime_upto(self, n: int) -> np.ndarray:
         """Bool array of primality for every m in [0, n], built only that
-        far.  As with `spf_upto`, the longest prefix built is kept, so the
-        array returned may run past n."""
+        far.  As with `odd_spf_upto`, the longest prefix built is kept, so
+        the array returned may run past n."""
         self._check_capacity(n)
         if self._isprime is None or len(self._isprime) <= n:
             ps = self.primes
@@ -137,27 +166,34 @@ class PrimeTable:
             self._isprime = arr
         return self._isprime
 
+    def odd_spf_upto(self, n: int) -> np.ndarray:
+        """The odd spf store for every odd m <= n (`_odd_spf`): entry j is
+        spf(2j + 1) as uint16, or 0 where 2j + 1 is 1 or a prime.  It is
+        sieved only that far, from its own base primes, never from the
+        table's bits.  The longest store built is kept, so it may run past
+        n; one of at least (n + 1) // 2 entries already covers n."""
+        self._check_capacity(n)
+        if self._store is None or len(self._store) < (n + 1) // 2:
+            self._store = _odd_spf(n)
+        return self._store
+
     @property
     def spf(self) -> np.ndarray:
         """Smallest prime factor for every n in [0, limit] (spf[1] = 1)."""
         return self.spf_upto(self.limit)
 
     def spf_upto(self, n: int) -> np.ndarray:
-        """Smallest prime factor for every m in [0, n] (spf[1] = 1), sieved
-        only that far.  The longest prefix built is kept, so the array
+        """Smallest prime factor for every m in [0, n] (spf[1] = 1) as
+        int32: the expansion of the odd store (`odd_spf_upto`), with 2 at
+        every even m >= 4.  The longest prefix built is kept, so the array
         returned may run past n, and `spf` is the prefix that reaches the
         limit."""
         self._check_capacity(n)
         if self._spf is None or len(self._spf) <= n:
             spf = np.arange(n + 1, dtype=np.int32)
-            odd_base = np.flatnonzero(_odd_primality(math.isqrt(n))) * 2 + 3
-            # Odd base primes largest first, each at its odd multiples from
-            # p*p on, so the smallest one dividing an odd m writes spf[m]
-            # last; then 2 at every even m >= 4.  What no base prime divides
-            # is 0, 1 or a prime, and keeps its own value.
-            for p in odd_base[::-1].tolist():
-                spf[p * p :: 2 * p] = p
             spf[4::2] = 2
+            odd = self.odd_spf_upto(n)[: (n + 1) // 2]
+            np.copyto(spf[1::2], odd, where=odd != 0)
             self._spf = spf
         return self._spf
 

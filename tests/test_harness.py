@@ -299,7 +299,39 @@ def test_lemma41_columns_traced_peak_over_a_range():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
-    assert len(table.spf_upto(0)) == 20_001  # spf sieved only as far as N reaches
+    assert len(table.odd_spf_upto(0)) == 10_000  # spf sieved only as far as N reaches
+
+
+def test_lemma41_traced_peak_at_one_large_N():
+    """With only the primes unpacked beforehand, the pass at N = 3.94e6
+    builds the odd spf store and the primality array to N, a byte per
+    integer each, and peaks under 13 MiB (23.3 MiB with an int32 spf)."""
+    table = build_prime_table(4_000_000)
+    table.primes
+    tracemalloc.start()
+    try:
+        lemma41_columns([3_940_000], table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * 2**20
+
+
+def test_pi2_engines_on_a_table_that_marks_15_prime():
+    """spf is sieved from its own base primes, never from the table's bits:
+    on a 3000 table whose bitset marks 15 prime, the lemma-4.1 pass and the
+    full scan still give pi2_bruteforce's count at every N."""
+    packed = build_prime_table(3000).packed.copy()
+    packed[0] |= np.uint64(1 << 6)  # bit j is 3 + 2j
+    damaged = [PrimeTable(limit=3000, packed=packed.copy()) for _ in range(3)]
+    assert damaged[0].is_prime(15) and damaged[0].odd_spf_upto(15)[7] == 3
+    Ns = range(6, 3001, 2)
+    want = [pi2_bruteforce(N, damaged[0]) for N in Ns]
+    sound = build_prime_table(3000)
+    assert want != [pi2_bruteforce(N, sound) for N in Ns]  # the damage reaches pi2
+    assert lemma41_columns(Ns, damaged[1])[1].tolist() == want
+    rep = goldbach_chen_scan(3000, damaged[2], mode="full", collect_rows=True)
+    assert rep.columns[1].tolist() == want
 
 
 def test_scan_sieves_spf_only_to_N_max():
@@ -308,7 +340,7 @@ def test_scan_sieves_spf_only_to_N_max():
     for mode in ("full", "floor"):
         table = build_prime_table(1_000_000)
         goldbach_chen_scan(20_000, table, mode=mode)
-        assert len(table.spf_upto(0)) == 20_001
+        assert len(table.odd_spf_upto(0)) == 10_000
 
 
 # -- identities ---------------------------------------------------------------------------

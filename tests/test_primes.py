@@ -60,7 +60,7 @@ def test_limit_validation():
 
 
 def test_limit_cap_is_1e8():
-    # an int32 spf array past 1e8 entries outgrows 400 MB
+    # the odd spf store and the primality array past 1e8 outgrow 200 MB
     with pytest.raises(CapacityError):
         build_prime_table(100_000_001)
 
@@ -133,6 +133,52 @@ def test_spf_invariants(table_small):
         assert table_small.is_prime(p)
         if table_small.is_prime(n):
             assert p == n
+
+
+def odd_spf_entry(m):
+    """Trial-division oracle for the odd spf store: spf(m) for odd
+    composite m, 0 at m = 1 and at the primes."""
+    d = smallest_divisor(m)
+    return 0 if d == m else d
+
+
+def test_odd_spf_store_matches_trial_division_to_1e5():
+    store = build_prime_table(100_000).odd_spf_upto(100_000)
+    assert store.dtype == np.uint16
+    assert store.tolist() == [odd_spf_entry(m) for m in range(1, 100_001, 2)]
+
+
+@pytest.mark.parametrize("segment", [1 << 4, 1 << 7, primes_mod.SEGMENT_SIZE])
+def test_odd_spf_store_at_powers_of_two(monkeypatch, segment):
+    # small windows put window edges everywhere, the default one none below 2^19
+    monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", segment)
+    for k in range(1, 13):
+        for n in (2**k - 1, 2**k, 2**k + 1):
+            store = build_prime_table(max(n, 2)).odd_spf_upto(n)
+            assert store.tolist() == [odd_spf_entry(m) for m in range(1, n + 1, 2)], n
+
+
+@pytest.mark.parametrize("n", [998, 999, 1000, 1001])
+def test_odd_spf_store_keeps_a_long_enough_prefix(monkeypatch, n):
+    """A store of (n + 1) // 2 entries covers every odd m <= n, so it is
+    reused for every query up to n, and for n + 1 when n is odd; spf_upto
+    expands it without sieving again."""
+    built = []
+    sieve = primes_mod._odd_spf
+    monkeypatch.setattr(primes_mod, "_odd_spf", lambda limit: built.append(limit) or sieve(limit))
+    table = build_prime_table(2000)
+    store = table.odd_spf_upto(n)
+    assert len(store) == (n + 1) // 2
+    for m in (0, 1, 2, n - 2, n - 1, n):
+        assert table.odd_spf_upto(m) is store
+    assert table.spf_upto(n).tolist() == [0, 1] + [smallest_divisor(m) for m in range(2, n + 1)]
+    assert built == [n]
+    longer = table.odd_spf_upto(n + 1)
+    if n % 2:
+        assert longer is store and built == [n]
+    else:
+        assert len(longer) == n // 2 + 1 and built == [n, n + 1]
+        assert longer[: len(store)].tolist() == store.tolist()
 
 
 def test_is_prime_agrees_with_array(table_small):

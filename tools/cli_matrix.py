@@ -12,9 +12,9 @@ hashing, so two checkouts can be compared line for line:
 The matrix holds the README commands, ``scan`` and ``verify`` under every
 ``--output-format`` x ``--emit`` pair, the other reports in every format,
 edge ``--max`` values (two of them on either side of an FFT length step),
-``verify`` cases for every branch of its lemma-4.1 pass, the grid and bound
-sizes of the certify benchmark, CSVs that reach the edge paths of the
-whole-column formatting kernels, ``--threads`` values it accepts and
+``verify`` cases for every branch of its lemma-4.1 pass and at even and odd
+table limits, the grid and bound sizes of the certify benchmark, CSVs that
+reach the edge paths of the whole-column formatting kernels, ``--threads`` values it accepts and
 rejects, and usage errors, among them one option per command that the
 command does not accept.  Every command outside ERRORS parses; a
 tier-1 test checks that against ``cli.build_parser()``.
@@ -96,6 +96,10 @@ VERIFY = [
     "verify --N 4",
     "verify --scan 5",
     "verify --N 1000002 --table-limit 1000000",
+    # the odd spf store ends at an even limit one entry short of an odd one
+    "verify --N 131072 --table-limit 131072",
+    "verify --N 131072 --table-limit 131073",
+    "verify --scan 3001 --emit csv --table-limit 3001",
 ]
 
 # A small grid (`sievefun` writes only CSV), the certify benchmark's grid
