@@ -12,7 +12,7 @@ has no effect; any other option is a usage error.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import itertools
 import math
 import os
@@ -187,8 +187,8 @@ def write_csv(fh, header: list[str], columns) -> None:
 
 def _output_path_problem(path: str) -> str | None:
     """Why `path` cannot take a report, checked before any work is done.
-    The file itself is written only at the end, so a command that fails
-    never truncates it."""
+    The file itself is opened only once every check has passed, so a
+    command that fails never truncates it."""
     if os.path.isdir(path):
         return f"output path {path} is a directory"
     folder = os.path.dirname(path) or "."
@@ -197,29 +197,24 @@ def _output_path_problem(path: str) -> str | None:
     return None
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _render(args, report: str, payload, *, header=None, columns=None, text=None) -> None:
-    """Write one report: CSV when the format is csv and the report has columns,
-    text when the format is text and it has a text form, JSON otherwise;
-    `--emit` overrides `--output-format`.  `payload` (the JSON fields after
-    the report name) and `text` are called only when their format is chosen."""
+    """Write one report into the `-o` file or stdout: CSV when the format is
+    csv and the report has columns, text when the format is text and it has
+    a text form, JSON otherwise; `--emit` overrides `--output-format`.
+    `payload` (the JSON fields after the report name) and `text` (the lines
+    of the text form) are called only when their format is chosen."""
     fmt = getattr(args, "emit", None) or args.output_format
-    if fmt == "csv" and columns is not None:
-        buf = io.StringIO()
-        write_csv(buf, header, columns)
-        out = buf.getvalue()
-    elif fmt == "text" and text is not None:
-        out = text()
-    else:
-        out = to_json({"schema": SCHEMA, "report": report, **payload()}) + "\n"
-    _emit(out, args.output_path)
+    sink = contextlib.nullcontext(sys.stdout)
+    if args.output_path:
+        sink = open(args.output_path, "w", encoding="utf-8", newline="")
+    with sink as fh:
+        if fmt == "csv" and columns is not None:
+            write_csv(fh, header, columns)
+        elif fmt == "text" and text is not None:
+            fh.writelines(text())
+        else:
+            fh.write(to_json({"schema": SCHEMA, "report": report, **payload()}))
+            fh.write("\n")
 
 
 # -- table helpers ----------------------------------------------------------------
@@ -264,16 +259,14 @@ def _cmd_constants(args) -> int:
     rows = led.rows()
     header = ["name", "value", "radius", "paper_bound", "pass", "provenance"]
 
-    def text() -> str:
-        buf = io.StringIO()
+    def text():
         for r in rows:
             bound = "" if r["paper_bound"] is None else f" < {r['paper_bound']:.17g}"
             flag = "ok" if r["pass"] else "FAIL"
-            buf.write(
+            yield (
                 f"{r['name']:24s} {r['value']:.17g} +/- {r['radius']:.3g}"
                 f"{bound}  [{flag}] {r['provenance']}\n"
             )
-        return buf.getvalue()
 
     _render(
         args,
@@ -288,10 +281,9 @@ def _cmd_constants(args) -> int:
 
 def _cmd_sievefun(args) -> int:
     grid = sievefun_mod.build_grid(args.s_max, args.step)
+    header = ["s", "f1", "f1_radius", "F1", "F1_radius"]
     columns = (grid.s, grid.f1_values, grid.f1_radii, grid.F1_values, grid.F1_radii)
-    buf = io.StringIO()
-    write_csv(buf, ["s", "f1", "f1_radius", "F1", "F1_radius"], columns)
-    _emit(buf.getvalue(), args.output_path)
+    _render(args, "sievefun", None, header=header, columns=columns)
     return 0
 
 
@@ -312,18 +304,14 @@ def _cmd_bounds(args) -> int:
         for rep in reports
     )
 
-    def text() -> str:
-        buf = io.StringIO()
+    def text():
         for rep in reports:
-            buf.write(f"[{rep.theorem_id}] inputs={rep.inputs}\n")
+            yield f"[{rep.theorem_id}] inputs={rep.inputs}\n"
             for label, ball in rep.terms:
-                buf.write(f"  {label:56s} {ball.value:.17g} +/- {ball.radius:.3g}\n")
-            buf.write(
-                f"  total {rep.total.value:.17g} +/- {rep.total.radius:.3g}\n"
-            )
+                yield f"  {label:56s} {ball.value:.17g} +/- {ball.radius:.3g}\n"
+            yield f"  total {rep.total.value:.17g} +/- {rep.total.radius:.3g}\n"
             for k, v in rep.annotations.items():
-                buf.write(f"  note {k}: {v}\n")
-        return buf.getvalue()
+                yield f"  note {k}: {v}\n"
 
     _render(
         args, "bounds", lambda: {"reports": [rep.to_dict() for rep in reports]}, text=text
@@ -350,7 +338,7 @@ def _cmd_verify(args) -> int:
         lambda: {"rows": [dict(zip(_VERIFY_HEADER, row)) for row in rows()]},
         header=_VERIFY_HEADER,
         columns=columns,
-        text=lambda: "".join(
+        text=lambda: (
             f"N={N} pi2={pi2} S_A={S_A} Sum_S_Aq={sum_S_Aq} "
             f"S_B={S_B} margin={margin:.17g} ratio={ratio:.17g}\n"
             for N, pi2, S_A, sum_S_Aq, S_B, margin, _, ratio in rows()
@@ -379,7 +367,7 @@ def _cmd_scan(args) -> int:
         payload,
         header=header,
         columns=report.columns,
-        text=lambda: "".join(f"{k}={v}\n" for k, v in report.to_dict().items()),
+        text=lambda: (f"{k}={v}\n" for k, v in report.to_dict().items()),
     )
     return 0 if report.floor_holds else 1
 
@@ -435,6 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sievefun", _cmd_sievefun, "tabulate f1/F1 and export CSV")
     p.add_argument("--s-max", type=float, default=6.0)
     p.add_argument("--step", type=float, default=1e-3)
+    p.set_defaults(output_format="csv")  # its only format, not an option
 
     p = command("bounds", _cmd_bounds, "evaluate the bound-chain coefficients", report=True)
     p.add_argument("--loglogN", type=float, default=36.0)

@@ -51,12 +51,6 @@ class SiftedSetSpec:
         return self.y if self.base == "B" else self.z
 
 
-@dataclass(frozen=True)
-class SiftResult:
-    count: int
-    spec: SiftedSetSpec
-
-
 def _check_table(N: int, table: PrimeTable) -> None:
     if N > table.limit:
         raise CapacityError(f"N={N} exceeds table limit {table.limit}")
@@ -146,14 +140,13 @@ def sift_count(
     spec: SiftedSetSpec,
     table: PrimeTable,
     level: float | None = None,
-) -> SiftResult:
+) -> int:
     """S(set, P(level)): elements with no prime factor below `level` among
     the sifting primes (level defaults to z for A-type, y for B-type)."""
     elements = enumerate_set(spec, table)
     if level is None:
         level = spec.sift_level
-    kept = _sift(elements, _sifting_primes(spec.N, level, table))
-    return SiftResult(int(len(kept)), spec)
+    return len(_sift(elements, _sifting_primes(spec.N, level, table)))
 
 
 # -- representation counting ----------------------------------------------------

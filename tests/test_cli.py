@@ -772,6 +772,41 @@ def test_failed_convolution_check_exits_1(tmp_path, capsys, monkeypatch, fault, 
     assert captured.err == f"error: {message}\n" * 2
 
 
+def test_report_streams_into_its_file(tmp_path, monkeypatch):
+    # Ceilings in MiB, with the table's arrays built before tracing.  The
+    # 25.5 MB CSV of a 1e6 scan is written a block of rows at a time, so it
+    # costs no more than the scan without rows (37.9 against 38.0; 62.5 when
+    # the whole text was built, then copied, before the file was written),
+    # and the finest certify grid peaks at 10.3 (27.8).
+    table = _ready_table(1_000_000)
+    monkeypatch.setattr(cli_mod, "_load_table", lambda args: table)
+    out = str(tmp_path / "out.csv")
+    scan = ["scan", "--max", "1000000", "--emit", "csv", "-o", out]
+    bare = _traced_peak(lambda: main(scan))
+    rows = _traced_peak(lambda: main(scan + ["--rows"]))
+    assert rows <= bare + 1.0
+    grid = ["sievefun", "--s-max", "12", "--step", "1e-4", "-o", out]
+    assert _traced_peak(lambda: main(grid)) <= 12
+
+
+def test_failing_command_leaves_its_output_file_untouched(tmp_path, monkeypatch):
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"keep\n")
+    for argv in (
+        ["scan", "--max", "20002", "--table-limit", "20000"],
+        ["verify", "--scan", "20010", "--table-limit", "20000"],
+    ):
+        assert _exit_code(argv + ["-o", str(out)]) == 2
+        assert out.read_bytes() == b"keep\n"
+    scan = ["scan", "--max", "1000", "--rows", "--emit", "csv", "--table-limit", "1000"]
+    with monkeypatch.context() as m:
+        m.setattr(harness_mod, "_percival_bound", lambda *a: Fraction(1, 2))
+        assert _exit_code(scan + ["-o", str(out)]) == 1
+    assert out.read_bytes() == b"keep\n"
+    assert _exit_code(scan + ["-o", str(out)]) == 0
+    assert out.read_text().startswith("N,pi2,UN,ratio\n")
+
+
 def test_floor_scan_peak_does_not_grow_with_the_table_limit():
     # The scan builds spf and the primality array only as far as N_max, so
     # with its primes unpacked a 1e7 table costs it no more than a 1e6 one

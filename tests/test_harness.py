@@ -137,7 +137,7 @@ def test_default_levels():
 def test_sift_level_2_is_vacuous(table_small):
     spec = SiftedSetSpec("A", 100)
     res = sift_count(spec, table_small, level=2.0)
-    assert res.count == len(enumerate_set(spec, table_small))
+    assert res == len(enumerate_set(spec, table_small))
 
 
 def test_sift_against_filter_oracle(table_small):
@@ -148,14 +148,14 @@ def test_sift_against_filter_oracle(table_small):
     # sifting primes below 3.163 not dividing 100: just {3} (2 divides N,
     # and every element is odd anyway)
     expect = [e for e in elements if e % 3 != 0]
-    assert res.count == len(expect)
+    assert res == len(expect)
 
 
 def test_sift_never_exceeds_set_size(table_small):
     for N in (100, 1234, 10_000):
         spec = SiftedSetSpec("A", N)
         res = sift_count(spec, table_small)
-        assert res.count <= len(enumerate_set(spec, table_small))
+        assert res <= len(enumerate_set(spec, table_small))
 
 
 # -- pi2 ------------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def lemma41_reference(N, table, z_exp=0.125, y_exp=1.0 / 3.0):
     multiples of q in A, and sifted by the same trial division at level z;
     A and its sifting primes are built once per N, not once per q."""
     z, y = N ** z_exp, N ** y_exp
-    S_A = sift_count(SiftedSetSpec("A", N, z=z, y=y), table, level=z).count
+    S_A = sift_count(SiftedSetSpec("A", N, z=z, y=y), table, level=z)
     A = enumerate_set(SiftedSetSpec("A", N, z=z, y=y), table)
     primes = harness_mod._sifting_primes(N, z, table)
     sum_S_Aq = sum(
@@ -216,7 +216,7 @@ def lemma41_reference(N, table, z_exp=0.125, y_exp=1.0 / 3.0):
         for q in table.primes_between(z, y).tolist()
         if N % q != 0
     )
-    S_B = sift_count(SiftedSetSpec("B", N, z=z, y=y), table, level=y).count
+    S_B = sift_count(SiftedSetSpec("B", N, z=z, y=y), table, level=y)
     pi2 = pi2_bruteforce(N, table)
     rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B - 2.0 * N ** 0.875 - 2.0 * N ** (1.0 / 3.0)
     UN = singular_series_UN(N, max(100_000, min(table.limit, 1_000_000)), table).value
@@ -366,22 +366,22 @@ def legendre_count(N, z, table):
 
 def test_legendre_identity_fixed_cases(table_1m):
     for N, z in [(10_000, 10.0), (99_990, 15.0), (524_288, 20.0)]:
-        got = sift_count(SiftedSetSpec("A", N), table_1m, level=z).count
+        got = sift_count(SiftedSetSpec("A", N), table_1m, level=z)
         assert got == legendre_count(N, z, table_1m)
 
 
 def test_buchstab_identity_fixed_cases(table_1m):
     for N, w, z in [(10_000, 3.0, 20.0), (99_990, 2.0, 50.0), (12_346, 5.0, 30.0)]:
         spec = SiftedSetSpec("A", N)
-        lhs = sift_count(spec, table_1m, level=z).count
-        rhs = sift_count(spec, table_1m, level=w).count
+        lhs = sift_count(spec, table_1m, level=z)
+        rhs = sift_count(spec, table_1m, level=w)
         for p in table_1m.primes_between(w, z):
             p = int(p)
             if N % p == 0:
                 continue
             rhs -= sift_count(
                 SiftedSetSpec("A_sub_q", N, q=p), table_1m, level=p
-            ).count
+            )
         assert lhs == rhs
 
 
@@ -411,21 +411,21 @@ def test_randomized_identity_suite(table_1m):
         N = 2 * rng.randint(50, 50_000)
         # Legendre with small squarefree support
         z = rng.uniform(3.0, 20.0)
-        got = sift_count(SiftedSetSpec("A", N), table_1m, level=z).count
+        got = sift_count(SiftedSetSpec("A", N), table_1m, level=z)
         assert got == legendre_count(N, z, table_1m)
         # Buchstab
         w = rng.uniform(2.0, 10.0)
         z2 = rng.uniform(w, 50.0)
         spec = SiftedSetSpec("A", N)
-        lhs = sift_count(spec, table_1m, level=z2).count
-        rhs = sift_count(spec, table_1m, level=w).count
+        lhs = sift_count(spec, table_1m, level=z2)
+        rhs = sift_count(spec, table_1m, level=w)
         for p in table_1m.primes_between(w, z2):
             p = int(p)
             if N % p == 0:
                 continue
             rhs -= sift_count(
                 SiftedSetSpec("A_sub_q", N, q=p), table_1m, level=p
-            ).count
+            )
         assert lhs == rhs
         # alternating exclusion identity with up to 3 random primes
         zi = rng.uniform(8.0, 20.0)

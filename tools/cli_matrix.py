@@ -2,8 +2,9 @@
 
 Each output line is ``<sha256>  <exit code>  <argv>``, where the hash covers
 the argv, the exit code, stdout, stderr and the bytes of the ``-o`` file (if
-the command names one).  Temporary paths are replaced by ``{tmp}`` before
-hashing, so two checkouts can be compared line for line:
+the command names one; an absent file hashes apart from an empty one).
+Temporary paths are replaced by ``{tmp}`` before hashing, so two checkouts
+can be compared line for line:
 
     PYTHONPATH=src python tools/cli_matrix.py > new.txt
     PYTHONPATH=/path/to/other/checkout/src python tools/cli_matrix.py > old.txt
@@ -116,10 +117,11 @@ CERTIFY = [
 
 # CSV written by the whole-column kernels: the smallest grid step (radii
 # near 1e-13 and F1 below 1e-11, which the float kernel leaves to `%.17g`)
-# and a scan whose rows span many write blocks.
+# and a scan whose rows span many write blocks, into a file and to stdout.
 CSV = [
     "sievefun --s-max 12 --step 1e-4 -o {tmp}/fine.csv",
     "scan --max 200000 --rows --emit csv -o {tmp}/multi.csv",
+    "scan --max 200000 --rows --emit csv",
 ]
 
 # The --threads flag, accepted without effect and rejected below 1.
@@ -131,6 +133,8 @@ THREADS = [
 
 ERRORS = [
     "scan --max 20002 --table-limit 20000",
+    # a failing command does not create its -o file
+    "scan --max 20002 --table-limit 20000 --rows --emit csv -o {tmp}/never.csv",
     "scan --max 100 --floor-only --table-limit 50",
     "verify --scan 20010 --table-limit 20000 --emit csv",
     "verify --N 100 --z-exp 0.5 --y-exp 0.4",
@@ -186,6 +190,8 @@ def run(cmd: str, tmp: str) -> tuple[str, int]:
         if os.path.isfile(path):
             with open(path, "rb") as fh:
                 h.update(fh.read())
+        else:
+            h.update(b"\0no file")
     return h.hexdigest(), code
 
 
