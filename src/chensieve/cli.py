@@ -103,32 +103,32 @@ def _csv_quote(cell: str) -> str:
     return cell
 
 
-def _column_template(column) -> str | None:
+def _column_template(column, json: bool) -> str | None:
     """The `%` template for a column of floats (`%.17g`) or of ints and
     bools (`%d`, which writes a bool as 1/0), each the text `_csv_cell`
-    gives; None for any other column."""
+    gives; None for any other, and in JSON for one with a bool, NaN or inf."""
     kinds = set(map(type, column))
     if all(issubclass(k, float) for k in kinds):
-        return "%.17g"
-    if all(issubclass(k, int) for k in kinds):
+        return "%.17g" if not json or all(map(math.isfinite, column)) else None
+    if all(issubclass(k, int) for k in kinds) and not (json and bool in kinds):
         return "%d"
     return None
 
 
-def _column_cells(column):
+def _column_cells(column, json: bool):
     """A function that writes the text of rows [lo, hi) of `column` into
     the rows of an (hi - lo) x `csvtext.CELL` byte array, or None for a
-    column that is not an int, bool or float64 array.  An array is written
-    as its `tolist()` would be."""
+    column that is not an int, bool or float64 array (in JSON: a bool one, or
+    one with a NaN or inf).  An array is written as its `tolist()` would be."""
     if not isinstance(column, np.ndarray):
         return None
-    # imported here: only a CSV large enough to use the kernels repays the
-    # time and memory their module and tables take
+    # imported here: only a report large enough to use the kernels repays
+    # the time and memory their module and tables take
     from . import csvtext
 
-    if column.dtype.kind in "biu":
+    if column.dtype.kind in "iu" or column.dtype.kind == "b" and not json:
         return lambda lo, hi, out: csvtext.int_cells(column[lo:hi], out)
-    if column.dtype != np.float64:
+    if column.dtype != np.float64 or json and not np.isfinite(column).all():
         return None
     bits = column.view(np.int64)
     if 2 * (1 + np.count_nonzero(bits[1:] != bits[:-1])) > len(bits):
@@ -141,48 +141,52 @@ def _column_cells(column):
     return lambda lo, hi, out: np.take(text, inverse[lo:hi], axis=0, out=out)
 
 
-def _write_cells(fh, columns) -> None:
-    """Write the rows of `columns` cell by cell: an all-float or all-int
-    column through one `%` template, any other through `_csv_cell`, quoted
-    as RFC 4180 asks."""
-    cells, templates = [], []
-    for column in columns:
-        if isinstance(column, np.ndarray):
-            column = column.tolist()
-        template = _column_template(column)
-        if template is None:
-            column, template = [_csv_quote(_csv_cell(v)) for v in column], "%s"
-        cells.append(column)
-        templates.append(template)
-    row = ",".join(templates) + "\n"
-    rows = zip(*cells)  # formatted a block at a time, so no row list is held whole
-    for block in iter(lambda: list(itertools.islice(rows, _CSV_BLOCK)), []):
-        fh.write("".join(map(row.__mod__, block)))
+def _row_blocks(columns, literals: list[str], json: bool = False):
+    """Yield the text of the rows of `columns` (lists or arrays of one
+    length) a block of rows at a time.  A row is literals[0], its first
+    cell, literals[1], ..., its last cell, literals[-1]; a cell is its
+    `to_json` text in JSON, its RFC 4180 CSV text otherwise.  With at least
+    `_CSV_KERNEL_ROWS` rows and a kernel for every column, `_CSV_BLOCK` rows
+    are laid out in one byte array, the literals between NUL-padded slots
+    that the `csvtext` kernels fill; otherwise rows go through one `%`
+    template, with `%s` of each cell's text for a column it cannot take."""
+    n = min(map(len, columns), default=0)
+    writers = [_column_cells(c, json) for c in columns] if n >= _CSV_KERNEL_ROWS else None
+    if writers is None or None in writers:
+        cells, templates = [], []
+        for column in columns:
+            if isinstance(column, np.ndarray):
+                column = column.tolist()
+            template = _column_template(column, json)
+            if template is None:
+                cell = to_json if json else (lambda v: _csv_quote(_csv_cell(v)))
+                column, template = list(map(cell, column)), "%s"
+            cells.append(column)
+            templates.append(template)
+        row = "".join(s.replace("%", "%%") + t for s, t in zip(literals, templates + [""]))
+        rows = zip(*cells)  # formatted a block at a time, so no row list is held whole
+        for block in iter(lambda: list(itertools.islice(rows, _CSV_BLOCK)), []):
+            yield "".join(map(row.__mod__, block))
+        return
+    from .csvtext import CELL
+
+    # the kernels write every byte of their slots, so the literals are set once
+    pattern = np.frombuffer(("\0" * CELL).join(literals).encode(), np.uint8)
+    slots = np.cumsum([len(s.encode()) + CELL for s in literals[:-1]]) - CELL
+    block = np.tile(pattern, (min(n, _CSV_BLOCK), 1))
+    for lo in range(0, n, _CSV_BLOCK):
+        rows = block[: min(n - lo, _CSV_BLOCK)]
+        for write, at in zip(writers, slots):
+            write(lo, lo + len(rows), rows[:, at : at + CELL])
+        yield rows.tobytes().translate(None, b"\0").decode()
 
 
 def write_csv(fh, header: list[str], columns) -> None:
     """Write `header` and the rows of `columns`, one sequence (a list or an
-    array) per header name.  When every column is an int, bool or float64
-    array and there are at least `_CSV_KERNEL_ROWS` rows, the cells are
-    laid out `_CSV_BLOCK` rows at a time by the whole-column kernels of
-    `csvtext` and joined in numpy; otherwise they are written cell by
-    cell, with the same text."""
+    array) per header name, through `_row_blocks`: each cell is followed
+    by a comma, the last by a line break."""
     fh.write(",".join(map(_csv_quote, header)) + "\n")
-    n = min(map(len, columns), default=0)
-    writers = [_column_cells(c) for c in columns] if n >= _CSV_KERNEL_ROWS else None
-    if writers is None or None in writers:
-        _write_cells(fh, columns)
-        return
-    from .csvtext import CELL
-
-    for lo in range(0, n, _CSV_BLOCK):
-        hi = min(lo + _CSV_BLOCK, n)
-        block = np.empty((hi - lo, len(writers), CELL + 1), np.uint8)
-        block[:, :, CELL] = ord(",")
-        block[:, -1, CELL] = ord("\n")
-        for j, write in enumerate(writers):
-            write(lo, hi, block[:, j, :CELL])
-        fh.write(block.tobytes().translate(None, b"\0").decode())
+    fh.writelines(_row_blocks(columns, [""] + [","] * (len(columns) - 1) + ["\n"]))
 
 
 def _output_path_problem(path: str) -> str | None:
@@ -201,8 +205,11 @@ def _render(args, report: str, payload, *, header=None, columns=None, text=None)
     """Write one report into the `-o` file or stdout: CSV when the format is
     csv and the report has columns, text when the format is text and it has
     a text form, JSON otherwise; `--emit` overrides `--output-format`.
-    `payload` (the JSON fields after the report name) and `text` (the lines
-    of the text form) are called only when their format is chosen."""
+    `payload` (the JSON fields after the report name) and `text` (the text
+    form, as lines or blocks) are called only when their format is chosen.
+    A `"rows"` field of the payload holds columns named by `header`: the
+    fields before it go through `to_json`, and its rows are streamed after
+    them by `_row_blocks`, in `to_json`'s layout."""
     fmt = getattr(args, "emit", None) or args.output_format
     sink = contextlib.nullcontext(sys.stdout)
     if args.output_path:
@@ -213,8 +220,20 @@ def _render(args, report: str, payload, *, header=None, columns=None, text=None)
         elif fmt == "text" and text is not None:
             fh.writelines(text())
         else:
-            fh.write(to_json({"schema": SCHEMA, "report": report, **payload()}))
-            fh.write("\n")
+            head = {"schema": SCHEMA, "report": report, **payload()}
+            rows = head.pop("rows", None)
+            if rows is None:
+                fh.write(to_json(head) + "\n")
+                return
+            keys = [",\n      %s: " % to_json(k) for k in header]
+            literals = [",\n    {" + keys[0][1:], *keys[1:], "\n    }"]
+            # each row opens with the separator, which the first row leaves out
+            fh.write(to_json(head)[:-2] + ',\n  "rows": [')
+            skip = 1
+            for block in _row_blocks(rows, literals, json=True):
+                fh.write(block[skip:])
+                skip = 0
+            fh.write("]\n}\n" if skip else "\n  ]\n}\n")
 
 
 # -- table helpers ----------------------------------------------------------------
@@ -320,6 +339,8 @@ def _cmd_bounds(args) -> int:
 
 
 _VERIFY_HEADER = ["N", "pi2", "S_A", "Sum_S_Aq", "S_B", "lemma41_margin", "UN", "ratio"]
+# the literals around the cells of a text row, which leaves out U_N
+_VERIFY_TEXT = ["N=", " pi2=", " S_A=", " Sum_S_Aq=", " S_B=", " margin=", " ratio=", "\n"]
 
 
 def _cmd_verify(args) -> int:
@@ -328,21 +349,13 @@ def _cmd_verify(args) -> int:
     columns = harness_mod.lemma41_columns(
         targets, table, z_exp=args.z_exp, y_exp=args.y_exp
     )
-
-    def rows():
-        return zip(*(c.tolist() for c in columns))
-
     _render(
         args,
         "verify",
-        lambda: {"rows": [dict(zip(_VERIFY_HEADER, row)) for row in rows()]},
+        lambda: {"rows": columns},
         header=_VERIFY_HEADER,
         columns=columns,
-        text=lambda: (
-            f"N={N} pi2={pi2} S_A={S_A} Sum_S_Aq={sum_S_Aq} "
-            f"S_B={S_B} margin={margin:.17g} ratio={ratio:.17g}\n"
-            for N, pi2, S_A, sum_S_Aq, S_B, margin, _, ratio in rows()
-        ),
+        text=lambda: _row_blocks(columns[:6] + columns[7:], _VERIFY_TEXT),
     )
     return 0 if (columns[1] >= 1).all() else 1
 
@@ -354,17 +367,10 @@ def _cmd_scan(args) -> int:
         args.max, table, mode=mode, collect_rows=args.rows
     )
     header = ["N", "pi2", "UN", "ratio"]
-
-    def payload() -> dict:
-        if report.columns is None:
-            return {"result": report.to_dict()}
-        rows = [dict(zip(header, row)) for row in report.rows]
-        return {"result": report.to_dict(), "rows": rows}
-
     _render(
         args,
         "scan",
-        payload,
+        lambda: {"result": report.to_dict(), "rows": report.columns},
         header=header,
         columns=report.columns,
         text=lambda: (f"{k}={v}\n" for k, v in report.to_dict().items()),

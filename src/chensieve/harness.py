@@ -452,13 +452,6 @@ class ScanReport:
     argmin_ratio: int | None = None
     columns: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    @property
-    def rows(self) -> list[list] | None:
-        """Per-N rows [N, pi2, U_N, ratio] of Python numbers, read off `columns`."""
-        if self.columns is None:
-            return None
-        return [list(row) for row in zip(*(c.tolist() for c in self.columns))]
-
     def to_dict(self) -> dict:
         """The summary fields in declaration order; the columns go out separately."""
         return {

@@ -696,6 +696,68 @@ def test_write_csv_quotes_cells_that_need_it():
     )
 
 
+def _json_rows_text(tmp_path, header, columns) -> str:
+    out = tmp_path / "rows.json"
+    args = argparse.Namespace(output_format="json", output_path=str(out))
+    cli_mod._render(args, "r", lambda: {"rows": columns}, header=header, columns=columns)
+    return out.read_bytes().decode()
+
+
+def _dict_rows(header, columns) -> list[dict]:
+    lists = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    return [dict(zip(header, row)) for row in zip(*lists)]
+
+
+def test_json_rows_match_to_json_on_typed_and_mixed_columns(tmp_path):
+    # As the CSV test above, in JSON, against `to_json` of one dict per row:
+    # a bool, NaN or infinity takes the per-cell path, whose text differs
+    # from the `%` templates' and the kernels'.  `to_json` takes no numpy
+    # ints or bools, so the columns holding them are left out.
+    def check(header, columns):
+        expect = to_json({"schema": "chen-report/1", "report": "r", "rows": _dict_rows(header, columns)})
+        assert _json_rows_text(tmp_path, header, columns) == expect + "\n"
+
+    copies = -(-cli_mod._CSV_KERNEL_ROWS // 7)
+    for table in (_CELL_COLUMNS, _REPEATED_FLOAT_COLUMNS):
+        table = {k: v for k, v in table.items() if k not in ("np_int64", "np_bool", "mixed")}
+        for rows in (slice(None), slice(1), slice(0)):
+            check(list(table), [column[rows] for column in table.values()])
+        for name, column in table.items():
+            for long in (column * copies, [v for v in column for _ in range(copies)]):
+                check([name], [long])
+                check([name], [np.asarray(long)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 2999, 3000, 3001, 3002, 4096, 4097])
+def test_report_rows_match_per_row_json_and_text(capsys, monkeypatch, table_small, n):
+    # n rows, on either side of the kernels' row cutoff and of the write
+    # block.  The oracles are the per-row forms: `to_json` of one dict per
+    # row for JSON, one f-string per row for verify's text.
+    assert (cli_mod._CSV_KERNEL_ROWS, cli_mod._CSV_BLOCK) == (3000, 4096)
+    monkeypatch.setattr(cli_mod, "_load_table", lambda args: table_small)
+    M = 2 * n + 4
+    rep = harness_mod.goldbach_chen_scan(M, table_small, mode="full", collect_rows=True)
+    columns = harness_mod.lemma41_columns(range(6, M + 1, 2), table_small)
+    monkeypatch.setattr(harness_mod, "lemma41_columns", lambda *a, **k: columns)  # computed once
+    header = ["N", "pi2", "S_A", "Sum_S_Aq", "S_B", "lemma41_margin", "UN", "ratio"]
+    scan = {"result": rep.to_dict(), "rows": _dict_rows(["N", "pi2", "UN", "ratio"], rep.columns)}
+    text = "".join(
+        f"N={N} pi2={pi2} S_A={S_A} Sum_S_Aq={sum_S_Aq} "
+        f"S_B={S_B} margin={margin:.17g} ratio={ratio:.17g}\n"
+        for N, pi2, S_A, sum_S_Aq, S_B, margin, _, ratio in zip(*(c.tolist() for c in columns))
+    )
+    cases = [
+        (["scan", "--max", str(M), "--rows", "--emit", "json"],
+         to_json({"schema": "chen-report/1", "report": "scan", **scan}) + "\n"),
+        (["verify", "--scan", str(M), "--emit", "json"],
+         to_json({"schema": "chen-report/1", "report": "verify", "rows": _dict_rows(header, columns)}) + "\n"),
+        (["verify", "--scan", str(M), "--emit", "text"], text),
+    ]
+    for argv, expect in cases:
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expect
+
+
 def _traced_peak(fn) -> float:
     tracemalloc.start()
     try:
@@ -787,6 +849,19 @@ def test_report_streams_into_its_file(tmp_path, monkeypatch):
     assert rows <= bare + 1.0
     grid = ["sievefun", "--s-max", "12", "--step", "1e-4", "-o", out]
     assert _traced_peak(lambda: main(grid)) <= 12
+
+
+def test_json_rows_stream_like_csv(tmp_path, monkeypatch):
+    # Ceiling: 1.5 times the traced peak of the same rows as CSV, with the
+    # table's arrays built before tracing (7.7 MiB for both; JSON peaked at
+    # 65.1 when it was built as one string of per-row dicts).
+    table = _ready_table(200_000)
+    monkeypatch.setattr(cli_mod, "_load_table", lambda args: table)
+    scan = ["scan", "--max", "200000", "--rows", "-o", str(tmp_path / "rows"), "--emit"]
+    assert main(scan + ["csv"]) == 0  # the kernels' module and tables load once
+    csv_peak = _traced_peak(lambda: main(scan + ["csv"]))
+    json_peak = _traced_peak(lambda: main(scan + ["json"]))
+    assert json_peak <= 1.5 * csv_peak
 
 
 def test_failing_command_leaves_its_output_file_untouched(tmp_path, monkeypatch):

@@ -541,6 +541,11 @@ def test_bilinear_support_boundaries_against_oracle(table_small, X, y, Dstar):
 # -- scans ------------------------------------------------------------------------------
 
 
+def scan_rows(report: ScanReport) -> list[list]:
+    """Per-N rows [N, pi2, U_N, ratio] of Python numbers, read off `report.columns`."""
+    return [list(row) for row in zip(*(c.tolist() for c in report.columns))]
+
+
 def test_scan_full_small(table_small):
     rep = goldbach_chen_scan(10_000, table_small, mode="full")
     assert isinstance(rep, ScanReport)
@@ -551,7 +556,7 @@ def test_scan_full_small(table_small):
 
 def test_scan_ratio_consistency(table_1m):
     rep = goldbach_chen_scan(5000, table_1m, mode="full", collect_rows=True)
-    row = next(r for r in rep.rows if r[0] == 5000)
+    row = next(r for r in scan_rows(rep) if r[0] == 5000)
     ((_, pi2, _, _, _, _, _, ratio),) = zip(*lemma41_columns([5000], table_1m))
     assert row[1] == pi2
     assert row[3] == pytest.approx(ratio, rel=1e-3)
@@ -621,8 +626,8 @@ def scan_oracle(N_max: int, table: PrimeTable) -> tuple[list[list], dict]:
 def assert_scan_matches_oracle(N_max: int, table: PrimeTable) -> None:
     rows, summary = scan_oracle(N_max, table)
     full = goldbach_chen_scan(N_max, table, mode="full", collect_rows=True)
-    assert full.rows == rows
-    assert [list(map(type, r)) for r in full.rows] == [list(map(type, r)) for r in rows]
+    assert scan_rows(full) == rows
+    assert [list(map(type, r)) for r in scan_rows(full)] == [list(map(type, r)) for r in rows]
     assert full.to_dict() == summary
     floor = goldbach_chen_scan(N_max, table, mode="floor")
     none = dict.fromkeys(["min_pi2", "argmin_pi2", "min_ratio", "argmin_ratio"])
@@ -722,8 +727,8 @@ def test_scan_every_N_matches_bruteforce(M):
     table = build_prime_table(M)
     evens = list(range(6, M + 1, 2))
     full = goldbach_chen_scan(M, table, mode="full", collect_rows=True)
-    assert [row[0] for row in full.rows] == evens
-    for row in full.rows:
+    assert [row[0] for row in scan_rows(full)] == evens
+    for row in scan_rows(full):
         assert row[1] == pi2_bruteforce(row[0], table)
     floor = goldbach_chen_scan(M, table, mode="floor")
     assert floor.checked == len(evens)
@@ -746,7 +751,7 @@ def test_scan_failures_on_thinned_table(keep_above_47):
     zeros = [N for N, c in want.items() if c == 0]
     assert zeros[0] == 8
     full = goldbach_chen_scan(3000, thin, mode="full", collect_rows=True)
-    assert {row[0]: row[1] for row in full.rows} == want
+    assert {row[0]: row[1] for row in scan_rows(full)} == want
     assert full.failures == zeros
     assert full.min_pi2 == 0 and full.argmin_pi2 == 8
     floor = goldbach_chen_scan(3000, thin, mode="floor")

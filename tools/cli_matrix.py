@@ -15,11 +15,13 @@ The matrix holds the README commands, ``scan`` and ``verify`` under every
 edge ``--max`` values (two of them on either side of an FFT length step),
 ``verify`` cases for every branch of its lemma-4.1 pass and at even and odd
 table limits, the grid and bound sizes of the certify benchmark, CSVs that
-reach the edge paths of the whole-column formatting kernels, ``--threads`` values it accepts and
-rejects, and usage errors, among them one option per command that the
-command does not accept.  Every command outside ERRORS parses; a
-tier-1 test checks that against ``cli.build_parser()``.
-It takes about 5 s on a 2 vCPU Intel Xeon VM.
+reach the edge paths of the whole-column formatting kernels, JSON and
+text rows on either side of the kernels' row cutoff and of the write
+block, ``--threads`` values it accepts and rejects, and usage errors,
+among them one option per command that the command does not accept.
+Every command outside ERRORS parses; a tier-1 test checks that against
+``cli.build_parser()``.
+It takes about 6 s on a 2 vCPU Intel Xeon VM.
 """
 
 from __future__ import annotations
@@ -124,6 +126,17 @@ CSV = [
     "scan --max 200000 --rows --emit csv",
 ]
 
+# JSON and text rows, which go out through the CSV writer's row layout: 2999,
+# 3000 and 3001 rows (the whole-column kernels start at 3000) and 4097 (one
+# row past the 4096-row write block).
+ROWS = [
+    f"verify --scan {m} --emit {emit}" for emit in ("json", "text") for m in (6002, 6004, 6006)
+] + [
+    "verify --scan 8198 --emit text",
+    "scan --max 6006 --rows --emit json",
+    "scan --max 8198 --rows --emit json",
+]
+
 # The --threads flag, accepted without effect and rejected below 1.
 THREADS = [
     "scan --max 100000 --rows --emit csv --threads 4",
@@ -171,7 +184,7 @@ def commands() -> list[str]:
                 out.append(cmd)
     for base in REPORTS:
         out += [base + (f" --output-format {fmt}" if fmt else "") for fmt in FORMATS]
-    return out + EDGES + VERIFY + CERTIFY + CSV + THREADS + ERRORS
+    return out + EDGES + VERIFY + CERTIFY + CSV + ROWS + THREADS + ERRORS
 
 
 def run(cmd: str, tmp: str) -> tuple[str, int]:
