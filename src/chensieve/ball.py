@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,17 +184,24 @@ def ball_pow(x: "Ball | float", p: float) -> Ball:
 # -- sums and products of many floats, and decimal literals --------------------
 
 
-def ball_prod(factors: np.ndarray) -> Ball:
-    """The product of n factors of magnitude at most 1, each a float within two
-    roundings of its exact factor (as 1 - 1/d is, for an exact d >= 2).  The
-    n - 1 products of `float(np.prod(factors))`, in any order, and the 2n
-    roundings put it within gamma_{3n} = 3nu / (1 - 3nu) of the exact product,
-    relative to itself (Higham, Lemma 3.1), as no partial product underflows
-    when the result is normal."""
-    v = float(np.prod(factors))
+def ball_prod(windows: Iterable[np.ndarray]) -> Ball:
+    """The product of n factors of magnitude at most 1, handed over as float
+    arrays (windows) in order, each a float within two roundings of its exact
+    factor (as 1 - 1/d is, for an exact d >= 2).  The centre is a running
+    `np.multiply.reduce(window, initial=acc)`, which multiplies left to
+    right, so it is the float that `float(np.prod(...))` of all n factors
+    gives.  Its n - 1 products, in any order, and the 2n roundings put it
+    within gamma_{3n} = 3nu / (1 - 3nu) of the exact product, relative to
+    itself (Higham, Lemma 3.1), as no partial product underflows when the
+    result is normal.  A window may be a reused buffer: each is read before
+    the next is asked for."""
+    v, n = 1.0, 0
+    for window in windows:
+        v = float(np.multiply.reduce(window, initial=v))
+        n += len(window)
     if not abs(v) >= sys.float_info.min:
         raise ValueError(f"product {v} is below the normal range")
-    m = 3.0 * len(factors)
+    m = 3.0 * n
     return Ball(v, up(abs(v) * (m * U / (1.0 - m * U))))
 
 

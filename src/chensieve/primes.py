@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,39 +39,88 @@ def _odd_count(limit: int) -> int:
     return (limit - 1) // 2 if limit >= 3 else 0
 
 
-# Odd entries marked per sieve window.  Window writes are disjoint and
-# position-fixed, so the result does not depend on this value.
-SEGMENT_SIZE = 1 << 18
+# Window sizes of the whole-range passes.  Windows are disjoint and
+# position-fixed, so no result depends on either value; each is a multiple of
+# 8, so that a window of bits is whole bytes.  SEGMENT_SIZE is the odd entries
+# marked per sieve window.  WINDOW is the bits that `PrimeTable.primes`
+# unpacks at a time and the factors that a product computes at a time; at
+# 2^16 a window's flags (64 KiB) and prime offsets (under 100 KiB) stay below
+# glibc's default 128 KiB mmap threshold, so each window reuses heap memory
+# where a fresh mapping would fault in every page.
+SEGMENT_SIZE = 1 << 19
+WINDOW = 1 << 16
 
 
-def _sieve_odd(out: np.ndarray, base: list[int], marks: list) -> None:
-    """The sieve's one loop, over the odd m = 2j + 1 of `out` (entry j),
-    window by window: in each window, each base prime p of `base`, in that
-    order, writes its mark (the entry of `marks` beside it) at the odd
-    multiples of p from p*p on."""
-    n = len(out)
-    for lo in range(0, n, SEGMENT_SIZE):
-        hi = min(lo + SEGMENT_SIZE, n)
+def _sieve_odd(start: int, stop: int, base: list[int], marks: list, window) -> Iterator:
+    """The sieve's one loop, over the odd m = 2j + 1 with start <= j < stop, a
+    window of SEGMENT_SIZE entries at a time.  `window(lo, hi)` gives the
+    array whose entry j - lo stands for m, in which each base prime p of
+    `base`, in that order, writes its mark (the entry of `marks` beside it)
+    at the odd multiples of p from p*p on.  Each marked window is yielded
+    with its first j."""
+    for lo in range(start, stop, SEGMENT_SIZE):
+        out = window(lo, min(lo + SEGMENT_SIZE, stop))
         for p, mark in zip(base, marks):
-            j = p * p // 2
-            if j < lo:
-                j = lo + (j - lo) % p
-            out[j:hi:p] = mark
+            j = p * p // 2 - lo
+            out[j if j >= 0 else j % p :: p] = mark
+        yield lo, out
 
 
 def _odd_base(limit: int) -> list[int]:
     """The odd primes up to isqrt(limit), from the sieve run at isqrt(limit)
     (limit >= 9)."""
-    return (np.flatnonzero(_odd_primality(math.isqrt(limit))) * 2 + 3).tolist()
+    root = math.isqrt(limit)
+    return _bits_to_primes(_packed_bits(root), _odd_count(root))[1:].tolist()
 
 
-def _odd_primality(limit: int) -> np.ndarray:
-    """Primality flags of the odd numbers 3 + 2j <= limit."""
-    flags = np.ones((limit + 1) // 2, dtype=bool)
-    if limit >= 9:  # no odd composite below 9
-        base = _odd_base(limit)
-        _sieve_odd(flags, base, [False] * len(base))
-    return flags[1:]
+def _packed_bits(limit: int) -> np.ndarray:
+    """The primality bits of the odd numbers 3 + 2j <= limit (bit j) in
+    little-endian u64 words.  Each window is sieved into one reused flag
+    buffer and packed straight into its bytes of the words."""
+    n = _odd_count(limit)
+    packed = np.zeros(-(-n // 64), dtype="<u8")
+    dest = packed.view(np.uint8)
+    buf = np.empty(min(n, SEGMENT_SIZE), dtype=bool)
+
+    def window(lo: int, hi: int) -> np.ndarray:
+        flags = buf[: hi - lo]
+        flags.fill(True)
+        return flags
+
+    base = _odd_base(limit) if limit >= 9 else []  # no odd composite below 9
+    # entry j of the sieve is bit j - 1: the windows start at j = 1 (m = 3)
+    for lo, flags in _sieve_odd(1, n + 1, base, [False] * len(base), window):
+        bits = np.packbits(flags, bitorder="little")
+        first = (lo - 1) // 8
+        dest[first : first + len(bits)] = bits
+    return packed
+
+
+def _bit_windows(packed: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The bits j < n of `packed` as bool flags, WINDOW at a time, each
+    window with its first j; bits at j >= n are never unpacked."""
+    data = packed.view(np.uint8)
+    for lo in range(0, n, WINDOW):
+        hi = min(lo + WINDOW, n)
+        bits = np.unpackbits(data[lo // 8 : -(-hi // 8)], count=hi - lo, bitorder="little")
+        yield lo, bits.view(bool)
+
+
+def _bits_to_primes(packed: np.ndarray, n: int) -> np.ndarray:
+    """2, then the odd primes 3 + 2j whose bit j < n is set in `packed`, as
+    one int64 array.  The set bits are counted first, so the array is
+    allocated once and then filled a window at a time (`_bit_windows`)."""
+    count = 1 + sum(np.count_nonzero(bits) for _, bits in _bit_windows(packed, n))
+    out = np.empty(count, dtype=np.int64)
+    out[0] = 2
+    pos = 1
+    for lo, bits in _bit_windows(packed, n):
+        odd = np.flatnonzero(bits)  # ~5x faster on bool than on uint8
+        dest = out[pos : pos + len(odd)]
+        np.multiply(odd, 2, out=dest)
+        dest += 3 + 2 * lo
+        pos += len(odd)
+    return out
 
 
 def _odd_spf(limit: int) -> np.ndarray:
@@ -82,17 +132,34 @@ def _odd_spf(limit: int) -> np.ndarray:
     store = np.zeros((limit + 1) // 2, dtype=np.uint16)
     if limit >= 9:
         base = _odd_base(limit)[::-1]
-        _sieve_odd(store, base, base)
+        for _ in _sieve_odd(0, len(store), base, base, lambda lo, hi: store[lo:hi]):
+            pass
     return store
 
 
-def _pack_odd_bits(flags: np.ndarray) -> np.ndarray:
-    """Pack an odd-number primality bool array into little-endian u64 words."""
-    bits = np.packbits(flags, bitorder="little")
-    pad = (-len(bits)) % 8
-    if pad:
-        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-    return bits.view("<u8")
+def _factor_windows(ps: np.ndarray, factor) -> Iterator[np.ndarray]:
+    """The factors `factor(p, out)` of the primes `ps`, written into one
+    reused buffer a window of WINDOW at a time; each window is yielded
+    before the next overwrites it."""
+    buf = np.empty(min(len(ps), WINDOW))
+    for lo in range(0, len(ps), WINDOW):
+        out = buf[: min(len(ps) - lo, WINDOW)]
+        factor(ps[lo : lo + len(out)], out)
+        yield out
+
+
+def _twin_factor(p: np.ndarray, out: np.ndarray) -> None:
+    """1 - 1/(p - 1)^2; (p - 1)^2 = 4 ((p - 1)/2)^2 is exact below 2^55."""
+    np.subtract(p, 1.0, out=out)
+    np.square(out, out=out)
+    np.divide(1.0, out, out=out)
+    np.subtract(1.0, out, out=out)
+
+
+def _mertens_factor(p: np.ndarray, out: np.ndarray) -> None:
+    """1 - 1/p."""
+    np.divide(1.0, p, out=out)
+    np.subtract(1.0, out, out=out)
 
 
 @dataclass
@@ -100,7 +167,11 @@ class PrimeTable:
     """Primality over [2, limit] plus lazily materialized helper arrays.
 
     `packed` holds one bit per odd number 3 + 2j (1 = prime) in little-endian
-    64-bit words; this is also the cache-file payload.  The helper arrays and
+    64-bit words; this is also the cache-file payload.  It is the only array
+    of the table's size that a build makes, and every pass over the whole
+    range (the sieve, the unpacking of `primes`, the factors of a product)
+    runs a window at a time, so a pass holds nothing of that size beside
+    `packed` and the array it returns.  The helper arrays and
     the twin-prime products are computed on first use and kept on the
     instance, so repeated queries return the same objects.  The odd spf
     store, its int32 expansion and the primality array are kept as the
@@ -137,16 +208,11 @@ class PrimeTable:
 
     @property
     def primes(self) -> np.ndarray:
+        """Every prime up to the limit, ascending, as one int64 array read
+        off the bits a window at a time (`_bits_to_primes`); set bits past
+        the limit, which a cache file's last word may carry, are ignored."""
         if self._primes is None:
-            n = _odd_count(self.limit)
-            bits = np.unpackbits(self.packed.view(np.uint8), count=n, bitorder="little")
-            odd = np.flatnonzero(bits.view(bool))  # ~5x faster on bool than on uint8
-            del bits  # held through the arithmetic, it lifts the peak by half at 1e7
-            out = np.empty(len(odd) + 1, dtype=np.int64)
-            out[0] = 2
-            np.multiply(odd, 2, out=out[1:])
-            out[1:] += 3
-            self._primes = out
+            self._primes = _bits_to_primes(self.packed, _odd_count(self.limit))
         return self._primes
 
     @property
@@ -210,18 +276,20 @@ class PrimeTable:
     def twin_product(self, P: int) -> Ball:
         """2 e^{-gamma} prod_{2 < p <= P} (1 - (p-1)^{-2}) with its rounding
         radius, the N-independent factor of the singular series truncated at
-        P; computed once per P and kept on the table.  A P past the table's
-        limit reads the product off a table built to P, once."""
+        P; computed once per P and kept on the table.  The factors are formed
+        a window at a time in one reused buffer and multiplied in order
+        (`ball_prod`), so the centre is `float(np.prod(...))` of the whole
+        factor array and the radius counts every factor.  A P past the
+        table's limit reads the product off a table built to P, once."""
         ball = self._twin.get(P)
         if ball is None:
             if P > self.limit:
                 ball = build_prime_table(P).twin_product(P)
             else:
                 ps = self.primes
-                ps = ps[: np.searchsorted(ps, P, side="right")]
-                # (p - 1)^2 = 4 ((p - 1)/2)^2 is exact below 2^55
-                odd = ps[ps > 2].astype(np.float64)
-                ball = 2.0 * exp_neg_gamma_ball() * ball_prod(1.0 - 1.0 / (odd - 1.0) ** 2)
+                odd = ps[1 : np.searchsorted(ps, P, side="right")]
+                factors = _factor_windows(odd, _twin_factor)
+                ball = 2.0 * exp_neg_gamma_ball() * ball_prod(factors)
             self._twin[P] = ball
         return ball
 
@@ -232,7 +300,7 @@ def build_prime_table(limit: int) -> PrimeTable:
         raise CapacityError(
             f"table limit must be in [2, {IMPLEMENTATION_CAP}], got {limit}"
         )
-    return PrimeTable(limit=limit, packed=_pack_odd_bits(_odd_primality(limit)))
+    return PrimeTable(limit=limit, packed=_packed_bits(limit))
 
 
 # -- cache file ---------------------------------------------------------------
@@ -332,13 +400,14 @@ def euler_phi(k: int) -> int:
 
 
 def mertens_product(x: float, table: PrimeTable) -> Ball:
-    """prod_{p <= x} (1 - 1/p) with its rounding radius."""
+    """prod_{p <= x} (1 - 1/p) with its rounding radius, its factors formed
+    and multiplied a window at a time, as in `PrimeTable.twin_product`."""
     if x < 2:
         raise DomainError(f"product needs x >= 2, got {x}")
     table._check_capacity(x)
     ps = table.primes
-    ps = ps[: np.searchsorted(ps, math.floor(x), side="right")].astype(np.float64)
-    return ball_prod(1.0 - 1.0 / ps)
+    ps = ps[: np.searchsorted(ps, math.floor(x), side="right")]
+    return ball_prod(_factor_windows(ps, _mertens_factor))
 
 
 def recip_prime_sum(a: float, b: float, table: PrimeTable) -> Ball:

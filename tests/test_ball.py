@@ -237,17 +237,17 @@ def test_prod_encloses_the_exact_product(terms):
     exact = Fraction(1)
     for n, neg in terms:
         exact *= (-1 if neg else 1) * (1 - Fraction(1, n))
-    assert _inside(ball_prod(sign * (1.0 - 1.0 / d)), exact)
+    assert _inside(ball_prod([sign * (1.0 - 1.0 / d)]), exact)
 
 
 def test_prod_of_many_factors_keeps_its_centre_and_encloses():
     d = np.arange(2, 20002, dtype=np.float64)
     factors = 1.0 - 1.0 / d
-    b = ball_prod(factors)
+    b = ball_prod([factors])
     assert b.value == float(np.prod(factors))
     assert _inside(b, Fraction(1, 20001))  # prod_{d=2}^{n} (1 - 1/d) = 1/n
     with pytest.raises(ValueError):
-        ball_prod(np.full(2000, 0.5))  # 2^-2000 is below the normal range
+        ball_prod([np.full(2000, 0.5)])  # 2^-2000 is below the normal range
 
 
 @_examples(100)

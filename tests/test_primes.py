@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chensieve import primes as primes_mod
-from chensieve.ball import GAMMA
+from chensieve.ball import GAMMA, U, Ball, exp_neg_gamma_ball, up
 from chensieve.cli import main
 from chensieve.errors import CacheError, CapacityError, DomainError
 from chensieve.primes import (
@@ -65,12 +65,82 @@ def test_limit_cap_is_1e8():
         build_prime_table(100_000_001)
 
 
+def numpy_sieve_primes(limit):
+    """Independent oracle: a whole-array sieve of Eratosthenes in numpy."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+def packed_oracle(ps, limit):
+    """The bitset of the odd primes ps (bit j for 3 + 2j <= limit), packed
+    by numpy as little-endian 64-bit words."""
+    n = (limit - 1) // 2 if limit >= 3 else 0
+    flags = np.zeros(64 * -(-n // 64), dtype=bool)
+    flags[(ps[ps > 2] - 3) // 2] = True
+    return np.packbits(flags, bitorder="little").view("<u8")
+
+
+def twin_factors(ps):
+    """1 - 1/(p - 1)^2 over the odd primes of ps, as one whole array."""
+    odd = ps[ps > 2].astype(np.float64)
+    return 1.0 - 1.0 / (odd - 1.0) ** 2
+
+
+def product_ball(factors):
+    """float(np.prod(factors)) with the radius gamma_{3n} of all n factors."""
+    v = float(np.prod(factors))
+    m = 3.0 * len(factors)
+    return Ball(v, up(abs(v) * (m * U / (1.0 - m * U))))
+
+
 def test_identical_result_across_segmentation(monkeypatch):
     base = build_prime_table(300_000)
-    for seg in (1 << 14, 1 << 12):
+    cuts = (2, 3, 1000, 299_999)
+    expect = [base.twin_product(P) for P in cuts], [mertens_product(P, base) for P in cuts]
+    for seg, window in ((1 << 8, 1 << 6), (1 << 12, 1 << 10), (1 << 14, 1 << 3)):
         monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", seg)
+        monkeypatch.setattr(primes_mod, "WINDOW", window)
         other = build_prime_table(300_000)
         assert np.array_equal(base.packed, other.packed)
+        assert np.array_equal(base.primes, other.primes)
+        got = [other.twin_product(P) for P in cuts], [mertens_product(P, other) for P in cuts]
+        assert got == expect
+
+
+def boundary_limits(*sizes):
+    """Limits whose odd count (limit - 1) // 2 is one of sizes, or one off."""
+    counts = {n + d for n in sizes for d in (-1, 0, 1) if n + d >= 0}
+    return sorted({lim for n in counts for lim in (2 * n + 1, 2 * n + 2) if lim >= 2})
+
+
+def check_against_oracle(limit):
+    ps = numpy_sieve_primes(limit)
+    table = build_prime_table(limit)
+    assert table.primes.tolist() == ps.tolist(), limit
+    assert np.array_equal(table.packed, packed_oracle(ps, limit)), limit
+    assert table.twin_product(limit) == 2.0 * exp_neg_gamma_ball() * product_ball(
+        twin_factors(ps)
+    ), limit
+
+
+def test_limits_at_byte_word_and_window_edges(monkeypatch):
+    # odd counts on and next to a byte, a 64-bit word and (with small windows)
+    # the window edges of the sieve and of the unpacking, from 2 and 3 (odd
+    # counts 0 and 1) on; 9 is the first limit with a base prime
+    monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", 1 << 5)
+    monkeypatch.setattr(primes_mod, "WINDOW", 1 << 4)
+    for limit in [8, 9] + boundary_limits(0, 8, 16, 32, 64, 96, 128, 192, 200):
+        check_against_oracle(limit)
+
+
+def test_limits_at_the_default_window_edges():
+    w, s = primes_mod.WINDOW, primes_mod.SEGMENT_SIZE
+    for limit in boundary_limits(w, 2 * w, s, s + w):
+        check_against_oracle(limit)
 
 
 def smallest_divisor(n):
@@ -150,7 +220,7 @@ def test_odd_spf_store_matches_trial_division_to_1e5():
 
 @pytest.mark.parametrize("segment", [1 << 4, 1 << 7, primes_mod.SEGMENT_SIZE])
 def test_odd_spf_store_at_powers_of_two(monkeypatch, segment):
-    # small windows put window edges everywhere, the default one none below 2^19
+    # small windows put window edges everywhere, the default one none below 2^20
     monkeypatch.setattr(primes_mod, "SEGMENT_SIZE", segment)
     for k in range(1, 13):
         for n in (2**k - 1, 2**k, 2**k + 1):
@@ -187,7 +257,7 @@ def test_is_prime_agrees_with_array(table_small):
         assert table_small.is_prime(n) == bool(arr[n])
 
 
-def test_bits_past_the_limit_are_ignored():
+def test_bits_past_the_limit_are_ignored(monkeypatch):
     # a cache file's last word may carry set bits past the limit; they name
     # no prime, and isprime_array must not index past its end for them
     clean = build_prime_table(1000)
@@ -196,6 +266,19 @@ def test_bits_past_the_limit_are_ignored():
     dirty = primes_mod.PrimeTable(limit=1000, packed=packed)
     assert np.array_equal(dirty.primes, clean.primes)
     assert np.array_equal(dirty.isprime_array, clean.isprime_array)
+    # every bit past the limit set, on tables whose bits `primes` reads
+    # through several windows (the default window at 300_001)
+    for limit, window in ((1000, 1 << 4), (1000, 1 << 6), (300_001, primes_mod.WINDOW)):
+        monkeypatch.setattr(primes_mod, "WINDOW", window)
+        clean = build_prime_table(limit)
+        n = (limit - 1) // 2
+        assert n > 2 * window and n % 64
+        packed = clean.packed.copy()
+        packed[-1] |= ~np.uint64(0) << np.uint64(n % 64)
+        dirty = primes_mod.PrimeTable(limit=limit, packed=packed)
+        assert np.array_equal(dirty.primes, clean.primes)
+        assert dirty.twin_product(limit) == clean.twin_product(limit)
+        assert np.array_equal(dirty.isprime_array, clean.isprime_array)
 
 
 # -- cache file -------------------------------------------------------------------
@@ -401,6 +484,42 @@ def test_singular_series_validation(table_1m):
         singular_series_UN(7, 1_000_000, table_1m)
     with pytest.raises(DomainError):
         singular_series_UN(4, 10_000, table_1m)
+
+
+@pytest.mark.parametrize("window", [1 << 6, None])
+def test_windowed_products_match_the_whole_array_product(monkeypatch, window):
+    # the twin and Mertens products multiply window by window, left to right;
+    # their centres must be float(np.prod(...)) of the whole factor array, bit
+    # for bit, and their radii must count every factor, at lengths W - 1, W,
+    # W + 1 and 3W + 5 (W = WINDOW, the default one when window is None)
+    if window is not None:
+        monkeypatch.setattr(primes_mod, "WINDOW", window)
+    w = primes_mod.WINDOW
+    table = build_prime_table(3_000_000 if window is None else 10_000)
+    ps = table.primes
+    two_eg = 2.0 * exp_neg_gamma_ball()
+    for n in (w - 1, w, w + 1, 3 * w + 5):
+        odd = ps[1 : n + 1]  # n twin factors, one per odd prime <= ps[n]
+        assert table.twin_product(int(ps[n])) == two_eg * product_ball(twin_factors(odd)), n
+        # n Mertens factors, one per prime <= ps[n - 1]
+        whole = 1.0 - 1.0 / ps[:n].astype(np.float64)
+        assert mertens_product(int(ps[n - 1]), table) == product_ball(whole), n
+
+
+def test_prime_table_passes_hold_no_second_full_size_array():
+    # build, primes, then the twin product at the constants ledger's largest
+    # table: beyond the arrays kept, only window-sized buffers
+    limit = 9_865_089
+    build_prime_table(1000).twin_product(1000)  # first-call allocations
+    tracemalloc.start()
+    try:
+        table = build_prime_table(limit)
+        kept = table.packed.nbytes + table.primes.nbytes
+        table.twin_product(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kept + (3 << 20)
 
 
 def test_twin_product_past_the_limit_matches_a_full_table():

@@ -17,7 +17,8 @@ edge ``--max`` values (two of them on either side of an FFT length step),
 table limits, the grid and bound sizes of the certify benchmark, CSVs that
 reach the edge paths of the whole-column formatting kernels, JSON and
 text rows on either side of the kernels' row cutoff and of the write
-block, ``--threads`` values it accepts and rejects, and usage errors,
+block, tables that span several windows of the prime table's passes,
+``--threads`` values it accepts and rejects, and usage errors,
 among them one option per command that the command does not accept.
 Every command outside ERRORS parses; a tier-1 test checks that against
 ``cli.build_parser()``.
@@ -137,6 +138,14 @@ ROWS = [
     "scan --max 8198 --rows --emit json",
 ]
 
+# Tables that span several windows of the sieve, of the primes' unpacking and
+# of the twin-prime product (the constants ledger's largest table among them).
+WINDOWS = [
+    "constants --table-limit 9865089",
+    "scan --max 1000 --table-limit 4194411",
+    "verify --N 1000000 --table-limit 4194411",
+]
+
 # The --threads flag, accepted without effect and rejected below 1.
 THREADS = [
     "scan --max 100000 --rows --emit csv --threads 4",
@@ -184,7 +193,7 @@ def commands() -> list[str]:
                 out.append(cmd)
     for base in REPORTS:
         out += [base + (f" --output-format {fmt}" if fmt else "") for fmt in FORMATS]
-    return out + EDGES + VERIFY + CERTIFY + CSV + ROWS + THREADS + ERRORS
+    return out + EDGES + VERIFY + CERTIFY + CSV + ROWS + WINDOWS + THREADS + ERRORS
 
 
 def run(cmd: str, tmp: str) -> tuple[str, int]:
