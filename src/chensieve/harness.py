@@ -12,6 +12,7 @@ elements divisible by p; primes dividing N are never used as sifting primes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -174,8 +175,9 @@ def pi2_bruteforce(N: int, table: PrimeTable) -> int:
 
 # -- the decomposition inequality -------------------------------------------------
 
-# (N, p) pairs handled per block of the lemma-4.1 pass; one N with more
-# pairs than this is a block by itself.
+# (N, p) pairs handled per pass of the lemma-4.1 check.  Consecutive targets
+# share a pass while their pairs fit; one N with more pairs than this is a
+# block by itself, walked a chunk of at least this many primes at a time.
 _PAIR_BUDGET = 1 << 17
 
 
@@ -193,10 +195,9 @@ def _segment_counts(idx: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def _odd_spf_of(entries: np.ndarray, m: np.ndarray) -> np.ndarray:
     """spf of the odd m, in m's dtype, from their entries of the odd spf
     store (`PrimeTable.odd_spf_upto`): the entry, or m itself where it is 0
-    (m = 1 or a prime).  The cast copy is filled in place, which keeps the
-    traced peaks below what an np.where with its temporaries reaches."""
+    (m = 1 or a prime)."""
     s = entries.astype(m.dtype)
-    np.copyto(s, m, where=s == 0)
+    s += np.multiply(m, s == 0, dtype=m.dtype)
     return s
 
 
@@ -220,44 +221,36 @@ def _small_factor_counts(
     return out
 
 
-def _lemma41_block(
+def _pair_counts(
     Ns: np.ndarray,
+    k: np.ndarray,
+    p: np.ndarray,
     cz: np.ndarray,
     cy: np.ndarray,
     table: PrimeTable,
     store: np.ndarray,
-    isp: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """pi2, S(A, P(z)), sum_q S(A_q, P(z)) and S(B, P(y)) for the N of `Ns`
-    (cz = ceil(z), cy = ceil(y) per N), over all their (N, p) pairs with p
-    odd at once; the odd spf store and the primality array isp are read at
-    m < max(Ns) only.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (N, p) pairs' share of pi2, S(A, P(z)) and sum_q S(A_q, P(z)) for
+    the N of `Ns` (cz = ceil(z), cy = ceil(y) per N), where Ns[i] is paired
+    with the next k[i] entries of `p`, odd primes below it.  Primality is
+    read off the table's bits, spf off the odd store.
 
-    p = 2 is taken in closed form: N - 2 = 2(N/2 - 1) is in P2 exactly when
-    N/2 - 1 is prime, and 2 | N keeps N - 2 out of A.  So every m = N - p
-    read is odd, and so is every element of B, as p1 >= z >= 2 cannot
-    divide the even N.  m is in A unless p | N, which holds exactly when
-    p | m.  A's elements are coprime to N, so sifting them by the primes
-    below z that do not divide N keeps m = 1 and the m with spf(m) >=
-    ceil(z); the same holds for B at y.  No prime q >= z that divides N
-    divides a survivor, so sum_q S(A_q, P(z)) counts, per survivor, its
-    distinct prime factors below ceil(y).  Each per-pair array is dropped
-    once spent, which keeps a block's peak near 40 bytes a pair.
+    Every m = N - p is odd.  m is in A unless p | N, which holds exactly
+    when p | m.  A's elements are coprime to N, so sifting them by the
+    primes below z that do not divide N keeps m = 1 and the m with spf(m)
+    >= ceil(z).  No prime q >= z that divides N divides a survivor, so
+    sum_q S(A_q, P(z)) counts, per survivor, its distinct prime factors
+    below ceil(y).  Each per-pair array is dropped once spent, which keeps
+    a pass near 40 bytes a pair.
     """
-    ps = table.primes
-    k = np.searchsorted(ps, Ns) - 1  # the odd primes p < N, at least 2 of them
     ends = np.cumsum(k)
-    if len(Ns) == 1:  # no per-pair copies of the primes or of ceil(z) for one N
-        p, czp = ps[1 : k[0] + 1], cz[0]
-    else:
-        p, czp = np.concatenate([ps[1 : n + 1] for n in k.tolist()]), np.repeat(cz, k)
+    czp = cz[0] if len(Ns) == 1 else np.repeat(cz, k)  # no per-pair copy for one N
     m = np.repeat(Ns.astype(np.int32), k)  # m = N - p < 2**31 at any table limit
     m -= p
     s = _odd_spf_of(store[m >> 1], m)
-    ok = isp[m]
-    ok |= isp[m // s]
+    ok = table.is_prime_odd(m)
+    ok |= table.is_prime_odd(m // s)
     pi2 = _segment_counts(np.flatnonzero(ok), ends)
-    pi2 += isp[Ns // 2 - 1]  # p = 2
     del ok
     cand = s >= czp
     cand |= m == 1
@@ -268,11 +261,59 @@ def _lemma41_block(
     keep = np.flatnonzero(survivors % p[idx] != 0)
     survivors, s = survivors[keep], s[keep]
     S_A = _segment_counts(idx[keep], ends)
-    del p, idx, keep
+    del idx, keep
     ts = np.repeat(np.arange(len(Ns), dtype=np.int32), S_A)
-    sum_S_Aq = _small_factor_counts(survivors, s, ts, cy, store)
-    del survivors, s, ts
-    tb, b = _triples(Ns, cz, cy, ps)
+    return pi2, S_A, _small_factor_counts(survivors, s, ts, cy, store)
+
+
+def _prime_chunks(table: PrimeTable, N: int) -> Iterator[np.ndarray]:
+    """The odd primes below N, ascending, a chunk at a time: the table's
+    windows of bits, grouped until a chunk holds at least _PAIR_BUDGET
+    primes (the last may hold fewer).  So a chunk is never less than one
+    window, and the primes are never all held at once."""
+    group, size = [], 0
+    for ps in table.odd_prime_windows(N - 1):
+        group.append(ps)
+        size += len(ps)
+        if size >= _PAIR_BUDGET:
+            chunk, group, size = np.concatenate(group), [], 0
+            yield chunk
+    if group:
+        yield np.concatenate(group)
+
+
+def _lemma41_block(
+    Ns: np.ndarray,
+    cz: np.ndarray,
+    cy: np.ndarray,
+    table: PrimeTable,
+    store: np.ndarray,
+    parts,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """pi2, S(A, P(z)), sum_q S(A_q, P(z)) and S(B, P(y)) for the N of `Ns`
+    (cz = ceil(z), cy = ceil(y) per N).  `parts` yields the block's (N, p)
+    pairs for p odd as (k, p) arguments of `_pair_counts`, whose counts add
+    across parts; the odd spf store and the bits are read at m < max(Ns)
+    only.
+
+    p = 2 is taken in closed form: N - 2 = 2(N/2 - 1) is in P2 exactly when
+    h = N/2 - 1 is prime, and 2 | N keeps N - 2 out of A.  Every element of
+    B is odd, as p1 >= z >= 2 cannot divide the even N, and B is sifted as
+    A is, at y.  B's primes are at most max(ceil(y) - 1, (N - 1) //
+    (ceil(z) ceil(y))), so `_triples` reads the primes only that far.
+    """
+    totals = [np.zeros(len(Ns), dtype=np.int64) for _ in range(3)]
+    for k, p in parts:
+        for total, part in zip(totals, _pair_counts(Ns, k, p, cz, cy, table, store)):
+            total += part
+    pi2, S_A, sum_S_Aq = totals
+    h = Ns // 2 - 1
+    two = table.is_prime_odd(h | 1)  # an even h + 1 <= N/2 is read, then masked
+    two &= h % 2 == 1
+    two |= h == 2
+    pi2 += two
+    reach = max(int((cy - 1).max()), int(((Ns - 1) // (cz.astype(np.int64) * cy)).max()))
+    tb, b = _triples(Ns, cz, cy, table.primes_upto(min(reach, table.limit)))
     alive = _odd_spf_of(store[b >> 1], b) >= cy[tb]
     alive |= b == 1
     S_B = np.bincount(tb[np.flatnonzero(alive)], minlength=len(Ns))
@@ -294,14 +335,20 @@ def lemma41_columns(
     ratio (numpy arrays).  The inequality targets asymptotic N, so desk-scale
     margins are recorded, not gated.
 
-    The counts are computed block by block over the (N, p) pairs of
-    consecutive targets (`_lemma41_block`), sifting through the odd spf
-    store and the primality array, which are built only as far as the
-    largest target.
-    U_N is the value of `singular_series_UN` truncated at
-    `_un_truncation(table)`.  The powers and logs of N go through the math
-    module, so every float is the one a per-N evaluation in Python gives.
-    Every target is validated before any count.
+    The counts are computed block by block (`_lemma41_block`), sifting
+    through the odd spf store, which is built only as far as the largest
+    target, and reading primality off the table's bits.  Consecutive
+    targets up to the truncation point P of U_N share a block, and a pass,
+    while their pairs fit `_PAIR_BUDGET`; their primes come from the
+    `primes_upto` prefix, which runs to P at most and which U_N reads
+    anyway.  A target with more pairs, or past P, is a block by itself,
+    walked a chunk of primes at a time off the bits (`_prime_chunks`), so
+    one large N never holds all its pairs, nor every prime below it, at
+    once.
+    U_N is the value of `singular_series_UN` truncated at P.  The powers
+    and logs of N go through the math module, so every float is the one a
+    per-N evaluation in Python gives.  Every target is validated before any
+    count.
     """
     Ns = list(targets)
     for N in Ns:
@@ -311,22 +358,33 @@ def lemma41_columns(
     if past is not None:
         _check_table(past, table)
     store = table.odd_spf_upto(max(Ns, default=0))
-    isp = table.isprime_upto(max(Ns, default=0))
     Ns_arr = np.array(Ns, dtype=np.int64)
     cz = np.array([math.ceil(N ** z_exp) for N in Ns], dtype=np.int32)
     cy = np.array([math.ceil(N ** y_exp) for N in Ns], dtype=np.int32)
-    ends = np.cumsum(np.searchsorted(table.primes, Ns_arr))
+    P = _un_truncation(table)
+    reach = min(max(Ns, default=2), P)
+    ps = table.primes_upto(reach)
+    # pairs per target, the odd primes below N; one past the prefix counts
+    # as more than the budget, so it is a block by itself
+    pairs = np.where(Ns_arr <= reach, np.searchsorted(ps, Ns_arr) - 1, _PAIR_BUDGET + 1)
+    ends = np.cumsum(pairs)
     counts = [np.zeros(len(Ns), dtype=np.int64) for _ in range(4)]
     pi2, S_A, sum_S_Aq, S_B = counts
     lo = 0
     while lo < len(Ns):
         done = int(ends[lo - 1]) if lo else 0
         hi = max(int(np.searchsorted(ends, done + _PAIR_BUDGET, side="right")), lo + 1)
-        block = _lemma41_block(Ns_arr[lo:hi], cz[lo:hi], cy[lo:hi], table, store, isp)
+        k = pairs[lo:hi]
+        if k[0] > _PAIR_BUDGET:
+            parts = ((np.array([len(p)]), p) for p in _prime_chunks(table, Ns[lo]))
+        elif hi == lo + 1:  # no per-pair copy of the primes for one N
+            parts = [(k, ps[1 : k[0] + 1])]
+        else:
+            parts = [(k, np.concatenate([ps[1 : n + 1] for n in k.tolist()]))]
+        block = _lemma41_block(Ns_arr[lo:hi], cz[lo:hi], cy[lo:hi], table, store, parts)
         for column, part in zip(counts, block):
             column[lo:hi] = part
         lo = hi
-    P = _un_truncation(table)
     un = table.twin_product(P).value * _odd_prime_factor_product(Ns_arr, store)
     un *= 1.0 - 0.5 * series_tail(P)
     rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B
@@ -459,17 +517,36 @@ class ScanReport:
         }
 
 
-def _odd_p2(store: np.ndarray, isp: np.ndarray, n: int) -> np.ndarray:
+def _odd_p2(table: PrimeTable, store: np.ndarray, n: int) -> np.ndarray:
     """Bool indicator over the odd m = 2j + 1, j < n: "m is a prime or a
-    product of two primes".  Odd m = spf(m) * (m / spf(m)) is in P2 exactly
-    when it is prime or its cofactor is.  Every nonzero entry of the odd
-    store is an odd prime, so `| 1` changes only its 0s (m = 1 or a prime)
-    into the divisor 1: the cofactor read there is m itself, which the prime
-    test already covers, and m = 1 reads false.  This needs no spf of the
-    primes, so it skips `_odd_spf_of` and its int32 copy."""
-    m = np.arange(1, 2 * n, 2, dtype=np.int32)
-    np.floor_divide(m, store[:n] | 1, out=m)
-    return isp[1 : 2 * n : 2] | isp[m]
+    product of two primes", built a window of the table's bits at a time,
+    so its int32 temporaries span one window.  Odd m = spf(m) * (m /
+    spf(m)) is in P2 exactly when it is prime (bit j - 1) or its cofactor
+    is.  Every nonzero entry of the odd store is an odd prime, so `| 1`
+    changes only its 0s (m = 1 or a prime) into the divisor 1: the cofactor
+    read there is m itself, which the prime test already covers.  This
+    needs no spf of the primes, so it skips `_odd_spf_of` and its int32
+    copy.  Entry 0 (m = 1) stays false."""
+    out = np.zeros(n, dtype=bool)
+    for lo, bits in table.bit_windows(2 * n - 1):  # bit i is entry j = i + 1
+        j, hi = lo + 1, lo + 1 + len(bits)
+        m = np.arange(2 * j + 1, 2 * hi + 1, 2, dtype=np.int32)
+        np.floor_divide(m, store[j:hi] | 1, out=m)
+        np.logical_or(bits, table.is_prime_odd(m), out=out[j:hi])
+    return out
+
+
+def _two_column(table: PrimeTable, half: int) -> np.ndarray:
+    """Bool over k < half: whether N = 2k >= 6 is reached by p = 2, that
+    is, N - 2 = 2(k - 1) is in P2, which holds exactly when k - 1 is prime.
+    k - 1 = 2 is the one even prime, and the odd k - 1 = 3 + 2j read bit j,
+    unpacked a window at a time."""
+    two = np.zeros(half, dtype=bool)
+    two[3:4] = True
+    odd = two[4::2]
+    for lo, bits in table.bit_windows(half - 2):
+        odd[lo : lo + len(bits)] = bits
+    return two
 
 
 # float64 unit roundoff, an upper bound on sqrt(5), and the twiddle-factor
@@ -584,11 +661,14 @@ def goldbach_chen_scan(
     """Scan every even 6 <= N <= N_max.
 
     Both modes read one indicator of "m is a prime or a product of two
-    primes", built at odd m only (`_odd_p2`): an odd prime p reaches the odd
-    N - p, and p = 2 reaches N - 2 = 2(N/2 - 1), which is in P2 exactly when
-    N/2 - 1 is prime.  Arrays run over k = N/2, and an odd p shifts by
-    h = (p + 1)/2.  mode='full' gets pi2(N) for every N <= N_max from one
-    certified FFT convolution of the shifts with the indicator
+    primes", built at odd m only, a window of the table's bits at a time
+    (`_odd_p2`): an odd prime p reaches the odd N - p, and p = 2 reaches
+    N - 2 = 2(N/2 - 1), which is in P2 exactly when N/2 - 1 is prime
+    (`_two_column`).  Primality is read off the bits and spf off the odd
+    store, both at m <= N_max only, and the primes come from the
+    `primes_upto(N_max)` prefix.  Arrays run over k = N/2, and an odd p
+    shifts by h = (p + 1)/2.  mode='full' gets pi2(N) for every N <= N_max
+    from one certified FFT convolution of the shifts with the indicator
     (`_shift_counts`), and tracks the normalized ratio pi2(N) log^2 N /
     (U_N N); mode='floor' only certifies pi2(N) >= 1.  It ORs the shifted
     indicator into a whole array of resolved N, prime by prime, while more
@@ -603,23 +683,21 @@ def goldbach_chen_scan(
         raise CapacityError(f"N_max={N_max} exceeds table limit {table.limit}")
     half = max(N_max // 2 + 1, 3)  # k = N/2 runs over [3, half)
     # every m read is <= N_max (or 1)
-    isp, store = table.isprime_upto(max(N_max, 2)), table.odd_spf_upto(max(N_max, 2))
-    ps = table.primes
+    store, ps = table.odd_spf_upto(max(N_max, 2)), table.primes_upto(max(N_max, 2))
     odd_ps = ps[1 : np.searchsorted(ps, N_max, side="left")]
     # N - p <= N_max - 3 for odd p, so m < 2 * half - 4 covers every read.
-    odd = _odd_p2(store, isp, half - 2)
+    odd = _odd_p2(table, store, half - 2)
     hs = (odd_ps + 1) // 2
 
     if mode == "floor":
-        done = np.zeros(half, dtype=bool)
-        done[3:] = isp[2 : half - 1]  # p = 2
+        done = _two_column(table, half)
         swept = 0
         while swept < len(hs) and 64 * (half - 3 - np.count_nonzero(done)) > half:
             h = hs[swept]
             done[h + 1 :] |= odd[1 : half - h]
             swept += 1
         todo = np.flatnonzero(~done[3:]) + 3
-        for h in hs[swept:].tolist():
+        for h in hs[swept:]:  # lazily: the loop stops after a few primes
             if len(todo) == 0 or h > todo[-1]:
                 break
             todo = todo[~odd[np.maximum(todo - h, 0)]]
@@ -633,7 +711,7 @@ def goldbach_chen_scan(
         )
 
     counts = _shift_counts(hs, odd, half)
-    counts[3:] += isp[2 : half - 1]  # p = 2
+    counts += _two_column(table, half)
     c = counts[3:]
     Ns = np.arange(6, 2 * half, 2, dtype=np.int64)
     un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, store)

@@ -25,8 +25,10 @@ from .ball import Ball, ball_fsum, ball_prod, exp_neg_gamma_ball, up
 from .errors import CacheError, CapacityError, DomainError
 
 # Largest supported table.  Memory is the constraint: the odd smallest-
-# prime-factor store and the primality array each cost a byte per integer
-# (~100 MB each at this cap), the packed bitset ~limit/16.
+# prime-factor store costs a byte per integer (~100 MB at this cap), the
+# packed bitset ~limit/16 and the primes 8 bytes each; the engines read
+# primality off the bitset, and only `pi2_bruteforce` (the test oracle)
+# builds the byte-per-integer primality array.
 IMPLEMENTATION_CAP = 100_000_000
 
 CACHE_MAGIC = b"CHEN-PT1\n"
@@ -106,19 +108,26 @@ def _bit_windows(packed: np.ndarray, n: int) -> Iterator[tuple[int, np.ndarray]]
         yield lo, bits.view(bool)
 
 
+def _odd_prime_windows(packed: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """The odd primes 3 + 2j whose bit j < n is set in `packed`, ascending,
+    as one int64 array per window of bits (`_bit_windows`)."""
+    for lo, bits in _bit_windows(packed, n):
+        odd = np.flatnonzero(bits)  # ~5x faster on bool than on uint8
+        odd *= 2
+        odd += 3 + 2 * lo
+        yield odd
+
+
 def _bits_to_primes(packed: np.ndarray, n: int) -> np.ndarray:
     """2, then the odd primes 3 + 2j whose bit j < n is set in `packed`, as
     one int64 array.  The set bits are counted first, so the array is
-    allocated once and then filled a window at a time (`_bit_windows`)."""
+    allocated once and then filled a window at a time."""
     count = 1 + sum(np.count_nonzero(bits) for _, bits in _bit_windows(packed, n))
     out = np.empty(count, dtype=np.int64)
     out[0] = 2
     pos = 1
-    for lo, bits in _bit_windows(packed, n):
-        odd = np.flatnonzero(bits)  # ~5x faster on bool than on uint8
-        dest = out[pos : pos + len(odd)]
-        np.multiply(odd, 2, out=dest)
-        dest += 3 + 2 * lo
+    for odd in _odd_prime_windows(packed, n):
+        out[pos : pos + len(odd)] = odd
         pos += len(odd)
     return out
 
@@ -167,22 +176,24 @@ class PrimeTable:
     """Primality over [2, limit] plus lazily materialized helper arrays.
 
     `packed` holds one bit per odd number 3 + 2j (1 = prime) in little-endian
-    64-bit words; this is also the cache-file payload.  It is the only array
-    of the table's size that a build makes, and every pass over the whole
-    range (the sieve, the unpacking of `primes`, the factors of a product)
-    runs a window at a time, so a pass holds nothing of that size beside
-    `packed` and the array it returns.  The helper arrays and
+    64-bit words; this is also the cache-file payload, and the one source of
+    primality that the engines read (`is_prime_odd`, `bit_windows`).  It is
+    the only array of the table's size that a build makes, and every pass
+    over the whole range (the sieve, the unpacking of `primes`, the factors
+    of a product) runs a window at a time, so a pass holds nothing of that
+    size beside `packed` and the array it returns.  The helper arrays and
     the twin-prime products are computed on first use and kept on the
-    instance, so repeated queries return the same objects.  The odd spf
-    store, its int32 expansion and the primality array are kept as the
-    longest prefix asked for so far (`odd_spf_upto`, `spf_upto`,
-    `isprime_upto`), so a caller that reads them only below n builds them
-    only that far.
+    instance, so repeated queries return the same objects.  The primes, the
+    odd spf store and its int32 expansion are also kept as the longest
+    prefix asked for so far (`primes_upto`, `odd_spf_upto`, `spf_upto`), so
+    a caller that reads them only below n builds them only that far.  The
+    byte-per-integer `isprime_array` is built only for the test oracle.
     """
 
     limit: int
     packed: np.ndarray
     _primes: np.ndarray | None = field(default=None, repr=False)
+    _primes_to: int = field(default=0, repr=False)
     _store: np.ndarray | None = field(default=None, repr=False)
     _spf: np.ndarray | None = field(default=None, repr=False)
     _isprime: np.ndarray | None = field(default=None, repr=False)
@@ -206,29 +217,59 @@ class PrimeTable:
         j = (n - 3) // 2
         return bool((int(self.packed[j >> 6]) >> (j & 63)) & 1)
 
+    def is_prime_odd(self, m: np.ndarray) -> np.ndarray:
+        """Whether each odd m of the int array `m` (1 <= m <= limit) is
+        prime, as bool, read off the bits: bit (m - 3) / 2, and false at
+        m = 1.  The bytes hold 8 odd numbers each, so the reads stay in
+        limit/16 bytes, where a byte-per-integer array spans limit."""
+        j = m >> 1
+        j -= 1  # the bit of m; -1 at m = 1, which the mask below clears
+        flags = self.packed.view(np.uint8)[j >> 3]
+        j &= 7
+        np.right_shift(flags, j, out=flags, casting="unsafe")
+        flags &= 1
+        prime = flags.view(bool)
+        prime &= m != 1
+        return prime
+
+    def bit_windows(self, n: int) -> Iterator[tuple[int, np.ndarray]]:
+        """The primality bits of the odd m = 3 + 2j <= n as bool flags,
+        WINDOW bits at a time, each window with its first j."""
+        self._check_capacity(n)
+        return _bit_windows(self.packed, _odd_count(n))
+
+    def odd_prime_windows(self, n: int) -> Iterator[np.ndarray]:
+        """The odd primes up to n, ascending, as one int64 array per window
+        of WINDOW bits."""
+        self._check_capacity(n)
+        return _odd_prime_windows(self.packed, _odd_count(n))
+
     @property
     def primes(self) -> np.ndarray:
         """Every prime up to the limit, ascending, as one int64 array read
         off the bits a window at a time (`_bits_to_primes`); set bits past
-        the limit, which a cache file's last word may carry, are ignored."""
-        if self._primes is None:
-            self._primes = _bits_to_primes(self.packed, _odd_count(self.limit))
+        the limit, which a cache file's last word may carry, are ignored.
+        It is the `primes_upto` prefix that reaches the limit."""
+        return self.primes_upto(self.limit)
+
+    def primes_upto(self, n: int) -> np.ndarray:
+        """The primes up to n, ascending, read off the bits only that far.
+        As with `odd_spf_upto`, the longest prefix built is kept, so the
+        array returned may run past n."""
+        self._check_capacity(n)
+        if self._primes is None or self._primes_to < n:
+            self._primes = _bits_to_primes(self.packed, _odd_count(n))
+            self._primes_to = n
         return self._primes
 
     @property
     def isprime_array(self) -> np.ndarray:
-        """Bool array over [0, limit] for vectorized membership tests."""
-        return self.isprime_upto(self.limit)
-
-    def isprime_upto(self, n: int) -> np.ndarray:
-        """Bool array of primality for every m in [0, n], built only that
-        far.  As with `odd_spf_upto`, the longest prefix built is kept, so
-        the array returned may run past n."""
-        self._check_capacity(n)
-        if self._isprime is None or len(self._isprime) <= n:
-            ps = self.primes
-            arr = np.zeros(n + 1, dtype=bool)
-            arr[ps[: np.searchsorted(ps, n, side="right")]] = True
+        """Bool array over [0, limit] for vectorized membership tests, a
+        byte per integer: the primality of `pi2_bruteforce`, the test
+        oracle.  The engines read the bits instead."""
+        if self._isprime is None:
+            arr = np.zeros(self.limit + 1, dtype=bool)
+            arr[self.primes] = True
             self._isprime = arr
         return self._isprime
 
@@ -279,14 +320,16 @@ class PrimeTable:
         P; computed once per P and kept on the table.  The factors are formed
         a window at a time in one reused buffer and multiplied in order
         (`ball_prod`), so the centre is `float(np.prod(...))` of the whole
-        factor array and the radius counts every factor.  A P past the
-        table's limit reads the product off a table built to P, once."""
+        factor array and the radius counts every factor.  The primes come
+        from the `primes_upto(P)` prefix, so they are unpacked only to P.  A
+        P past the table's limit reads the product off a table built to P,
+        once."""
         ball = self._twin.get(P)
         if ball is None:
             if P > self.limit:
                 ball = build_prime_table(P).twin_product(P)
             else:
-                ps = self.primes
+                ps = self.primes_upto(P)
                 odd = ps[1 : np.searchsorted(ps, P, side="right")]
                 factors = _factor_windows(odd, _twin_factor)
                 ball = 2.0 * exp_neg_gamma_ball() * ball_prod(factors)

@@ -801,6 +801,17 @@ def test_scan_traced_peaks_at_1e6():
     assert full <= 40.6
 
 
+def test_floor_scan_traced_peak_at_1e6_with_only_the_primes_built():
+    # Ceiling in MiB.  The floor scan sieves the odd spf store, builds its
+    # P2 indicator a window of bits at a time and reads primality and the
+    # p = 2 column off the bits: 3.0 measured (6.6 with a primality array to
+    # N_max and the indicator's temporaries over the whole odd half).
+    table = build_prime_table(1_000_000)
+    table.primes
+    floor = _traced_peak(lambda: harness_mod.goldbach_chen_scan(1_000_000, table, mode="floor"))
+    assert floor <= 4
+
+
 @pytest.mark.parametrize(
     "fault, message",
     [

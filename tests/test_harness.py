@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from chensieve import harness as harness_mod
+from chensieve import primes as primes_mod
 from chensieve.errors import CapacityError, DomainError
 from chensieve.harness import (
     ScanReport,
@@ -304,8 +305,10 @@ def test_lemma41_columns_traced_peak_over_a_range():
 
 def test_lemma41_traced_peak_at_one_large_N():
     """With only the primes unpacked beforehand, the pass at N = 3.94e6
-    builds the odd spf store and the primality array to N, a byte per
-    integer each, and peaks under 13 MiB (23.3 MiB with an int32 spf)."""
+    builds the odd spf store to N, a byte per integer, reads primality off
+    the table's bits and walks its pairs a chunk of primes at a time, and
+    peaks under 9 MiB (7.9 measured; 12.1 with a primality array to N and
+    every pair at once, 23.3 with an int32 spf as well)."""
     table = build_prime_table(4_000_000)
     table.primes
     tracemalloc.start()
@@ -314,16 +317,68 @@ def test_lemma41_traced_peak_at_one_large_N():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 13 * 2**20
+    assert peak <= 9 * 2**20
 
 
-def test_pi2_engines_on_a_table_that_marks_15_prime():
+@pytest.mark.parametrize("budget", [1, 20_000])
+def test_lemma41_large_N_in_chunks_matches_the_unsplit_pass(table_1m, monkeypatch, budget):
+    """999998 has 78497 pairs, one pass at the default budget.  A budget of
+    1 cuts them at each of the 8 windows of bits below N, and one of 20000
+    groups two or three windows a chunk; the columns stay the same."""
+    N = 999_998
+    whole = lemma41_columns([N], table_1m)
+    passes = []
+    pair_counts = harness_mod._pair_counts
+    monkeypatch.setattr(
+        harness_mod, "_pair_counts", lambda *a: passes.append(a[2]) or pair_counts(*a)
+    )
+    monkeypatch.setattr(harness_mod, "_PAIR_BUDGET", budget)
+    got = lemma41_columns([N], table_1m)
+    assert [col.tolist() for col in got] == [col.tolist() for col in whole]
+    sizes = [len(p) for p in passes]
+    assert len(sizes) == (8 if budget == 1 else 4) and sum(sizes) == 78_497
+    assert all(size >= budget for size in sizes[:-1])
+    assert np.array_equal(np.concatenate(passes), table_1m.primes[1:78_498])
+
+
+def test_engines_read_primality_off_the_bits():
+    """Neither engine builds the byte-per-integer primality array, and a
+    single N past the truncation point of U_N (1e6 here) unpacks the primes
+    only to that point, not to the limit."""
+    table = build_prime_table(1_200_000)
+    (pi2,) = lemma41_columns([1_100_000], table)[1]
+    assert table._isprime is None and table._primes_to == 1_000_000
+    for mode in ("full", "floor"):
+        goldbach_chen_scan(30_000, table, mode=mode)
+        assert table._isprime is None
+    assert pi2 == pi2_bruteforce(1_100_000, table)
+
+
+def test_engines_across_small_bit_windows(monkeypatch):
+    """With 16-bit windows, every window edge of the bits falls inside the
+    scan's P2 indicator, its p = 2 column and a chunked N's primes."""
+    monkeypatch.setattr(primes_mod, "WINDOW", 1 << 4)
+    table = build_prime_table(3001)
+    Ns = range(6, 3001, 2)
+    want = [pi2_bruteforce(N, table) for N in Ns]
+    full = goldbach_chen_scan(3001, table, mode="full", collect_rows=True)
+    assert full.columns[1].tolist() == want
+    assert goldbach_chen_scan(3001, table, mode="floor").floor_holds
+    expect = [lemma41_reference(N, table) for N in (2998, 3000)]
+    for budget in (1, 50):
+        monkeypatch.setattr(harness_mod, "_PAIR_BUDGET", budget)
+        got = lemma41_columns([2998, 3000], table)
+        assert [list(row) for row in zip(*got)] == expect
+
+
+def test_pi2_engines_on_a_table_that_marks_15_prime(monkeypatch):
     """spf is sieved from its own base primes, never from the table's bits:
-    on a 3000 table whose bitset marks 15 prime, the lemma-4.1 pass and the
-    full scan still give pi2_bruteforce's count at every N."""
+    on a 3000 table whose bitset marks 15 prime, the lemma-4.1 pass, its
+    chunked walk, and both scan modes still give pi2_bruteforce's count at
+    every N."""
     packed = build_prime_table(3000).packed.copy()
     packed[0] |= np.uint64(1 << 6)  # bit j is 3 + 2j
-    damaged = [PrimeTable(limit=3000, packed=packed.copy()) for _ in range(3)]
+    damaged = [PrimeTable(limit=3000, packed=packed.copy()) for _ in range(5)]
     assert damaged[0].is_prime(15) and damaged[0].odd_spf_upto(15)[7] == 3
     Ns = range(6, 3001, 2)
     want = [pi2_bruteforce(N, damaged[0]) for N in Ns]
@@ -332,6 +387,11 @@ def test_pi2_engines_on_a_table_that_marks_15_prime():
     assert lemma41_columns(Ns, damaged[1])[1].tolist() == want
     rep = goldbach_chen_scan(3000, damaged[2], mode="full", collect_rows=True)
     assert rep.columns[1].tolist() == want
+    floor = goldbach_chen_scan(3000, damaged[3], mode="floor")
+    assert floor.failures == [N for N, c in zip(Ns, want) if c == 0]
+    monkeypatch.setattr(harness_mod, "_PAIR_BUDGET", 1)  # every N walked in chunks
+    tail = range(2800, 3001, 2)
+    assert lemma41_columns(tail, damaged[4])[1].tolist() == want[-len(tail) :]
 
 
 def test_scan_sieves_spf_only_to_N_max():

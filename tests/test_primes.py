@@ -257,6 +257,41 @@ def test_is_prime_agrees_with_array(table_small):
         assert table_small.is_prime(n) == bool(arr[n])
 
 
+@pytest.mark.parametrize("limit", [3, 17, 18, 129, 130, 131, 1000, 300_001])
+def test_is_prime_odd_reads_every_odd_m(limit):
+    # 1 reads false, and the last byte's bits past the limit are set, so a
+    # read of m = 1 at bit -1 would see them without the mask
+    clean = build_prime_table(limit)
+    tables = [clean]
+    n = (limit - 1) // 2
+    if n % 64:  # else the last word holds no bit past the limit
+        packed = clean.packed.copy()
+        packed[-1] |= ~np.uint64(0) << np.uint64(n % 64)
+        tables.append(primes_mod.PrimeTable(limit=limit, packed=packed))
+    m = np.arange(1, limit + 1, 2)
+    want = [clean.is_prime(int(v)) for v in m]
+    for dtype in (np.int32, np.int64):
+        for table in tables:
+            got = table.is_prime_odd(m.astype(dtype)[::-1])
+            assert got.dtype == bool and got[::-1].tolist() == want, (limit, dtype)
+
+
+def test_primes_upto_keeps_the_longest_prefix():
+    full = build_prime_table(10_000).primes
+    table = build_prime_table(10_000)
+    first = table.primes_upto(100)
+    assert first.tolist() == full[:25].tolist()
+    assert table.primes_upto(97) is first and table.primes_upto(2) is first
+    longer = table.primes_upto(5000)
+    assert longer.tolist() == full[: np.searchsorted(full, 5000, side="right")].tolist()
+    assert table.primes_upto(100) is longer
+    whole = table.primes
+    assert np.array_equal(whole, full)
+    assert table.primes_upto(10_000) is whole and table.primes_upto(50) is whole
+    with pytest.raises(CapacityError):
+        table.primes_upto(10_001)
+
+
 def test_bits_past_the_limit_are_ignored(monkeypatch):
     # a cache file's last word may carry set bits past the limit; they name
     # no prime, and isprime_array must not index past its end for them

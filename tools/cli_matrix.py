@@ -17,7 +17,8 @@ edge ``--max`` values (two of them on either side of an FFT length step),
 table limits, the grid and bound sizes of the certify benchmark, CSVs that
 reach the edge paths of the whole-column formatting kernels, JSON and
 text rows on either side of the kernels' row cutoff and of the write
-block, tables that span several windows of the prime table's passes,
+block, tables that span several windows of the prime table's passes (a
+``verify`` target walked in chunks of them among them),
 ``--threads`` values it accepts and rejects, and usage errors,
 among them one option per command that the command does not accept.
 Every command outside ERRORS parses; a tier-1 test checks that against
@@ -139,11 +140,17 @@ ROWS = [
 ]
 
 # Tables that span several windows of the sieve, of the primes' unpacking and
-# of the twin-prime product (the constants ledger's largest table among them).
+# of the twin-prime product (the constants ledger's largest table among them);
+# a verify target one below an odd limit, whose pairs pass the budget and are
+# walked in chunks of bit windows; and floor and full scans whose P2
+# indicator and p = 2 column end a few entries past a window of bits.
 WINDOWS = [
     "constants --table-limit 9865089",
     "scan --max 1000 --table-limit 4194411",
     "verify --N 1000000 --table-limit 4194411",
+    "verify --N 2000000 --table-limit 2000001",
+    "scan --max 262154 --floor-only --table-limit 262154",
+    "scan --max 262154 --rows --emit csv --table-limit 262154",
 ]
 
 # The --threads flag, accepted without effect and rejected below 1.
