@@ -63,7 +63,7 @@ def _divisor_primes(N: int) -> list[int]:
 
 def _base_A(N: int, table: PrimeTable, divisors: list[int]) -> np.ndarray:
     """A = {N - p : p <= N, p not in `divisors`} (the primes dividing N)."""
-    ps = table.primes
+    ps = table.primes_upto(N)
     ps = ps[: np.searchsorted(ps, N, side="right")]
     keep = np.ones(len(ps), dtype=bool)
     keep[np.searchsorted(ps, divisors)] = False
@@ -163,7 +163,7 @@ def pi2_bruteforce(N: int, table: PrimeTable) -> int:
     if N % 2 != 0 or N < 4:
         raise DomainError(f"N must be even and >= 4, got {N}")
     _check_table(N, table)
-    ps = table.primes
+    ps = table.primes_upto(N)
     ps = ps[: np.searchsorted(ps, N, side="left")]
     m = (N - ps).astype(np.int64)
     spf = table.spf
@@ -192,32 +192,43 @@ def _segment_counts(idx: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.diff(np.searchsorted(idx, ends), prepend=0)
 
 
-def _odd_spf_of(entries: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """spf of the odd m, in m's dtype, from their entries of the odd spf
-    store (`PrimeTable.odd_spf_upto`): the entry, or m itself where it is 0
-    (m = 1 or a prime)."""
-    s = entries.astype(m.dtype)
-    s += np.multiply(m, s == 0, dtype=m.dtype)
-    return s
+def _spf_chains(
+    table: PrimeTable,
+    m: np.ndarray,
+    key: np.ndarray,
+    p: np.ndarray | None = None,
+    bound: np.ndarray | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Walk down the spf chains of the odd m (`PrimeTable.odd_spf`) all at
+    once, one prime factor a round, so each m meets its primes in
+    increasing order; `p` is the spf of each m, when the caller has it.
+    Each round yields the positions of the m > 1 that meet a prime they
+    have not met before, with the round's entries of `key` (one per m) and
+    primes.  With `bound`, an m stops at its first prime at or past
+    bound[key].  m is divided in place."""
+    if p is None:
+        p = table.odd_spf(m)
+    last = 0
+    while len(m):
+        walk = m > 1
+        if bound is not None:
+            walk &= p < bound[key]
+        yield np.flatnonzero(walk & (p != last)), key, p  # each prime once
+        m //= p
+        idx = np.flatnonzero(walk & (m > 1))
+        m, key, last = m[idx], key[idx], p[idx]
+        p = table.odd_spf(m)
 
 
 def _small_factor_counts(
-    m: np.ndarray, p: np.ndarray, t: np.ndarray, cy: np.ndarray, store: np.ndarray
+    table: PrimeTable, m: np.ndarray, p: np.ndarray, t: np.ndarray, cy: np.ndarray
 ) -> np.ndarray:
     """Per target, the sum over its odd elements m (smallest prime factor p,
     target index t) of the number of distinct primes below cy[t] that
-    divide m, read off each m's spf chain in the odd store, which gives the
-    primes in increasing order; m = 1 (p = 1) counts none."""
+    divide m, read off each m's spf chain; m = 1 counts none."""
     out = np.zeros(len(cy), dtype=np.int64)
-    last = 0
-    while len(m):
-        low = p < cy[t]
-        low &= m > 1
-        out += np.bincount(t[np.flatnonzero(low & (p != last))], minlength=len(cy))
-        m //= p
-        idx = np.flatnonzero(low & (m > 1))
-        m, t, last = m[idx], t[idx], p[idx]
-        p = _odd_spf_of(store[m >> 1], m)
+    for new, ts, _ in _spf_chains(table, m, t, p, cy):
+        out += np.bincount(ts[new], minlength=len(cy))
     return out
 
 
@@ -228,12 +239,13 @@ def _pair_counts(
     cz: np.ndarray,
     cy: np.ndarray,
     table: PrimeTable,
-    store: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (N, p) pairs' share of pi2, S(A, P(z)) and sum_q S(A_q, P(z)) for
     the N of `Ns` (cz = ceil(z), cy = ceil(y) per N), where Ns[i] is paired
     with the next k[i] entries of `p`, odd primes below it.  Primality is
-    read off the table's bits, spf off the odd store.
+    read off the table's bits and spf through `PrimeTable.odd_spf`, whose
+    values at m seed the survivors' walk down their spf chains
+    (`_spf_chains`).
 
     Every m = N - p is odd.  m is in A unless p | N, which holds exactly
     when p | m.  A's elements are coprime to N, so sifting them by the
@@ -247,7 +259,7 @@ def _pair_counts(
     czp = cz[0] if len(Ns) == 1 else np.repeat(cz, k)  # no per-pair copy for one N
     m = np.repeat(Ns.astype(np.int32), k)  # m = N - p < 2**31 at any table limit
     m -= p
-    s = _odd_spf_of(store[m >> 1], m)
+    s = table.odd_spf(m)
     ok = table.is_prime_odd(m)
     ok |= table.is_prime_odd(m // s)
     pi2 = _segment_counts(np.flatnonzero(ok), ends)
@@ -263,7 +275,7 @@ def _pair_counts(
     S_A = _segment_counts(idx[keep], ends)
     del idx, keep
     ts = np.repeat(np.arange(len(Ns), dtype=np.int32), S_A)
-    return pi2, S_A, _small_factor_counts(survivors, s, ts, cy, store)
+    return pi2, S_A, _small_factor_counts(table, survivors, s, ts, cy)
 
 
 def _prime_chunks(table: PrimeTable, N: int) -> Iterator[np.ndarray]:
@@ -287,7 +299,6 @@ def _lemma41_block(
     cz: np.ndarray,
     cy: np.ndarray,
     table: PrimeTable,
-    store: np.ndarray,
     parts,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """pi2, S(A, P(z)), sum_q S(A_q, P(z)) and S(B, P(y)) for the N of `Ns`
@@ -304,7 +315,7 @@ def _lemma41_block(
     """
     totals = [np.zeros(len(Ns), dtype=np.int64) for _ in range(3)]
     for k, p in parts:
-        for total, part in zip(totals, _pair_counts(Ns, k, p, cz, cy, table, store)):
+        for total, part in zip(totals, _pair_counts(Ns, k, p, cz, cy, table)):
             total += part
     pi2, S_A, sum_S_Aq = totals
     h = Ns // 2 - 1
@@ -314,7 +325,7 @@ def _lemma41_block(
     pi2 += two
     reach = max(int((cy - 1).max()), int(((Ns - 1) // (cz.astype(np.int64) * cy)).max()))
     tb, b = _triples(Ns, cz, cy, table.primes_upto(min(reach, table.limit)))
-    alive = _odd_spf_of(store[b >> 1], b) >= cy[tb]
+    alive = table.odd_spf(b) >= cy[tb]
     alive |= b == 1
     S_B = np.bincount(tb[np.flatnonzero(alive)], minlength=len(Ns))
     return pi2, S_A, sum_S_Aq, S_B
@@ -340,12 +351,13 @@ def lemma41_columns(
     target, and reading primality off the table's bits.  Consecutive
     targets up to the truncation point P of U_N share a block, and a pass,
     while their pairs fit `_PAIR_BUDGET`; their primes come from the
-    `primes_upto` prefix, which runs to P at most and which U_N reads
-    anyway.  A target with more pairs, or past P, is a block by itself,
-    walked a chunk of primes at a time off the bits (`_prime_chunks`), so
-    one large N never holds all its pairs, nor every prime below it, at
-    once.
-    U_N is the value of `singular_series_UN` truncated at P.  The powers
+    `primes_upto` prefix, which runs only to the largest of them.  A target
+    with more pairs, or past P, is a block by itself, walked a chunk of
+    primes at a time off the bits (`_prime_chunks`), so one large N never
+    holds all its pairs, nor every prime below it, at once; a lone target
+    past P unpacks no array of primes beyond what its set B reads.
+    U_N is the value of `singular_series_UN` truncated at P, its local
+    factor taken by the same spf-chain walk as the counts.  The powers
     and logs of N go through the math module, so every float is the one a
     per-N evaluation in Python gives.  Every target is validated before any
     count.
@@ -357,12 +369,12 @@ def lemma41_columns(
     past = next((N for N in Ns if N > table.limit), None)
     if past is not None:
         _check_table(past, table)
-    store = table.odd_spf_upto(max(Ns, default=0))
+    table.odd_spf_upto(max(Ns, default=0))  # sieved once, as far as the largest N
     Ns_arr = np.array(Ns, dtype=np.int64)
     cz = np.array([math.ceil(N ** z_exp) for N in Ns], dtype=np.int32)
     cy = np.array([math.ceil(N ** y_exp) for N in Ns], dtype=np.int32)
     P = _un_truncation(table)
-    reach = min(max(Ns, default=2), P)
+    reach = max((N for N in Ns if N <= P), default=2)
     ps = table.primes_upto(reach)
     # pairs per target, the odd primes below N; one past the prefix counts
     # as more than the budget, so it is a block by itself
@@ -381,11 +393,11 @@ def lemma41_columns(
             parts = [(k, ps[1 : k[0] + 1])]
         else:
             parts = [(k, np.concatenate([ps[1 : n + 1] for n in k.tolist()]))]
-        block = _lemma41_block(Ns_arr[lo:hi], cz[lo:hi], cy[lo:hi], table, store, parts)
+        block = _lemma41_block(Ns_arr[lo:hi], cz[lo:hi], cy[lo:hi], table, parts)
         for column, part in zip(counts, block):
             column[lo:hi] = part
         lo = hi
-    un = table.twin_product(P).value * _odd_prime_factor_product(Ns_arr, store)
+    un = table.twin_product(P).value * _odd_prime_factor_product(Ns_arr, table)
     un *= 1.0 - 0.5 * series_tail(P)
     rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B
     for e in (0.875, 1.0 / 3.0):  # math.pow, not np.power: see `_ratio`
@@ -444,7 +456,7 @@ def _p2p3_support(X: float, N: int, y: float, table: PrimeTable) -> np.ndarray:
     p3 <= (ceil(X) - 1) // p2 keeps the products below X exactly.
     """
     n_max = max(math.ceil(X) - 1, 0)
-    ps = table.primes
+    ps = table.primes_upto(n_max // 2)
     ps = ps[: np.searchsorted(ps, n_max // 2, side="right")]
     ps = ps[N % ps != 0]
     lo = np.searchsorted(ps, math.ceil(y))
@@ -517,17 +529,17 @@ class ScanReport:
         }
 
 
-def _odd_p2(table: PrimeTable, store: np.ndarray, n: int) -> np.ndarray:
+def _odd_p2(table: PrimeTable, n: int) -> np.ndarray:
     """Bool indicator over the odd m = 2j + 1, j < n: "m is a prime or a
     product of two primes", built a window of the table's bits at a time,
     so its int32 temporaries span one window.  Odd m = spf(m) * (m /
     spf(m)) is in P2 exactly when it is prime (bit j - 1) or its cofactor
-    is.  Every nonzero entry of the odd store is an odd prime, so `| 1`
-    changes only its 0s (m = 1 or a prime) into the divisor 1: the cofactor
-    read there is m itself, which the prime test already covers.  This
-    needs no spf of the primes, so it skips `_odd_spf_of` and its int32
-    copy.  Entry 0 (m = 1) stays false."""
+    is.  It alone reads the odd store's raw entries, not `odd_spf`: every
+    nonzero entry is an odd prime, so `| 1` changes only its 0s (m = 1 or a
+    prime) into the divisor 1, whose cofactor m the prime test covers, and
+    a contiguous slice serves.  Entry 0 (m = 1) stays false."""
     out = np.zeros(n, dtype=bool)
+    store = table.odd_spf_upto(2 * n - 1)
     for lo, bits in table.bit_windows(2 * n - 1):  # bit i is entry j = i + 1
         j, hi = lo + 1, lo + 1 + len(bits)
         m = np.arange(2 * j + 1, 2 * hi + 1, 2, dtype=np.int32)
@@ -536,16 +548,12 @@ def _odd_p2(table: PrimeTable, store: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _two_column(table: PrimeTable, half: int) -> np.ndarray:
+def _two_column(ps: np.ndarray, half: int) -> np.ndarray:
     """Bool over k < half: whether N = 2k >= 6 is reached by p = 2, that
-    is, N - 2 = 2(k - 1) is in P2, which holds exactly when k - 1 is prime.
-    k - 1 = 2 is the one even prime, and the odd k - 1 = 3 + 2j read bit j,
-    unpacked a window at a time."""
+    is, N - 2 = 2(k - 1) is in P2, which holds exactly when k - 1 is prime:
+    two[p + 1] for each prime p of the ascending `ps` below half - 1."""
     two = np.zeros(half, dtype=bool)
-    two[3:4] = True
-    odd = two[4::2]
-    for lo, bits in table.bit_windows(half - 2):
-        odd[lo : lo + len(bits)] = bits
+    two[1:][ps[: np.searchsorted(ps, half - 1)]] = True  # no array of p + 1
     return two
 
 
@@ -624,21 +632,14 @@ def _shift_counts(hs: np.ndarray, odd: np.ndarray, half: int) -> np.ndarray:
     return counts
 
 
-def _odd_prime_factor_product(N: np.ndarray, store: np.ndarray) -> np.ndarray:
+def _odd_prime_factor_product(N: np.ndarray, table: PrimeTable) -> np.ndarray:
     """prod (p - 1)/(p - 2) over the odd primes p dividing each N, multiplied
-    in increasing p as a per-N walk down the spf chain of N's odd part in
-    the odd store does, so each float is the one that walk gives."""
-    n = (N // (N & -N)).astype(np.int32)  # odd part
+    in increasing p as a per-N walk down the spf chain of N's odd part
+    (`_spf_chains`) does, so each float is the one that walk gives."""
     local = np.ones(len(N))
-    idx = np.flatnonzero(n > 1)
-    n, last = n[idx], np.zeros(len(idx), dtype=np.int32)
-    while len(idx):
-        p = _odd_spf_of(store[n >> 1], n)
-        new = p != last  # each prime once, however often it divides N
-        local[idx[new]] *= (p[new] - 1.0) / (p[new] - 2.0)
-        n //= p
-        keep = n > 1
-        idx, n, last = idx[keep], n[keep], p[keep]
+    odd = (N // (N & -N)).astype(np.int32)
+    for new, i, p in _spf_chains(table, odd, np.arange(len(N))):
+        local[i[new]] *= (p[new] - 1.0) / (p[new] - 2.0)
     return local
 
 
@@ -664,9 +665,9 @@ def goldbach_chen_scan(
     primes", built at odd m only, a window of the table's bits at a time
     (`_odd_p2`): an odd prime p reaches the odd N - p, and p = 2 reaches
     N - 2 = 2(N/2 - 1), which is in P2 exactly when N/2 - 1 is prime
-    (`_two_column`).  Primality is read off the bits and spf off the odd
-    store, both at m <= N_max only, and the primes come from the
-    `primes_upto(N_max)` prefix.  Arrays run over k = N/2, and an odd p
+    (`_two_column`, set from the primes).  Primality is read off the bits
+    and spf off the odd store, both at m <= N_max only, and the primes come
+    from the `primes_upto(N_max)` prefix.  Arrays run over k = N/2, and an odd p
     shifts by h = (p + 1)/2.  mode='full' gets pi2(N) for every N <= N_max
     from one certified FFT convolution of the shifts with the indicator
     (`_shift_counts`), and tracks the normalized ratio pi2(N) log^2 N /
@@ -682,15 +683,16 @@ def goldbach_chen_scan(
     if N_max > table.limit:
         raise CapacityError(f"N_max={N_max} exceeds table limit {table.limit}")
     half = max(N_max // 2 + 1, 3)  # k = N/2 runs over [3, half)
-    # every m read is <= N_max (or 1)
-    store, ps = table.odd_spf_upto(max(N_max, 2)), table.primes_upto(max(N_max, 2))
+    # every m read is <= N_max (or 1): one store and one prefix of primes
+    table.odd_spf_upto(max(N_max, 2))
+    ps = table.primes_upto(max(N_max, 2))
     odd_ps = ps[1 : np.searchsorted(ps, N_max, side="left")]
     # N - p <= N_max - 3 for odd p, so m < 2 * half - 4 covers every read.
-    odd = _odd_p2(table, store, half - 2)
+    odd = _odd_p2(table, half - 2)
     hs = (odd_ps + 1) // 2
 
     if mode == "floor":
-        done = _two_column(table, half)
+        done = _two_column(ps, half)
         swept = 0
         while swept < len(hs) and 64 * (half - 3 - np.count_nonzero(done)) > half:
             h = hs[swept]
@@ -711,10 +713,10 @@ def goldbach_chen_scan(
         )
 
     counts = _shift_counts(hs, odd, half)
-    counts += _two_column(table, half)
+    counts += _two_column(ps, half)
     c = counts[3:]
     Ns = np.arange(6, 2 * half, 2, dtype=np.int64)
-    un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, store)
+    un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, table)
     ratio = _ratio(c, un, Ns, range(6, 2 * half, 2))
 
     failures = Ns[c < 1].tolist()

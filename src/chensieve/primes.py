@@ -14,6 +14,7 @@ truncation point P, the twin-prime factor of the singular series
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 from collections.abc import Iterator
@@ -44,8 +45,8 @@ def _odd_count(limit: int) -> int:
 # Window sizes of the whole-range passes.  Windows are disjoint and
 # position-fixed, so no result depends on either value; each is a multiple of
 # 8, so that a window of bits is whole bytes.  SEGMENT_SIZE is the odd entries
-# marked per sieve window.  WINDOW is the bits that `PrimeTable.primes`
-# unpacks at a time and the factors that a product computes at a time; at
+# marked per sieve window.  WINDOW is the bits unpacked at a time, for the
+# primes' array and for the factors of a product alike; at
 # 2^16 a window's flags (64 KiB) and prime offsets (under 100 KiB) stay below
 # glibc's default 128 KiB mmap threshold, so each window reuses heap memory
 # where a fresh mapping would fault in every page.
@@ -146,31 +147,6 @@ def _odd_spf(limit: int) -> np.ndarray:
     return store
 
 
-def _factor_windows(ps: np.ndarray, factor) -> Iterator[np.ndarray]:
-    """The factors `factor(p, out)` of the primes `ps`, written into one
-    reused buffer a window of WINDOW at a time; each window is yielded
-    before the next overwrites it."""
-    buf = np.empty(min(len(ps), WINDOW))
-    for lo in range(0, len(ps), WINDOW):
-        out = buf[: min(len(ps) - lo, WINDOW)]
-        factor(ps[lo : lo + len(out)], out)
-        yield out
-
-
-def _twin_factor(p: np.ndarray, out: np.ndarray) -> None:
-    """1 - 1/(p - 1)^2; (p - 1)^2 = 4 ((p - 1)/2)^2 is exact below 2^55."""
-    np.subtract(p, 1.0, out=out)
-    np.square(out, out=out)
-    np.divide(1.0, out, out=out)
-    np.subtract(1.0, out, out=out)
-
-
-def _mertens_factor(p: np.ndarray, out: np.ndarray) -> None:
-    """1 - 1/p."""
-    np.divide(1.0, p, out=out)
-    np.subtract(1.0, out, out=out)
-
-
 @dataclass
 class PrimeTable:
     """Primality over [2, limit] plus lazily materialized helper arrays.
@@ -181,13 +157,16 @@ class PrimeTable:
     the only array of the table's size that a build makes, and every pass
     over the whole range (the sieve, the unpacking of `primes`, the factors
     of a product) runs a window at a time, so a pass holds nothing of that
-    size beside `packed` and the array it returns.  The helper arrays and
-    the twin-prime products are computed on first use and kept on the
-    instance, so repeated queries return the same objects.  The primes, the
-    odd spf store and its int32 expansion are also kept as the longest
-    prefix asked for so far (`primes_upto`, `odd_spf_upto`, `spf_upto`), so
-    a caller that reads them only below n builds them only that far.  The
-    byte-per-integer `isprime_array` is built only for the test oracle.
+    size beside `packed` and the array it returns; the products read their
+    primes straight off the bits and build no array of them.  The helper
+    arrays and the twin-prime products are computed on first use and kept
+    on the instance, so repeated queries return the same objects.  The
+    primes, the odd spf store and its int32 expansion are also kept as the
+    longest prefix asked for so far (`primes_upto`, `odd_spf_upto`,
+    `spf_upto`), so a caller that reads them only below n builds them only
+    that far.  Every engine but the scan's P2 indicator reads spf through
+    `odd_spf`.  The byte-per-integer `isprime_array` is built only for the
+    test oracle.
     """
 
     limit: int
@@ -284,6 +263,18 @@ class PrimeTable:
             self._store = _odd_spf(n)
         return self._store
 
+    def odd_spf(self, m: np.ndarray) -> np.ndarray:
+        """spf of each odd m of the int array `m` (1 <= m <= limit), in m's
+        dtype, with m itself at 1 and at the primes.  A store that stops
+        short of max(m) is sieved that far first."""
+        try:  # no pass over m when the store reaches it: the walks call this per round
+            s = self._store[m >> 1]
+        except (TypeError, IndexError):  # no store yet, or one short of max(m)
+            s = self.odd_spf_upto(int(m.max(initial=1)))[m >> 1]
+        s = s.astype(m.dtype)  # drop the entries before the fill: fewer page faults
+        s += np.multiply(m, s == 0, dtype=m.dtype)
+        return s
+
     @property
     def spf(self) -> np.ndarray:
         """Smallest prime factor for every n in [0, limit] (spf[1] = 1)."""
@@ -291,23 +282,21 @@ class PrimeTable:
 
     def spf_upto(self, n: int) -> np.ndarray:
         """Smallest prime factor for every m in [0, n] (spf[1] = 1) as
-        int32: the expansion of the odd store (`odd_spf_upto`), with 2 at
-        every even m >= 4.  The longest prefix built is kept, so the array
-        returned may run past n, and `spf` is the prefix that reaches the
-        limit."""
+        int32: `odd_spf` at every odd m, and 2 at every even m >= 4.  The
+        longest prefix built is kept, so the array returned may run past n,
+        and `spf` is the prefix that reaches the limit."""
         self._check_capacity(n)
         if self._spf is None or len(self._spf) <= n:
             spf = np.arange(n + 1, dtype=np.int32)
             spf[4::2] = 2
-            odd = self.odd_spf_upto(n)[: (n + 1) // 2]
-            np.copyto(spf[1::2], odd, where=odd != 0)
+            spf[1::2] = self.odd_spf(spf[1::2])
             self._spf = spf
         return self._spf
 
     def primes_between(self, a: float, b: float) -> np.ndarray:
-        """Primes p with a <= p < b."""
-        self._check_capacity(b - 1)
-        ps = self.primes
+        """Primes p with a <= p < b, from the `primes_upto(ceil(b) - 1)`
+        prefix, so they are unpacked only as far as b."""
+        ps = self.primes_upto(math.ceil(b) - 1)
         # For integer p, a <= p <=> ceil(a) <= p and p < b <=> p < ceil(b);
         # integer keys keep searchsorted from casting the array to float.
         lo = np.searchsorted(ps, math.ceil(a), side="left")
@@ -318,20 +307,18 @@ class PrimeTable:
         """2 e^{-gamma} prod_{2 < p <= P} (1 - (p-1)^{-2}) with its rounding
         radius, the N-independent factor of the singular series truncated at
         P; computed once per P and kept on the table.  The factors are formed
-        a window at a time in one reused buffer and multiplied in order
-        (`ball_prod`), so the centre is `float(np.prod(...))` of the whole
-        factor array and the radius counts every factor.  The primes come
-        from the `primes_upto(P)` prefix, so they are unpacked only to P.  A
-        P past the table's limit reads the product off a table built to P,
-        once."""
+        off the bits a window at a time (`odd_prime_windows`) and multiplied
+        in order (`ball_prod`), so the centre is `float(np.prod(...))` of the
+        whole factor array, the radius counts every factor, and no array of
+        the primes is built.  (p - 1)^2 = 4 ((p - 1)/2)^2 is exact below
+        2^55.  A P past the table's limit reads the product off a table
+        built to P, once."""
         ball = self._twin.get(P)
         if ball is None:
             if P > self.limit:
                 ball = build_prime_table(P).twin_product(P)
             else:
-                ps = self.primes_upto(P)
-                odd = ps[1 : np.searchsorted(ps, P, side="right")]
-                factors = _factor_windows(odd, _twin_factor)
+                factors = (1.0 - 1.0 / np.square(p - 1.0) for p in self.odd_prime_windows(P))
                 ball = 2.0 * exp_neg_gamma_ball() * ball_prod(factors)
             self._twin[P] = ball
         return ball
@@ -443,14 +430,14 @@ def euler_phi(k: int) -> int:
 
 
 def mertens_product(x: float, table: PrimeTable) -> Ball:
-    """prod_{p <= x} (1 - 1/p) with its rounding radius, its factors formed
-    and multiplied a window at a time, as in `PrimeTable.twin_product`."""
+    """prod_{p <= x} (1 - 1/p) with its rounding radius: 1/2, then the odd
+    primes' factors formed off the bits and multiplied a window at a time,
+    as in `PrimeTable.twin_product`."""
     if x < 2:
         raise DomainError(f"product needs x >= 2, got {x}")
     table._check_capacity(x)
-    ps = table.primes
-    ps = ps[: np.searchsorted(ps, math.floor(x), side="right")]
-    return ball_prod(_factor_windows(ps, _mertens_factor))
+    odd = table.odd_prime_windows(math.floor(x))
+    return ball_prod(itertools.chain([np.array([0.5])], (1.0 - 1.0 / p for p in odd)))
 
 
 def recip_prime_sum(a: float, b: float, table: PrimeTable) -> Ball:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -100,6 +101,24 @@ def test_ledger_all_pass(table_1m):
         assert led[name].passes
         assert led[name].ball.radius < 1e-8
     assert led["lit_headline_coeff"].ball.value == 0.007
+
+
+def test_ledger_unpacks_the_primes_only_to_113():
+    """c0 reads the 30 primes to 113 and U_4 the twin product, which is
+    formed straight off the bits, so the ledger on a 9.8e6 table, truncated
+    at its limit as `constants --table-limit` does, unpacks the primes only
+    to 113 and traces under 1 MiB.  Reading the array of all 652k primes to
+    the limit for both traced 5.54 MiB."""
+    ledger(build_prime_table(200_000))  # first-call allocations
+    table = build_prime_table(9_800_000)
+    tracemalloc.start()
+    try:
+        ledger(table, truncation_limit=table.limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table._primes_to == 113
+    assert peak < 1 << 20
 
 
 def test_ledger_rows_sorted_and_deterministic(table_1m):

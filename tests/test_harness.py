@@ -344,10 +344,11 @@ def test_lemma41_large_N_in_chunks_matches_the_unsplit_pass(table_1m, monkeypatc
 def test_engines_read_primality_off_the_bits():
     """Neither engine builds the byte-per-integer primality array, and a
     single N past the truncation point of U_N (1e6 here) unpacks the primes
-    only to that point, not to the limit."""
+    only as far as its set B reads them, (N - 1) // (ceil(z) ceil(y)) =
+    1099999 // (6 * 104) = 1762, not to that point nor to the limit."""
     table = build_prime_table(1_200_000)
     (pi2,) = lemma41_columns([1_100_000], table)[1]
-    assert table._isprime is None and table._primes_to == 1_000_000
+    assert table._isprime is None and table._primes_to == 1762
     for mode in ("full", "floor"):
         goldbach_chen_scan(30_000, table, mode=mode)
         assert table._isprime is None

@@ -251,6 +251,33 @@ def test_odd_spf_store_keeps_a_long_enough_prefix(monkeypatch, n):
         assert longer[: len(store)].tolist() == store.tolist()
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_odd_spf_at_every_odd_m_to_1e5(dtype):
+    """`odd_spf` gives spf(m) in m's dtype at every odd m <= 1e5, in any
+    order, with m itself at 1 and at the primes: the int32 `spf_upto`
+    expansion at the odd m, and trial division.  A store that stops short
+    of max(m), or none, is sieved again to max(m) and no further, and an m
+    past the limit is refused.  On a table whose bits mark 15 prime it
+    still gives 3 there, as the store is sieved from its own base primes."""
+    m = np.arange(1, 100_001, 2, dtype=dtype)
+    want = [smallest_divisor(int(v)) for v in m]
+    table = build_prime_table(200_000)
+    table.odd_spf_upto(99)
+    got = table.odd_spf(m[::-1])[::-1]
+    assert got.dtype == dtype and got.tolist() == want
+    assert len(table.odd_spf_upto(0)) == 50_000
+    assert table.spf_upto(100_000)[1::2].tolist() == want
+    packed = build_prime_table(100_000).packed.copy()
+    packed[0] |= np.uint64(1 << 6)  # bit j is 3 + 2j
+    damaged = primes_mod.PrimeTable(limit=100_000, packed=packed)
+    assert damaged.is_prime(15)
+    got = damaged.odd_spf(m)
+    assert got.dtype == dtype and got.tolist() == want
+    assert damaged.spf_upto(100_000)[1::2].tolist() == want
+    with pytest.raises(CapacityError):
+        damaged.odd_spf(np.array([100_001], dtype=dtype))
+
+
 def test_is_prime_agrees_with_array(table_small):
     arr = table_small.isprime_array
     for n in [0, 1, 2, 3, 4, 9973, 9999, 10000]:

@@ -18,7 +18,9 @@ table limits, the grid and bound sizes of the certify benchmark, CSVs that
 reach the edge paths of the whole-column formatting kernels, JSON and
 text rows on either side of the kernels' row cutoff and of the write
 block, tables that span several windows of the prime table's passes (a
-``verify`` target walked in chunks of them among them),
+``verify`` target walked in chunks of them among them), the two
+``constants`` table limits at which the products' first window of bits is
+exactly full and one bit past full,
 ``--threads`` values it accepts and rejects, and usage errors,
 among them one option per command that the command does not accept.
 Every command outside ERRORS parses; a tier-1 test checks that against
@@ -143,9 +145,13 @@ ROWS = [
 # of the twin-prime product (the constants ledger's largest table among them);
 # a verify target one below an odd limit, whose pairs pass the budget and are
 # walked in chunks of bit windows; and floor and full scans whose P2
-# indicator and p = 2 column end a few entries past a window of bits.
+# indicator and p = 2 column end a few entries past a window of bits.  The
+# products read 2^16 bits a window: 131073 has exactly that many odd numbers
+# from 3 on, and 131075 one more.
 WINDOWS = [
     "constants --table-limit 9865089",
+    "constants --table-limit 131073",
+    "constants --table-limit 131075",
     "scan --max 1000 --table-limit 4194411",
     "verify --N 1000000 --table-limit 4194411",
     "verify --N 2000000 --table-limit 2000001",
