@@ -54,17 +54,11 @@ HEADLINE_COEFF = 0.007  # the threshold; a float above 7/1000
 PI_STR = "3.141592653589793238462643383279502884"
 
 
-def zeta(s: int, n: int = 48) -> Ball:
-    """Riemann zeta at an integer s >= 2 via accelerated eta-series.
-
-    Chebyshev-accelerated alternating series:
-        zeta(s) = -1/(d_n (1 - 2^{1-s})) * sum_{k<n} (-1)^k (d_k - d_n)/(k+1)^s
-    where d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), with remainder
-    bounded by 3 / ((3 + sqrt 8)^n |1 - 2^{1-s}|).  n = 48 pushes that far
-    below one ulp; the d_k are exact Fractions, rounded through `Ball.near`.
-    """
-    if s < 2:
-        raise ValueError(f"zeta helper needs integer s >= 2, got {s}")
+@cache
+def _eta_weights(n: int) -> tuple[tuple[Ball, ...], Ball]:
+    """The Balls of (-1)^k (d_k - d_n) for k < n and of d_n, the part of
+    `zeta`'s series that does not depend on s: built once for c1's three
+    zeta values."""
     t = Fraction(1, n)  # t_0 = (n-1)!/n!
     acc = t
     d = [n * acc]
@@ -73,11 +67,27 @@ def zeta(s: int, n: int = 48) -> Ball:
         acc += t
         d.append(n * acc)
     dn = d[n]
-    terms = [Ball.near((-1) ** k * (d[k] - dn)) / Ball.near((k + 1) ** s) for k in range(n)]
+    return tuple(Ball.near((-1) ** k * (d[k] - dn)) for k in range(n)), Ball.near(dn)
+
+
+def zeta(s: int, n: int = 48) -> Ball:
+    """Riemann zeta at an integer s >= 2 via accelerated eta-series.
+
+    Chebyshev-accelerated alternating series:
+        zeta(s) = -1/(d_n (1 - 2^{1-s})) * sum_{k<n} (-1)^k (d_k - d_n)/(k+1)^s
+    where d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), with remainder
+    bounded by 3 / ((3 + sqrt 8)^n |1 - 2^{1-s}|).  n = 48 pushes that far
+    below one ulp; the d_k are exact Fractions, rounded through `Ball.near`
+    (`_eta_weights`).
+    """
+    if s < 2:
+        raise ValueError(f"zeta helper needs integer s >= 2, got {s}")
+    weights, dn = _eta_weights(n)
+    terms = [w / Ball.near((k + 1) ** s) for k, w in enumerate(weights)]
     total = ball_fsum(terms)
     scale = 1.0 - 2.0 ** (1 - s)  # exact
     remainder = 3.0 / ((3.0 + math.sqrt(8.0)) ** n * abs(scale))
-    return -total / (Ball.near(dn) * scale) + Ball(0.0, up(remainder))
+    return -total / (dn * scale) + Ball(0.0, up(remainder))
 
 
 def compute_c0(table: PrimeTable) -> Ball:

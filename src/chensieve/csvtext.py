@@ -56,26 +56,32 @@ def _layouts() -> np.ndarray:
     D 10^(X - 16), D a 17-digit integer with `sig` significant digits
     (source digits 3-19); row _INT_LAYOUT + w - 1 the `%d` text of a w-digit
     integer; row _NEGATIVE + i the text of row i after a minus sign."""
-    letters = "ABCDEFGHIJKLMNOPQRST"  # stand for source digits 0-19
-    d = letters[3:]
-    texts = []
-    for X in range(-11, 44):
-        for sig in range(1, 18):
-            if 0 <= X < 17:
-                whole, frac, tail = d[: X + 1], d[X + 1 : sig], ""
-            elif -4 <= X < 0:
-                whole, frac, tail = "0", "0" * (-X - 1) + d[:sig], ""
-            else:
-                whole, frac, tail = d[0], d[1:sig], "e%+03d" % X
-            texts.append(whole + ("." + frac if frac else "") + tail)
-    texts += [letters[20 - w :] for w in range(1, 21)]
-    code = np.full(128, 20 + len(_LITERALS), np.intp)  # the NUL
-    code[np.frombuffer(letters.encode(), np.uint8)] = np.arange(20)
-    code[np.frombuffer(_LITERALS.encode(), np.uint8)] = 20 + np.arange(len(_LITERALS))
-    padded = np.frombuffer("".join(t.ljust(CELL, "\0") for t in texts).encode(), np.uint8)
-    plain = code[padded].reshape(len(texts), CELL)
-    minus = np.full((len(texts), 1), 20)  # _LITERALS[0]
-    return np.concatenate([plain, np.concatenate([minus, plain[:, :-1]], axis=1)])
+    minus, point, e, plus, zero = (20 + _LITERALS.index(c) for c in "-.e+0")
+    nul = 20 + len(_LITERALS)
+    X, sig = np.divmod(np.arange(_INT_LAYOUT, dtype=np.int16), 17)
+    X -= 11
+    sig += 1
+    fixed = (0 <= X) & (X < 17)  # written with a point and no exponent
+    small = (-4 <= X) & (X < 0)  # written as "0." and -X - 1 zeros, then the digits
+    lead = np.where(small, 1 - X, 0)[:, None]  # the bytes before the first digit
+    digits = np.where(fixed, np.maximum(sig, X + 1), sig)[:, None]
+    whole = np.where(fixed, X + 1, np.where(small, CELL, 1))[:, None]  # digits before a point
+    end = lead + digits + (digits > whole)  # where an exponent starts
+    p = np.arange(CELL, dtype=np.int16)
+    q = p - lead
+    plain = 3 + q - (q > whole)  # source digit 3 + i for the digit after i others
+    plain[q == whole] = point
+    plain[p >= end] = nul
+    plain[p < lead] = zero
+    plain[small, 1] = point
+    expo = np.flatnonzero(~(fixed | small))
+    sign, x = np.where(X[expo] < 0, minus, plus), abs(X[expo])
+    tail = [np.full_like(x, e), sign, zero + x // 10, zero + x % 10]
+    plain[expo[:, None], end[expo] + np.arange(4)] = np.stack(tail, axis=1)  # "e%+03d" % X
+    width = np.arange(1, 21)[:, None]
+    plain = np.concatenate([plain, np.where(p < width, 20 - width + p, nul)]).astype(np.intp)
+    signed = np.concatenate([np.full((len(plain), 1), minus), plain[:, :-1]], axis=1)
+    return np.concatenate([plain, signed])
 
 
 @cache

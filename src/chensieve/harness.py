@@ -80,7 +80,7 @@ def _ranges(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _triples(
-    Ns: np.ndarray, cz: np.ndarray, cy: np.ndarray, ps: np.ndarray
+    Ns: np.ndarray, cz: np.ndarray, cy: np.ndarray, table: PrimeTable
 ) -> tuple[np.ndarray, np.ndarray]:
     """B for every N of `Ns` at once, with cz = ceil(z) and cy = ceil(y) per
     N: the index into `Ns` of each element and the element N - p1 p2 p3,
@@ -88,8 +88,12 @@ def _triples(
     p1 in [z, y), y <= p2 <= p3, and p1, p2, p3 coprime to N.
 
     The product constraint p1 p2 p3 < N is enforced exactly, through
-    p1 p2^2 < N and p3 <= (N - 1) // (p1 p2).
+    p1 p2^2 < N and p3 <= (N - 1) // (p1 p2).  So every prime of B is at
+    most max(ceil(y) - 1, (N - 1) // (ceil(z) ceil(y))), and the table's
+    primes are unpacked only that far.
     """
+    reach = max(int((cy - 1).max()), int(((Ns - 1) // (cz.astype(np.int64) * cy)).max()))
+    ps = table.primes_upto(min(reach, table.limit))
     iy = np.searchsorted(ps, cy)
     j1, lens = _ranges(np.searchsorted(ps, cz), iy)
     t = np.repeat(np.arange(len(Ns)), lens)
@@ -121,7 +125,7 @@ def enumerate_set(spec: SiftedSetSpec, table: PrimeTable) -> np.ndarray:
         a = _base_A(N, table, _divisor_primes(N))
         return a[a % spec.q == 0]
     Ns, cz, cy = (np.array([v]) for v in (N, math.ceil(spec.z), math.ceil(spec.y)))
-    return _triples(Ns, cz, cy, table.primes)[1]
+    return _triples(Ns, cz, cy, table)[1]
 
 
 def _sifting_primes(N: int, level: float, table: PrimeTable) -> list[int]:
@@ -310,8 +314,7 @@ def _lemma41_block(
     p = 2 is taken in closed form: N - 2 = 2(N/2 - 1) is in P2 exactly when
     h = N/2 - 1 is prime, and 2 | N keeps N - 2 out of A.  Every element of
     B is odd, as p1 >= z >= 2 cannot divide the even N, and B is sifted as
-    A is, at y.  B's primes are at most max(ceil(y) - 1, (N - 1) //
-    (ceil(z) ceil(y))), so `_triples` reads the primes only that far.
+    A is, at y.
     """
     totals = [np.zeros(len(Ns), dtype=np.int64) for _ in range(3)]
     for k, p in parts:
@@ -323,8 +326,7 @@ def _lemma41_block(
     two &= h % 2 == 1
     two |= h == 2
     pi2 += two
-    reach = max(int((cy - 1).max()), int(((Ns - 1) // (cz.astype(np.int64) * cy)).max()))
-    tb, b = _triples(Ns, cz, cy, table.primes_upto(min(reach, table.limit)))
+    tb, b = _triples(Ns, cz, cy, table)
     alive = table.odd_spf(b) >= cy[tb]
     alive |= b == 1
     S_B = np.bincount(tb[np.flatnonzero(alive)], minlength=len(Ns))

@@ -22,17 +22,18 @@ a term from nonnegative floats and one log (u = 2^-53; E is `_clenshaw`'s):
   since h = src(t-1) - (t-1) p(t) = (t-1)(g - p) has the Chebyshev
   coefficients a - (k - 1/2) c - chebmulx(c)/2 (a: src's own, as [k-1, k]
   maps to the same variable; a linear seed's formed exactly), and 4u(...)
-  covers forming them in floats.  This holds whatever `interpolate` rounded,
-  nodes and integrand values included, so the Bernstein-ellipse truncation
-  bound (Trefethen, ATAP, Thm 8.2, at exact Chebyshev points) is not needed.
-- integration: 2u sum |c| for `integ`'s coefficients (c_{j-1} - c_{j+1})/4j,
+  covers forming them in floats.  This holds whatever the interpolant's
+  nodes and values rounded, so the Bernstein-ellipse truncation bound
+  (Trefethen, ATAP, Thm 8.2, at exact Chebyshev points) is not needed.
+- integration: 2u sum |c| for `chebint`'s coefficients (c_{j-1} - c_{j+1})/4j,
   whose errors the constant of integration repeats; E(partial) for that
   constant's Clenshaw value; u |poly_0| for adding the start value.
 - evaluation: E(poly), anywhere on the piece.
 
-Evaluation works on arrays: a binary search over the piece edges assigns
-each point to its piece, whose polynomial runs once on all of its points.
-The scalar `f1`/`F1` and the tabulated grid are calls of that one path.
+A piece is bare Chebyshev coefficients with its radius and E, and each step
+makes `numpy.polynomial.Chebyshev`'s float operations in their order, so every
+bit is the class's.  A binary search over the piece edges sends each point to
+its piece, which runs once on all of its points, for `f1`/`F1` and the grid.
 """
 
 from __future__ import annotations
@@ -43,23 +44,22 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import Chebyshev
-from numpy.polynomial.chebyshev import chebmulx
+from numpy.polynomial.chebyshev import chebadd, chebmulx, chebpts1, chebvander
 
 from .ball import U, Ball, exp_gamma_ball, up
 from .errors import ConfigError, DomainError
 
 S_MAX_CAP = 12.0
-# Degree of the Chebyshev interpolant of each piece's integrand.
-DEGREE = 48
+DEGREE = 48  # of the Chebyshev interpolant of each piece's integrand
 
 
 @dataclass(frozen=True)
 class _Piece:
     lo: float
     hi: float
-    poly: Chebyshev
+    coef: np.ndarray  # Chebyshev coefficients on [lo, hi]
     radius: float  # uniform enclosure radius valid on [lo, hi]
+    error: float  # E(coef), the bound on evaluating coef in floats
 
 
 def _clenshaw(c: np.ndarray) -> float:
@@ -74,12 +74,37 @@ def _clenshaw(c: np.ndarray) -> float:
     return 3.0 * U * (a.sum() + 3.0 * beta[1:].sum())
 
 
-def _coef_on(src: _Piece, k: int) -> np.ndarray:
-    """Chebyshev coefficients of src(t-1) for t in [k, k+1]."""
-    if src.lo == k - 1:
-        return src.poly.coef
-    (c0, c1), (lo, hi) = (map(Fraction, v.tolist()) for v in (src.poly.coef, src.poly.domain))
-    return np.array([float(c0 + c1 * (2 * k - 1 - lo - hi) / (hi - lo)), float(c1 / (hi - lo))])
+def _value(c: list[float], x: float) -> float:
+    """`chebval(x, c)` at one float x, its recurrence on Python floats."""
+    *c, c0, c1 = c
+    for cj in reversed(c):
+        c0, c1 = cj - c1, c0 + c1 * (2 * x)
+    return c0 + c1 * x
+
+
+def _values(piece: _Piece, s: np.ndarray) -> np.ndarray:
+    """The piece at every s as `Chebyshev.__call__` maps and evaluates it, in three buffers."""
+    lo, hi, c = piece.lo, piece.hi, piece.coef
+    x = (-hi - lo) / (hi - lo) + 2.0 / (hi - lo) * s
+    x2, (c0, c1, t) = 2 * x, np.empty((3, len(x)))
+    c0[:], c1[:] = c[-2], c[-1]
+    for cj in c[-3::-1].tolist():
+        np.add(c0, np.multiply(c1, x2, out=t), out=t)  # the old c0 + c1 x2
+        np.subtract(cj, c1, out=c0)
+        c1, t = t, c1
+    return np.add(c0, np.multiply(c1, x, out=t), out=t)
+
+
+def _integ(c: np.ndarray) -> np.ndarray:
+    """`chebint(c, lbnd=-1, scl=0.5)`, as `integ(lbnd=k)` calls it on [k, k+1],
+    its loop vectorized: each coefficient is set, then has its one term taken off."""
+    c = c * 0.5
+    out = np.empty(len(c) + 1)
+    out[0], out[1] = c[0] * 0, c[0]
+    out[2:] = c[1:] / (2 * np.arange(2, len(c) + 1))
+    out[1:-2] -= c[2:] / (2 * np.arange(1, len(c) - 1))
+    out[0] += 0 - _value(out.tolist(), -1.0)
+    return out
 
 
 class SieveFunctionSystem:
@@ -89,106 +114,85 @@ class SieveFunctionSystem:
         if not (3.0 <= s_max <= S_MAX_CAP):
             raise ConfigError(f"s_max must be in [3, {S_MAX_CAP}], got {s_max}")
         self.s_max = float(s_max)
-
         two_eg = exp_gamma_ball() * 2.0
         self._two_eg = two_eg.value
         # Closed-form seeds: f1 linear on [0, 2]; F1 = two_eg - s on [0, 3], whose
         # subtraction rounds the most at s = 0, so the Ball two_eg - 0 bounds it.
-        F1_seed = Chebyshev([two_eg.value - 1.5, -1.5], domain=[0.0, 3.0])
-        self._f1_pieces = [_Piece(0.0, 2.0, Chebyshev([1.0, 1.0], domain=[0.0, 2.0]), 0.0)]
-        self._F1_pieces = [_Piece(0.0, 3.0, F1_seed, (two_eg - 0.0).radius)]
-        self._build()
-
-    # -- construction ---------------------------------------------------------
-
-    def _march(self, prev: _Piece, k: int, src: _Piece) -> _Piece:
-        """Continue `prev` onto [k, k+1] by
-        V(s) = V(k) - int_k^s src(t-1)/(t-1) dt."""
-        lo, hi = float(k), float(k + 1)
-        start_value = float(prev.poly(lo))
-        p_g = Chebyshev.interpolate(lambda t: src.poly(t - 1) / (t - 1), DEGREE, domain=[lo, hi])
-        partial = p_g.integ(lbnd=lo)
-        poly = -partial + start_value
-
-        c, sum_c = p_g.coef, float(np.abs(p_g.coef).sum())
-        a = np.zeros(len(c) + 1)
-        a[: len(src.poly.coef)] = _coef_on(src, k)
-        h = a - ((k - 0.5) * np.append(c, 0.0) + 0.5 * chebmulx(c))
-        terms = (
-            prev.radius + _clenshaw(prev.poly.coef),  # start
-            src.radius * math.log(k / (k - 1.0)),  # propagated
-            (np.abs(h).sum() + 4 * U * (np.abs(a).sum() + k * sum_c)) / (k - 1),  # interpolation
-            2.0 * U * sum_c + _clenshaw(partial.coef) + U * abs(poly.coef[0]),  # integration
-            _clenshaw(poly.coef),  # evaluation
-        )
-        return _Piece(lo, hi, poly, up(math.fsum(map(up, terms))))
-
-    def _build(self) -> None:
-        # Each step reads the pieces on [k-1, k] (the seeds at the start:
-        # f1(2) = 2 exactly, and F1 is closed-form up to 3).
+        f1_seed, F1_seed = np.array([1.0, 1.0]), np.array([two_eg.value - 1.5, -1.5])
+        self._f1_pieces = [_Piece(0.0, 2.0, f1_seed, 0.0, _clenshaw(f1_seed))]
+        self._F1_pieces = [_Piece(0.0, 3.0, F1_seed, (two_eg - 0.0).radius, _clenshaw(F1_seed))]
+        # chebinterpolate's points, halved (exactly) to [k, k+1]'s scale, and its Vandermonde
+        nodes = chebpts1(DEGREE + 1)
+        self._half_nodes, self._vander_T = 0.5 * nodes, chebvander(nodes, DEGREE).T
+        # Each step reads the pieces on [k-1, k], at first the seeds: f1(2) = 2, F1 closed-form to 3
         for k in range(2, int(math.ceil(self.s_max))):
             f1_prev, F1_prev = self._f1_pieces[-1], self._F1_pieces[-1]
             self._f1_pieces.append(self._march(f1_prev, k, F1_prev))
             if k >= 3:
                 self._F1_pieces.append(self._march(F1_prev, k, f1_prev))
 
-    # -- evaluation -------------------------------------------------------------
+    def _march(self, prev: _Piece, k: int, src: _Piece) -> _Piece:
+        """Continue `prev` onto [k, k+1] by V(s) = V(k) - int_k^s src(t-1)/(t-1) dt."""
+        t = (2 * k + 1) / 2 + self._half_nodes - 1.0  # t - 1 at chebinterpolate's points t
+        c = np.dot(self._vander_T, _values(src, t) / t)
+        c[0] /= DEGREE + 1
+        c[1:] /= 0.5 * (DEGREE + 1)
+        partial = _integ(c)
+        poly = chebadd(-partial, _value(prev.coef.tolist(), 1.0))  # prev's window maps k to 1
+        sum_c = float(np.abs(c).sum())
+        a = np.zeros(len(c) + 1)  # src(t-1) on [k, k+1]: src's own coefficients,
+        if src.lo == k - 1:
+            a[: len(src.coef)] = src.coef
+        else:  # or a linear seed's, formed exactly
+            (c0, c1), lo, hi = map(Fraction, src.coef.tolist()), Fraction(src.lo), Fraction(src.hi)
+            a[:2] = float(c0 + c1 * (2 * k - 1 - lo - hi) / (hi - lo)), float(c1 / (hi - lo))
+        h = a - ((k - 0.5) * np.append(c, 0.0) + 0.5 * chebmulx(c))
+        error = _clenshaw(poly)
+        terms = (
+            prev.radius + prev.error,  # start
+            src.radius * math.log(k / (k - 1.0)),  # propagated
+            (np.abs(h).sum() + 4 * U * (np.abs(a).sum() + k * sum_c)) / (k - 1),  # interpolation
+            2.0 * U * sum_c + _clenshaw(partial) + U * abs(poly[0]),  # integration
+            error,  # evaluation
+        )
+        return _Piece(float(k), float(k + 1), poly, up(math.fsum(map(up, terms))), error)
 
-    @staticmethod
-    def _piecewise(pieces: list[_Piece], s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and radii of contiguous pieces at every s.  Each s goes to the
-        first piece with lo <= s <= hi (s = k lands on [k-1, k]), the last piece
-        past the end; each piece that holds points runs its polynomial once on
-        all of them, and the others not at all."""
-        value, radius = np.empty_like(s), np.empty_like(s)
-        his = np.array([piece.hi for piece in pieces])
-        which = np.minimum(np.searchsorted(his, s, side="left"), len(pieces) - 1)
-        for i in np.flatnonzero(np.bincount(which, minlength=len(pieces))).tolist():
-            on = which == i
-            value[on] = pieces[i].poly(s[on])
-            radius[on] = pieces[i].radius
-        return value, radius
-
-    def _check(self, name: str, s: np.ndarray, low_ok: np.ndarray, low: str) -> None:
+    def _evaluate(self, name, s, low_ok, low, pieces, value, radius) -> tuple[np.ndarray, ...]:
+        """`value` and `radius` (the seed's) with the marched pieces' past the seed: each
+        such s goes to the first piece with lo <= s <= hi, the last past the end."""
         if not low_ok.all():
             raise DomainError(f"{name} needs s {low}, got {s[~low_ok][0]}")
         high = s > self.s_max
         if high.any():
             raise DomainError(f"{name} built up to s_max={self.s_max}, got {s[high][0]}")
-
-    @staticmethod
-    def _finite(value: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        past = np.flatnonzero(s > pieces[0].hi)
+        his = np.array([piece.hi for piece in pieces[1:]])
+        which = np.minimum(np.searchsorted(his, s[past], side="left"), len(his) - 1)
+        for i in np.flatnonzero(np.bincount(which, minlength=len(his))).tolist():
+            on, piece = past[which == i], pieces[i + 1]
+            value[on] = _values(piece, s[on])
+            radius[on] = piece.radius
         # the check each Ball makes on construction, for the whole array
         if not (np.isfinite(value).all() and np.isfinite(radius).all() and (radius >= 0.0).all()):
             raise ValueError("sieve function value or radius is not finite")
         return value, radius
 
     def f1_array(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """f1 values and radii at every s in (0, s_max]."""
+        """f1 values and radii at every s in (0, s_max]; f1 = s exactly on (0, 2]."""
         s = np.asarray(s, dtype=np.float64)
-        self._check("f1", s, s > 0.0, "> 0")
-        value, radius = s.copy(), np.zeros_like(s)  # f1 = s exactly on (0, 2]
-        past = s > 2.0
-        value[past], radius[past] = self._piecewise(self._f1_pieces[1:], s[past])
-        return self._finite(value, radius)
+        return self._evaluate("f1", s, s > 0.0, "> 0", self._f1_pieces, s.copy(), np.zeros_like(s))
 
     def F1_array(self, s) -> tuple[np.ndarray, np.ndarray]:
-        """F1 values and radii at every s in [0, s_max]."""
+        """F1 values and radii at every s in [0, s_max]; F1 = 2 e^gamma - s on [0, 3]."""
         s = np.asarray(s, dtype=np.float64)
-        self._check("F1", s, s >= 0.0, ">= 0")
-        value = self._two_eg - s  # F1 = 2 e^gamma - s on [0, 3]
         radius = np.full_like(s, self._F1_pieces[0].radius)
-        past = s > 3.0
-        value[past], radius[past] = self._piecewise(self._F1_pieces[1:], s[past])
-        return self._finite(value, radius)
+        return self._evaluate("F1", s, s >= 0.0, ">= 0", self._F1_pieces, self._two_eg - s, radius)
 
     def f1(self, s: float) -> Ball:
-        value, radius = self.f1_array([s])
-        return Ball(float(value[0]), float(radius[0]))
+        return Ball(*(float(v[0]) for v in self.f1_array([s])))
 
     def F1(self, s: float) -> Ball:
-        value, radius = self.F1_array([s])
-        return Ball(float(value[0]), float(radius[0]))
+        return Ball(*(float(v[0]) for v in self.F1_array([s])))
 
 
 @lru_cache(maxsize=8)
@@ -204,9 +208,6 @@ def eval_f1(s: float, *, s_max: float = 12.0) -> Ball:
 def eval_F1(s: float, *, s_max: float = 12.0) -> Ball:
     """F1(s) as a Ball; s must lie in [0, s_max]."""
     return get_system(s_max).F1(s)
-
-
-# -- tabulation ----------------------------------------------------------------
 
 
 @dataclass
@@ -232,6 +233,5 @@ def build_grid(s_max: float = 12.0, step: float = 1e-3) -> SieveFunctionGrid:
     system = get_system(s_max)  # checks s_max
     n = int(math.floor(s_max / step + 1e-9))
     s = np.arange(1, n + 1, dtype=np.float64) * step
-    while len(s) and float(s[-1]) > s_max:
-        s = s[:-1]
+    s = s[s <= s_max]  # s ascends, so only nodes at its end can pass s_max
     return SieveFunctionGrid(s, *system.f1_array(s), *system.F1_array(s))

@@ -603,6 +603,40 @@ def _int_cells(values) -> list[str]:
     return [bytes(row).replace(b"\0", b"").decode() for row in out]
 
 
+def _layouts_by_text() -> np.ndarray:
+    """`csvtext._layouts` as it was made before its numpy index arithmetic:
+    the text of every layout written out with letters for the source digits,
+    then mapped to source bytes."""
+    letters = "ABCDEFGHIJKLMNOPQRST"  # stand for source digits 0-19
+    d = letters[3:]
+    texts = []
+    for X in range(-11, 44):
+        for sig in range(1, 18):
+            if 0 <= X < 17:
+                whole, frac, tail = d[: X + 1], d[X + 1 : sig], ""
+            elif -4 <= X < 0:
+                whole, frac, tail = "0", "0" * (-X - 1) + d[:sig], ""
+            else:
+                whole, frac, tail = d[0], d[1:sig], "e%+03d" % X
+            texts.append(whole + ("." + frac if frac else "") + tail)
+    texts += [letters[20 - w :] for w in range(1, 21)]
+    literals = csvtext._LITERALS
+    code = np.full(128, 20 + len(literals), np.intp)  # the NUL
+    code[np.frombuffer(letters.encode(), np.uint8)] = np.arange(20)
+    code[np.frombuffer(literals.encode(), np.uint8)] = 20 + np.arange(len(literals))
+    cell = csvtext.CELL
+    padded = np.frombuffer("".join(t.ljust(cell, "\0") for t in texts).encode(), np.uint8)
+    plain = code[padded].reshape(len(texts), cell)
+    minus = np.full((len(texts), 1), 20)  # _LITERALS[0]
+    return np.concatenate([plain, np.concatenate([minus, plain[:, :-1]], axis=1)])
+
+
+def test_layouts_match_the_text_oracle():
+    got = csvtext._layouts.__wrapped__()
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _layouts_by_text())
+
+
 def _assert_printf(values) -> None:
     x = np.asarray(values, dtype=np.float64)
     assert _float_cells(x) == ["%.17g" % v for v in x.tolist()]

@@ -355,6 +355,15 @@ def test_engines_read_primality_off_the_bits():
     assert pi2 == pi2_bruteforce(1_100_000, table)
 
 
+def test_set_B_unpacks_the_primes_only_to_its_reach():
+    """The general path enumerates B through the block pass's `_triples`, so
+    on a 1e7 table it unpacks the primes only to max(ceil(y) - 1, (N - 1) //
+    (ceil(z) ceil(y))) = 9999 // (4 * 22) = 113, not all 664 579 of them."""
+    table = build_prime_table(10_000_000)
+    assert sift_count(SiftedSetSpec("B", 10_000), table) == 6
+    assert table._primes_to <= 113
+
+
 def test_engines_across_small_bit_windows(monkeypatch):
     """With 16-bit windows, every window edge of the bits falls inside the
     scan's P2 indicator, its p = 2 column and a chunked N's primes."""

@@ -343,6 +343,30 @@ def test_bits_past_the_limit_are_ignored(monkeypatch):
         assert np.array_equal(dirty.isprime_array, clean.isprime_array)
 
 
+@pytest.mark.parametrize("limit", [1000, 1001, 131_075, 300_003])
+def test_cache_loaded_stray_bits_past_the_limit(tmp_path, limit):
+    """A cache file whose last word carries every bit past the limit loads
+    into a table whose primes, whole or as a prefix ending inside a byte,
+    are the clean table's: the count that sizes the primes' array and the
+    fill stop at the same bit."""
+    clean = build_prime_table(limit)
+    n = (limit - 1) // 2
+    assert n % 64
+    path = tmp_path / "pt.bin"
+    save_cache(clean, path)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = (np.frombuffer(raw[-8:], "<u8") | ~np.uint64(0) << np.uint64(n % 64)).tobytes()
+    path.write_bytes(bytes(raw))
+    dirty = load_cache(path)
+    assert not np.array_equal(dirty.packed, clean.packed)
+    for m in (limit // 3 + 2, limit):
+        assert (m - 1) // 2 % 8  # its bits end inside a byte
+        want = clean.primes[clean.primes <= m]
+        got = primes_mod.PrimeTable(limit=limit, packed=dirty.packed).primes_upto(m)
+        assert np.array_equal(got[got <= m], want), m
+    assert np.array_equal(dirty.primes, clean.primes)
+
+
 # -- cache file -------------------------------------------------------------------
 
 

@@ -1,11 +1,15 @@
+import hashlib
 import io
 import math
+import struct
 import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial import Chebyshev
+from numpy.polynomial.chebyshev import chebint, chebval
 
 from chensieve.ball import Ball
 from chensieve.cli import main
@@ -203,18 +207,63 @@ def _exact_chebyshev_sum(coef, x: Fraction) -> Fraction:
     return total
 
 
+def _poly(piece) -> Chebyshev:
+    """numpy's own class on a piece's coefficients, the oracle of its values."""
+    return Chebyshev(piece.coef, domain=[piece.lo, piece.hi])
+
+
 def test_clenshaw_rounding_bound_holds_on_every_piece():
     # E(c) bounds the float value of each piece against the exact polynomial
     # of its float coefficients, at random points and at both ends.
     system = get_system(12.0)
     rng = np.random.default_rng(13)
     for piece in system._f1_pieces[1:] + system._F1_pieces[1:]:
-        bound = _clenshaw(piece.poly.coef)
+        bound = _clenshaw(piece.coef)
+        assert piece.error == bound
         points = [piece.lo, piece.hi] + rng.uniform(piece.lo, piece.hi, 12).tolist()
         for s in points:
             x = Fraction(2 * s) - (2 * int(piece.lo) + 1)
-            got = float(piece.poly(s))
-            assert abs(Fraction(got) - _exact_chebyshev_sum(piece.poly.coef, x)) <= bound, s
+            got = float(_poly(piece)(s))
+            assert abs(Fraction(got) - _exact_chebyshev_sum(piece.coef, x)) <= bound, s
+
+
+# sha256 of every piece, seeds included, f1's then F1's, each as its lo, hi,
+# coefficients and radius in little-endian float64.  Computed while each piece
+# was still a `numpy.polynomial.Chebyshev` (its `.coef` hashed), before the
+# march ran on bare coefficient arrays: the rewrite keeps every bit.
+_PINNED_PIECES = {
+    3.0: "afe286656e9e7ee8b956302f46aefa780eed0cf5a522c37909dfb1f539c1ab3c",
+    4.0: "ebf0c270d83dd5873fee6423bc9f6637d305fb1bf05959f47898da32542a188f",
+    8.2: "e9cdb3beec1df51a7707a4f64f52a051ca4356289f5d3c333509b28103e8070e",
+    12.0: "d616ddcc64bd1288d2c617c95813857958275b4413bb7eb0f147875b80cb561c",
+}
+
+
+@pytest.mark.parametrize("s_max", list(_PINNED_PIECES))
+def test_pieces_pinned(s_max):
+    system = SieveFunctionSystem(s_max)
+    digest = hashlib.sha256()
+    for piece in system._f1_pieces + system._F1_pieces:
+        digest.update(struct.pack("<dd", piece.lo, piece.hi))
+        digest.update(np.asarray(piece.coef, dtype="<f8").tobytes())
+        digest.update(struct.pack("<d", piece.radius))
+    assert digest.hexdigest() == _PINNED_PIECES[s_max]
+
+
+def test_bare_steps_match_numpy_bit_for_bit():
+    """The march's bare-array steps against the `numpy.polynomial` functions
+    they stand for, on random series whose coefficients span 24 decades."""
+    rng = np.random.default_rng(25)
+    for n in (2, 3, 49, 50):
+        for _ in range(200):
+            c = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 4, n)
+            assert sievefun._integ(c).tobytes() == chebint(c, lbnd=-1.0, scl=0.5).tobytes()
+            x = float(rng.uniform(-1.0, 1.0))
+            assert sievefun._value(c.tolist(), x) == chebval(x, c)
+            lo = float(rng.integers(0, 12))
+            piece = sievefun._Piece(lo, lo + 1.0, c, 0.0, 0.0)
+            s = np.concatenate([[lo, lo + 1.0], rng.uniform(lo, lo + 1.0, 30)])
+            assert sievefun._values(piece, s).tobytes() == _poly(piece)(s).tobytes()
 
 
 # -- grid ---------------------------------------------------------------------------
@@ -314,20 +363,20 @@ def _old_find(pieces, s):
 
 def _per_node(system, s):
     """One node as `build_grid` evaluated it node by node: a linear search
-    for the first piece with lo <= s <= hi and a scalar Chebyshev call.
-    Returns (f1, f1 radius, F1, F1 radius)."""
+    for the first piece with lo <= s <= hi and a scalar call of numpy's
+    `Chebyshev` on its coefficients.  Returns (f1, f1 radius, F1, F1 radius)."""
 
     def f1(s):
         if s <= 2.0:
             return float(s), 0.0
         piece = _old_find(system._f1_pieces[1:], s)
-        return float(piece.poly(s)), piece.radius
+        return float(_poly(piece)(s)), piece.radius
 
     def F1(s):
         if s <= 3.0:
             return system._two_eg - s, system._F1_pieces[0].radius
         piece = _old_find(system._F1_pieces[1:], s)
-        return float(piece.poly(s)), piece.radius
+        return float(_poly(piece)(s)), piece.radius
 
     return (*f1(s), *F1(s))
 

@@ -14,7 +14,8 @@ The matrix holds the README commands, ``scan`` and ``verify`` under every
 ``--output-format`` x ``--emit`` pair, the other reports in every format,
 edge ``--max`` values (two of them on either side of an FFT length step),
 ``verify`` cases for every branch of its lemma-4.1 pass and at even and odd
-table limits, the grid and bound sizes of the certify benchmark, CSVs that
+table limits, the grid and bound sizes of the certify benchmark and grids
+one march past an integer, CSVs that
 reach the edge paths of the whole-column formatting kernels, JSON and
 text rows on either side of the kernels' row cutoff and of the write
 block, tables that span several windows of the prime table's passes (a
@@ -110,15 +111,20 @@ VERIFY = [
 ]
 
 # A small grid (`sievefun` writes only CSV), the certify benchmark's grid
-# sizes, and stage 4 with s1_lower below 0 (no annotation at s1_lower) and
-# in (0, 4).
+# sizes, grids whose last piece is one march past an integer (a few nodes
+# on it), stage 4 with s1_lower below 0 (no annotation at s1_lower) and in
+# (0, 4), and every stage on either side of the default loglogN.
 CERTIFY = [
     "sievefun --s-max 4 --step 0.05",
     "sievefun --s-max 8.2 --step 1e-3 -o {tmp}/grid_8.2.csv",
     "sievefun --s-max 11.7 --step 1e-3 -o {tmp}/grid_11.7.csv",
     "sievefun --s-max 8.2 --step 5e-4 -o {tmp}/grid_8.2_fine.csv",
+    "sievefun --s-max 3.001 --step 1e-3",
+    "sievefun --s-max 11.001 --step 1e-3 -o {tmp}/grid_11.001.csv",
     "bounds --theorem 4 --loglogN 3",
     "bounds --theorem 4 --loglogN 8",
+    "bounds --theorem all --loglogN 33",
+    "bounds --theorem all --loglogN 40",
 ]
 
 # CSV written by the whole-column kernels: the smallest grid step (radii
