@@ -162,19 +162,21 @@ def pi2_bruteforce(N: int, table: PrimeTable) -> int:
 
     Counts representations of N as a prime plus a product of at most two
     primes (with multiplicity; the prime summand is the distinguished one,
-    each p counted once).
+    each p counted once).  The table is read as the engines read it: an odd
+    prime p leaves an odd m = N - p, which is in P2 exactly when it or
+    m / spf(m) is prime (`odd_spf`, `is_prime_odd`; m = 1 is neither), and
+    p = 2 leaves 2h with h = N/2 - 1, in P2 exactly when h is 1 or prime.
     """
     if N % 2 != 0 or N < 4:
         raise DomainError(f"N must be even and >= 4, got {N}")
     _check_table(N, table)
     ps = table.primes_upto(N)
-    ps = ps[: np.searchsorted(ps, N, side="left")]
-    m = (N - ps).astype(np.int64)
-    spf = table.spf
-    isp = table.isprime_array
-    cof = m // spf[m]
-    ok = (m >= 2) & (isp[m] | isp[cof])
-    return int(np.count_nonzero(ok))
+    m = N - ps[1 : np.searchsorted(ps, N, side="left")]
+    ok = table.is_prime_odd(m)
+    m //= table.odd_spf(m)  # each m's cofactor m / spf(m)
+    ok |= table.is_prime_odd(m)
+    h = N // 2 - 1
+    return int(np.count_nonzero(ok)) + (h == 1 or table.is_prime(h))
 
 
 # -- the decomposition inequality -------------------------------------------------

@@ -6,9 +6,10 @@ the handful of prime sums and products that the constants pipeline
 consumes as Balls.
 
 Tables are immutable after construction and all queries are pure.  A table
-memoizes what it derives from its primes: the lazily built arrays and, per
-truncation point P, the twin-prime factor of the singular series
-(`PrimeTable.twin_product`).
+memoizes what it derives: the primes' array and the odd spf store, each as
+the longest prefix asked for, and, per truncation point P, the twin-prime
+factor of the singular series (`PrimeTable.twin_product`).
+Primality has one read, off the packed bits, and spf one, off the store.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .errors import CacheError, CapacityError, DomainError
 
 # Largest supported table.  Memory is the constraint: the odd smallest-
 # prime-factor store costs a byte per integer (~100 MB at this cap), the
-# packed bitset ~limit/16 and the primes 8 bytes each; the engines read
-# primality off the bitset, and only `pi2_bruteforce` (the test oracle)
-# builds the byte-per-integer primality array.
+# packed bitset ~limit/16 and the primes 8 bytes each; primality is read
+# off the bitset and spf off the store, and nothing in the package builds a
+# primality array of a byte per integer or an int32 spf array.
 IMPLEMENTATION_CAP = 100_000_000
 
 CACHE_MAGIC = b"CHEN-PT1\n"
@@ -158,15 +159,12 @@ class PrimeTable:
     over the whole range (the sieve, the unpacking of `primes`, the factors
     of a product) runs a window at a time, so a pass holds nothing of that
     size beside `packed` and the array it returns; the products read their
-    primes straight off the bits and build no array of them.  The helper
-    arrays and the twin-prime products are computed on first use and kept
-    on the instance, so repeated queries return the same objects.  The
-    primes, the odd spf store and its int32 expansion are also kept as the
-    longest prefix asked for so far (`primes_upto`, `odd_spf_upto`,
-    `spf_upto`), so a caller that reads them only below n builds them only
-    that far.  Every engine but the scan's P2 indicator reads spf through
-    `odd_spf`.  The byte-per-integer `isprime_array` is built only for the
-    test oracle.
+    primes straight off the bits and build no array of them.  The primes
+    and the odd spf store are computed on first use and kept as the
+    longest prefix asked for so far (`primes_upto`, `odd_spf_upto`), so a
+    caller that reads them only below n builds them only that far, and
+    the twin-prime products are kept per truncation point.  Everything
+    but the scan's P2 indicator reads spf through `odd_spf`.
     """
 
     limit: int
@@ -174,8 +172,6 @@ class PrimeTable:
     _primes: np.ndarray | None = field(default=None, repr=False)
     _primes_to: int = field(default=0, repr=False)
     _store: np.ndarray | None = field(default=None, repr=False)
-    _spf: np.ndarray | None = field(default=None, repr=False)
-    _isprime: np.ndarray | None = field(default=None, repr=False)
     _twin: dict[int, Ball] = field(default_factory=dict, repr=False)
 
     def _check_capacity(self, x: float) -> None:
@@ -243,14 +239,13 @@ class PrimeTable:
 
     @property
     def isprime_array(self) -> np.ndarray:
-        """Bool array over [0, limit] for vectorized membership tests, a
-        byte per integer: the primality of `pi2_bruteforce`, the test
-        oracle.  The engines read the bits instead."""
-        if self._isprime is None:
-            arr = np.zeros(self.limit + 1, dtype=bool)
-            arr[self.primes] = True
-            self._isprime = arr
-        return self._isprime
+        """Bool array over [0, limit], a byte per integer, built afresh off
+        the primes on each read.  Nothing in the package reads it; it stays
+        while the benchmark's tracer patches it, and goes with the tracer's
+        re-map (ROADMAP item 11)."""
+        arr = np.zeros(self.limit + 1, dtype=bool)
+        arr[self.primes] = True
+        return arr
 
     def odd_spf_upto(self, n: int) -> np.ndarray:
         """The odd spf store for every odd m <= n (`_odd_spf`): entry j is
@@ -277,21 +272,14 @@ class PrimeTable:
 
     @property
     def spf(self) -> np.ndarray:
-        """Smallest prime factor for every n in [0, limit] (spf[1] = 1)."""
-        return self.spf_upto(self.limit)
-
-    def spf_upto(self, n: int) -> np.ndarray:
-        """Smallest prime factor for every m in [0, n] (spf[1] = 1) as
-        int32: `odd_spf` at every odd m, and 2 at every even m >= 4.  The
-        longest prefix built is kept, so the array returned may run past n,
-        and `spf` is the prefix that reaches the limit."""
-        self._check_capacity(n)
-        if self._spf is None or len(self._spf) <= n:
-            spf = np.arange(n + 1, dtype=np.int32)
-            spf[4::2] = 2
-            spf[1::2] = self.odd_spf(spf[1::2])
-            self._spf = spf
-        return self._spf
+        """Smallest prime factor for every n in [0, limit] (spf[1] = 1) as
+        int32, expanded afresh from `odd_spf` on each read.  Nothing in the
+        package reads it; it stays while the benchmark's tracer patches it,
+        and goes with the tracer's re-map (ROADMAP item 11)."""
+        spf = np.arange(self.limit + 1, dtype=np.int32)
+        spf[4::2] = 2
+        spf[1::2] = self.odd_spf(spf[1::2])
+        return spf
 
     def primes_between(self, a: float, b: float) -> np.ndarray:
         """Primes p with a <= p < b, from the `primes_upto(ceil(b) - 1)`

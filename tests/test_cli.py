@@ -803,7 +803,7 @@ def _traced_peak(fn) -> float:
 
 def _ready_table(limit: int) -> primes_mod.PrimeTable:
     table = build_prime_table(limit)
-    table.primes, table.spf, table.isprime_array
+    table.primes, table.odd_spf_upto(limit)
     return table
 
 

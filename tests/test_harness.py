@@ -10,6 +10,8 @@ import pytest
 
 from chensieve import harness as harness_mod
 from chensieve import primes as primes_mod
+from chensieve.cli import main
+from chensieve.constants import ledger
 from chensieve.errors import CapacityError, DomainError
 from chensieve.harness import (
     ScanReport,
@@ -166,6 +168,25 @@ def test_pi2_hand_cases(table_small):
     assert pi2_bruteforce(4, table_small) == 1
     assert pi2_bruteforce(6, table_small) == 2
     assert pi2_bruteforce(10, table_small) == 3
+    # p = 2 leaves 2h with h = N/2 - 1: h = 1, 2, 3, 15 (composite) and 17
+    ps = primes_upto(40)
+    for N in (4, 6, 8, 32, 36):
+        assert pi2_bruteforce(N, table_small) == pi2_oracle(N, ps), N
+
+
+def test_pi2_traced_peak_at_one_large_N():
+    """One N reads spf and primality as the engines do, so on a 1e7 table
+    pi2_bruteforce(9_999_998) peaks under 40 MiB, the primes (5 MiB) and
+    the odd spf store (10 MiB) included: 31.2 measured, where the int32
+    spf and byte-per-integer primality arrays it used to build took 100.8."""
+    table = build_prime_table(10_000_000)
+    tracemalloc.start()
+    try:
+        assert pi2_bruteforce(9_999_998, table) == 224_071
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * 2**20
 
 
 def test_pi2_matches_trial_division_oracle(table_small):
@@ -225,25 +246,26 @@ def lemma41_reference(N, table, z_exp=0.125, y_exp=1.0 / 3.0):
     return [N, pi2, S_A, sum_S_Aq, S_B, pi2 - rhs, UN, pi2 * logN * logN / (UN * N)]
 
 
+# The traced peak of one pi2_bruteforce(3_939_998) on a 4e6 table with its
+# int32 spf and byte-per-integer primality arrays built beforehand, as it
+# read them before it read the table as the engines do.
+_PI2_PEAK_WITH_ARRAYS = 5_652_468
+
+
 def test_lemma41_peak_memory_within_pi2():
-    """The pass holds none of its own arrays while pi2 runs: at one N its
-    traced peak stays within 0.5 MB of one pi2_bruteforce call."""
+    """The pass at one N holds little beside its walk: its traced peak
+    stays within 0.5 MB of one pi2_bruteforce call's when that call read
+    whole-table arrays (4.14 MiB against 5.39 measured)."""
     table = build_prime_table(4_000_000)
-    table.primes, table.spf, table.isprime_array
-    N = 3_939_998
-
-    def peak(fn):
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            fn()
-            return tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-
-    lemma = peak(lambda: lemma41_columns([N], table))
-    pi2 = peak(lambda: pi2_bruteforce(N, table))
-    assert lemma <= pi2 + 512 * 1024
+    table.primes, table.odd_spf_upto(table.limit)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        lemma41_columns([3_939_998], table)
+        lemma = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert lemma <= _PI2_PEAK_WITH_ARRAYS + 512 * 1024
 
 
 @pytest.mark.parametrize("z_exp, y_exp", [(0.125, 1.0 / 3.0), (0.2, 0.45), (0.05, 0.9)])
@@ -292,7 +314,7 @@ def test_lemma41_columns_traced_peak_over_a_range():
     """The block budget bounds the pass's memory: 6..20000 (about 1.2e7
     (N, p) pairs) peaks under 16 MiB, spf included."""
     table = build_prime_table(1_000_000)
-    table.primes, table.isprime_array, table.twin_product(1_000_000)
+    table.primes, table.twin_product(1_000_000)
     tracemalloc.start()
     try:
         lemma41_columns(range(6, 20_001, 2), table)
@@ -342,17 +364,53 @@ def test_lemma41_large_N_in_chunks_matches_the_unsplit_pass(table_1m, monkeypatc
 
 
 def test_engines_read_primality_off_the_bits():
-    """Neither engine builds the byte-per-integer primality array, and a
-    single N past the truncation point of U_N (1e6 here) unpacks the primes
-    only as far as its set B reads them, (N - 1) // (ceil(z) ceil(y)) =
-    1099999 // (6 * 104) = 1762, not to that point nor to the limit."""
+    """A single N past the truncation point of U_N (1e6 here) unpacks the
+    primes only as far as its set B reads them, (N - 1) // (ceil(z)
+    ceil(y)) = 1099999 // (6 * 104) = 1762, not to that point nor to the
+    limit.  That no engine reads a whole-table array is the next test's."""
     table = build_prime_table(1_200_000)
     (pi2,) = lemma41_columns([1_100_000], table)[1]
-    assert table._isprime is None and table._primes_to == 1762
-    for mode in ("full", "floor"):
-        goldbach_chen_scan(30_000, table, mode=mode)
-        assert table._isprime is None
+    assert table._primes_to == 1762
     assert pi2 == pi2_bruteforce(1_100_000, table)
+
+
+def test_nothing_reads_the_whole_table_spf_or_primality_arrays(tmp_path, monkeypatch, capsys):
+    """The int32 `spf` and byte-per-integer `isprime_array` views stay only
+    for the benchmark's tracer.  With both raising, both scan modes, the
+    lemma-4.1 pass in blocks and in chunks, pi2_bruteforce, sift_count, the
+    constants ledger and all six commands still run, and agree on pi2."""
+
+    def refuse(table):
+        raise AssertionError("a whole-table array was read")
+
+    monkeypatch.setattr(PrimeTable, "spf", property(refuse))
+    monkeypatch.setattr(PrimeTable, "isprime_array", property(refuse))
+    table = build_prime_table(200_000)
+    Ns = range(6, 3001, 2)
+    want = [pi2_bruteforce(N, table) for N in Ns]
+    full = goldbach_chen_scan(3000, table, mode="full", collect_rows=True)
+    assert full.columns[1].tolist() == want
+    assert goldbach_chen_scan(3000, table, mode="floor").floor_holds
+    assert lemma41_columns(Ns, table)[1].tolist() == want
+    monkeypatch.setattr(harness_mod, "_PAIR_BUDGET", 1)  # every N walked in chunks
+    assert lemma41_columns(Ns[-50:], table)[1].tolist() == want[-50:]
+    for base in ("A", "B"):
+        sift_count(SiftedSetSpec(base, 10_000), table)
+    ledger(table)
+    cache = str(tmp_path / "t.bin")
+    for argv in (
+        ["cache", "build", "--table-limit", "200000", "--cache-file", cache],
+        ["cache", "info", "--cache-file", cache],
+        ["scan", "--max", "3000", "--rows", "--cache-file", cache],
+        ["scan", "--max", "3000", "--floor-only", "--cache-file", cache],
+        ["verify", "--N", "10000", "--table-limit", "200000"],
+        ["verify", "--scan", "600", "--table-limit", "200000"],
+        ["constants", "--table-limit", "200000"],
+        ["bounds", "--theorem", "all"],
+        ["sievefun", "--s-max", "3", "--step", "1e-2"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_set_B_unpacks_the_primes_only_to_its_reach():

@@ -161,34 +161,6 @@ def test_every_small_limit_matches_trial_division():
         assert t.spf.tolist() == [0, 1] + [smallest_divisor(n) for n in range(2, limit + 1)]
 
 
-def test_spf_prefix_matches_full_spf():
-    full = build_prime_table(300).spf
-    for n in range(2, 301):
-        table = build_prime_table(300)
-        prefix = table.spf_upto(n)
-        assert len(prefix) == n + 1
-        assert prefix.tolist() == full[: n + 1].tolist(), n
-    assert table.spf is table.spf_upto(7)  # the full array is a prefix too
-
-
-@pytest.mark.parametrize("order", [(10, 300, 50), (2, 3, 2, 299, 300, 9), (300, 2)])
-def test_spf_prefix_keeps_the_longest_built(order):
-    full = build_prime_table(300).spf.tolist()
-    table = build_prime_table(300)
-    longest = 0
-    for n in order:
-        spf = table.spf_upto(n)
-        longest = max(longest, n)
-        assert len(spf) == longest + 1
-        assert spf.tolist() == full[: longest + 1]
-    assert table.spf.tolist() == full
-
-
-def test_spf_prefix_past_the_limit_is_rejected():
-    with pytest.raises(CapacityError):
-        build_prime_table(100).spf_upto(101)
-
-
 def test_spf_matches_trial_division_to_1e5():
     spf = build_prime_table(100_000).spf
     assert spf.dtype == np.int32
@@ -231,8 +203,8 @@ def test_odd_spf_store_at_powers_of_two(monkeypatch, segment):
 @pytest.mark.parametrize("n", [998, 999, 1000, 1001])
 def test_odd_spf_store_keeps_a_long_enough_prefix(monkeypatch, n):
     """A store of (n + 1) // 2 entries covers every odd m <= n, so it is
-    reused for every query up to n, and for n + 1 when n is odd; spf_upto
-    expands it without sieving again."""
+    reused for every query up to n, and for n + 1 when n is odd; odd_spf
+    reads it without sieving again."""
     built = []
     sieve = primes_mod._odd_spf
     monkeypatch.setattr(primes_mod, "_odd_spf", lambda limit: built.append(limit) or sieve(limit))
@@ -241,7 +213,8 @@ def test_odd_spf_store_keeps_a_long_enough_prefix(monkeypatch, n):
     assert len(store) == (n + 1) // 2
     for m in (0, 1, 2, n - 2, n - 1, n):
         assert table.odd_spf_upto(m) is store
-    assert table.spf_upto(n).tolist() == [0, 1] + [smallest_divisor(m) for m in range(2, n + 1)]
+    odd = np.arange(1, n + 1, 2)
+    assert table.odd_spf(odd).tolist() == [smallest_divisor(int(m)) for m in odd]
     assert built == [n]
     longer = table.odd_spf_upto(n + 1)
     if n % 2:
@@ -254,10 +227,10 @@ def test_odd_spf_store_keeps_a_long_enough_prefix(monkeypatch, n):
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_odd_spf_at_every_odd_m_to_1e5(dtype):
     """`odd_spf` gives spf(m) in m's dtype at every odd m <= 1e5, in any
-    order, with m itself at 1 and at the primes: the int32 `spf_upto`
-    expansion at the odd m, and trial division.  A store that stops short
-    of max(m), or none, is sieved again to max(m) and no further, and an m
-    past the limit is refused.  On a table whose bits mark 15 prime it
+    order, with m itself at 1 and at the primes, as trial division does,
+    both as the store is sieved and off the store kept.  A store that stops
+    short of max(m), or none, is sieved again to max(m) and no further, and
+    an m past the limit is refused.  On a table whose bits mark 15 prime it
     still gives 3 there, as the store is sieved from its own base primes."""
     m = np.arange(1, 100_001, 2, dtype=dtype)
     want = [smallest_divisor(int(v)) for v in m]
@@ -266,14 +239,14 @@ def test_odd_spf_at_every_odd_m_to_1e5(dtype):
     got = table.odd_spf(m[::-1])[::-1]
     assert got.dtype == dtype and got.tolist() == want
     assert len(table.odd_spf_upto(0)) == 50_000
-    assert table.spf_upto(100_000)[1::2].tolist() == want
+    assert table.odd_spf(m).tolist() == want
     packed = build_prime_table(100_000).packed.copy()
     packed[0] |= np.uint64(1 << 6)  # bit j is 3 + 2j
     damaged = primes_mod.PrimeTable(limit=100_000, packed=packed)
     assert damaged.is_prime(15)
     got = damaged.odd_spf(m)
     assert got.dtype == dtype and got.tolist() == want
-    assert damaged.spf_upto(100_000)[1::2].tolist() == want
+    assert damaged.odd_spf(m[::-1])[::-1].tolist() == want
     with pytest.raises(CapacityError):
         damaged.odd_spf(np.array([100_001], dtype=dtype))
 
