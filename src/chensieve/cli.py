@@ -20,12 +20,15 @@ import sys
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from . import constants as constants_mod
 from . import harness as harness_mod
 from . import primes as primes_mod
-from . import sievefun as sievefun_mod
+from .ball import validate_gamma_literal
 from .errors import CacheError, CertificateError, ChensieveError
+
+# Checked once per process, on import, so that every command runs it; the
+# modules that only `constants`, `bounds` and `sievefun` run are imported
+# by those commands.
+validate_gamma_literal()
 
 SCHEMA = "chen-report/1"
 CACHE_ENV = "CHENSIEVE_CACHE_DIR"
@@ -273,8 +276,10 @@ def _load_table(args) -> primes_mod.PrimeTable:
 
 
 def _cmd_constants(args) -> int:
+    from . import constants
+
     table = _load_table(args)
-    led = constants_mod.ledger(table, truncation_limit=args.table_limit)
+    led = constants.ledger(table, truncation_limit=args.table_limit)
     rows = led.rows()
     header = ["name", "value", "radius", "paper_bound", "pass", "provenance"]
 
@@ -299,7 +304,9 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_sievefun(args) -> int:
-    grid = sievefun_mod.build_grid(args.s_max, args.step)
+    from . import sievefun
+
+    grid = sievefun.build_grid(args.s_max, args.step)
     header = ["s", "f1", "f1_radius", "F1", "F1_radius"]
     columns = (grid.s, grid.f1_values, grid.f1_radii, grid.F1_values, grid.F1_radii)
     _render(args, "sievefun", None, header=header, columns=columns)
@@ -307,16 +314,18 @@ def _cmd_sievefun(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from . import bounds
+
     which = args.theorem
     reports = []
     if which in ("4", "all"):
-        reports.append(bounds_mod.theorem4_coeff(args.loglogN))
+        reports.append(bounds.theorem4_coeff(args.loglogN))
     if which in ("5", "all"):
-        reports.append(bounds_mod.theorem5_coeff(args.loglogN))
+        reports.append(bounds.theorem5_coeff(args.loglogN))
     if which in ("6", "all"):
-        reports.append(bounds_mod.theorem6_coeff(args.loglogN, args.epsilon))
+        reports.append(bounds.theorem6_coeff(args.loglogN, args.epsilon))
     if which in ("final", "all"):
-        reports.append(bounds_mod.final_coefficient(args.loglogN, args.epsilon))
+        reports.append(bounds.final_coefficient(args.loglogN, args.epsilon))
 
     failed = any(
         rep.theorem_id == "FINAL" and not rep.annotations.get("clears_threshold")
@@ -401,7 +410,77 @@ def _cmd_cache(args) -> int:
 # -- parser --------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _options(p, fn, *, table=False, report=False, output=True) -> None:
+    """The options that several commands share, and the command's function."""
+    if report:
+        p.add_argument("--output-format", choices=["json", "csv", "text"], default="json")
+    if output:
+        p.add_argument("--output-path", "-o", default=None)
+    if table:
+        p.add_argument("--table-limit", type=int, default=1_000_000)
+        p.add_argument("--cache-file", default=None)
+    p.add_argument("--threads", type=int, default=1)
+    p.set_defaults(fn=fn)
+
+
+def _sievefun_options(p) -> None:
+    _options(p, _cmd_sievefun)
+    p.add_argument("--s-max", type=float, default=6.0)
+    p.add_argument("--step", type=float, default=1e-3)
+    p.set_defaults(output_format="csv")  # its only format, not an option
+
+
+def _bounds_options(p) -> None:
+    from .bounds import DEFAULT_EPSILON
+
+    _options(p, _cmd_bounds, report=True)
+    p.add_argument("--loglogN", type=float, default=36.0)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
+    p.add_argument("--theorem", choices=["4", "5", "6", "final", "all"], default="all")
+
+
+def _verify_options(p) -> None:
+    _options(p, _cmd_verify, table=True, report=True)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--N", type=int)
+    target.add_argument("--scan", type=int)
+    p.add_argument("--z-exp", type=float, default=0.125, dest="z_exp")
+    p.add_argument("--y-exp", type=float, default=1.0 / 3.0, dest="y_exp")
+    p.add_argument("--emit", choices=["csv", "json", "text"], default=None)
+
+
+def _scan_options(p) -> None:
+    _options(p, _cmd_scan, table=True, report=True)
+    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--floor-only", action="store_true")
+    p.add_argument("--rows", action="store_true", help="collect per-N rows")
+    p.add_argument("--emit", choices=["csv", "json", "text"], default=None)
+
+
+def _cache_options(p) -> None:
+    _options(p, _cmd_cache, table=True, output=False)
+    p.add_argument("action", choices=["build", "info"])
+
+
+# Each command's summary and the function that adds its options.
+_COMMANDS = {
+    "constants": (
+        "emit the constants ledger",
+        lambda p: _options(p, _cmd_constants, table=True, report=True),
+    ),
+    "sievefun": ("tabulate f1/F1 and export CSV", _sievefun_options),
+    "bounds": ("evaluate the bound-chain coefficients", _bounds_options),
+    "verify": ("exact per-N decomposition report", _verify_options),
+    "scan": ("representation-count scan over even N", _scan_options),
+    "cache": ("build or inspect the prime-table cache", _cache_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or with only `command`'s options (the
+    others registered bare, without even -h).  Every command is registered
+    either way, so the top-level usage, help and errors list all six, and
+    `command`'s own are those of the whole tree."""
     parser = argparse.ArgumentParser(
         prog="chensieve",
         description=(
@@ -410,56 +489,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, summary, *, table=False, report=False, output=True):
-        p = sub.add_parser(name, help=summary)
-        if report:
-            p.add_argument("--output-format", choices=["json", "csv", "text"], default="json")
-        if output:
-            p.add_argument("--output-path", "-o", default=None)
-        if table:
-            p.add_argument("--table-limit", type=int, default=1_000_000)
-            p.add_argument("--cache-file", default=None)
-        p.add_argument("--threads", type=int, default=1)
-        p.set_defaults(fn=fn)
-        return p
-
-    command("constants", _cmd_constants, "emit the constants ledger", table=True, report=True)
-
-    p = command("sievefun", _cmd_sievefun, "tabulate f1/F1 and export CSV")
-    p.add_argument("--s-max", type=float, default=6.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.set_defaults(output_format="csv")  # its only format, not an option
-
-    p = command("bounds", _cmd_bounds, "evaluate the bound-chain coefficients", report=True)
-    p.add_argument("--loglogN", type=float, default=36.0)
-    p.add_argument("--epsilon", type=float, default=bounds_mod.DEFAULT_EPSILON)
-    p.add_argument("--theorem", choices=["4", "5", "6", "final", "all"], default="all")
-
-    p = command("verify", _cmd_verify, "exact per-N decomposition report", table=True, report=True)
-    target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--N", type=int)
-    target.add_argument("--scan", type=int)
-    p.add_argument("--z-exp", type=float, default=0.125, dest="z_exp")
-    p.add_argument("--y-exp", type=float, default=1.0 / 3.0, dest="y_exp")
-    p.add_argument("--emit", choices=["csv", "json", "text"], default=None)
-
-    p = command("scan", _cmd_scan, "representation-count scan over even N",
-                table=True, report=True)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--floor-only", action="store_true")
-    p.add_argument("--rows", action="store_true", help="collect per-N rows")
-    p.add_argument("--emit", choices=["csv", "json", "text"], default=None)
-
-    p = command("cache", _cmd_cache, "build or inspect the prime-table cache",
-                table=True, output=False)
-    p.add_argument("action", choices=["build", "info"])
-
+    for name, (summary, add_options) in _COMMANDS.items():
+        built = command in (None, name)
+        p = sub.add_parser(name, help=summary, add_help=built)
+        if built:
+            add_options(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a parser for the named command; -h or no command builds every command's
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be >= 1")

@@ -25,18 +25,10 @@ from .ball import (
     exp_neg_gamma_ball,
     gamma_ball,
     up,
-    validate_gamma_literal,
 )
 from .errors import CapacityError, ChensieveError
 from .primes import PrimeTable, build_prime_table
-
-# Checked once per process, on first import of this module.
-validate_gamma_literal()
-
-# Imported with this module, so that no benchmark batch compiles it mid-run,
-# and after the check: compiled before it, the module raised the scan
-# benchmark's peak RSS by ~0.35 MB (no bytecode cache, 2 vCPU Xeon VM).
-from .quadrature import integrate  # noqa: E402
+from .quadrature import integrate
 
 # Prefactors imported as pinned decimal literals (not re-derived here), each
 # the Ball of the float nearest it.

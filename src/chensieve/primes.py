@@ -199,9 +199,11 @@ class PrimeTable:
         limit/16 bytes, where a byte-per-integer array spans limit."""
         j = m >> 1
         j -= 1  # the bit of m; -1 at m = 1, which the mask below clears
-        flags = self.packed.view(np.uint8)[j >> 3]
-        j &= 7
-        np.right_shift(flags, j, out=flags, casting="unsafe")
+        offset = j.astype(np.uint8)  # j's low bits, in an eighth of j's bytes
+        offset &= 7
+        j >>= 3
+        flags = self.packed.view(np.uint8)[j]
+        np.right_shift(flags, offset, out=flags)
         flags &= 1
         prime = flags.view(bool)
         prime &= m != 1

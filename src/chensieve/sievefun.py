@@ -32,7 +32,9 @@ a term from nonnegative floats and one log (u = 2^-53; E is `_clenshaw`'s):
 
 A piece is bare Chebyshev coefficients with its radius and E, and each step
 makes `numpy.polynomial.Chebyshev`'s float operations in their order, so every
-bit is the class's.  A binary search over the piece edges sends each point to
+bit is the class's.  The few `numpy.polynomial.chebyshev` functions it needs
+are copied here, float operations and trimming alike, so that the module does
+not import that package.  A binary search over the piece edges sends each point to
 its piece, which runs once on all of its points, for `f1`/`F1` and the grid.
 """
 
@@ -44,7 +46,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebadd, chebmulx, chebpts1, chebvander
 
 from .ball import U, Ball, exp_gamma_ball, up
 from .errors import ConfigError, DomainError
@@ -107,6 +108,49 @@ def _integ(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _trim(c: np.ndarray) -> np.ndarray:
+    """`c` up to its last nonzero entry (its first entry if none is), as
+    `numpy.polynomial` trims a series."""
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1 if len(nonzero) else 1]
+
+
+def _chebpts1(n: int) -> np.ndarray:
+    """`chebpts1(n)`, the n Chebyshev points of the first kind."""
+    return np.sin(0.5 * math.pi / n * np.arange(-n + 1, n + 1, 2))
+
+
+def _chebvander_T(x: np.ndarray, deg: int) -> np.ndarray:
+    """`chebvander(x, deg).T` for deg >= 1: row i holds T_i at every x, by the same recurrence."""
+    x = x + 0.0
+    v = np.empty((deg + 1, len(x)))
+    v[0], v[1], x2 = x * 0 + 1, x, 2 * x
+    for i in range(2, deg + 1):
+        v[i] = v[i - 1] * x2 - v[i - 2]
+    return v
+
+
+def _chebadd(c: np.ndarray, x: float) -> np.ndarray:
+    """`chebadd(c, x)` for a float x: x added to a copy of c's constant term, trimmed."""
+    c = c.copy()
+    c[0] += x
+    return _trim(c)
+
+
+def _chebmulx(c: np.ndarray) -> np.ndarray:
+    """`chebmulx(c)`: the series of x times c, from c trimmed."""
+    c = _trim(c)
+    if len(c) == 1 and c[0] == 0:
+        return c.copy()
+    prd = np.empty(len(c) + 1)
+    prd[0] = c[0] * 0
+    prd[1] = c[0]
+    tmp = c[1:] / 2
+    prd[2:] = tmp
+    prd[:-2] += tmp
+    return prd
+
+
 class SieveFunctionSystem:
     """Dense evaluator for f1 and F1 on (0, s_max]."""
 
@@ -122,8 +166,8 @@ class SieveFunctionSystem:
         self._f1_pieces = [_Piece(0.0, 2.0, f1_seed, 0.0, _clenshaw(f1_seed))]
         self._F1_pieces = [_Piece(0.0, 3.0, F1_seed, (two_eg - 0.0).radius, _clenshaw(F1_seed))]
         # chebinterpolate's points, halved (exactly) to [k, k+1]'s scale, and its Vandermonde
-        nodes = chebpts1(DEGREE + 1)
-        self._half_nodes, self._vander_T = 0.5 * nodes, chebvander(nodes, DEGREE).T
+        nodes = _chebpts1(DEGREE + 1)
+        self._half_nodes, self._vander_T = 0.5 * nodes, _chebvander_T(nodes, DEGREE)
         # Each step reads the pieces on [k-1, k], at first the seeds: f1(2) = 2, F1 closed-form to 3
         for k in range(2, int(math.ceil(self.s_max))):
             f1_prev, F1_prev = self._f1_pieces[-1], self._F1_pieces[-1]
@@ -138,7 +182,7 @@ class SieveFunctionSystem:
         c[0] /= DEGREE + 1
         c[1:] /= 0.5 * (DEGREE + 1)
         partial = _integ(c)
-        poly = chebadd(-partial, _value(prev.coef.tolist(), 1.0))  # prev's window maps k to 1
+        poly = _chebadd(-partial, _value(prev.coef.tolist(), 1.0))  # prev's window maps k to 1
         sum_c = float(np.abs(c).sum())
         a = np.zeros(len(c) + 1)  # src(t-1) on [k, k+1]: src's own coefficients,
         if src.lo == k - 1:
@@ -146,7 +190,7 @@ class SieveFunctionSystem:
         else:  # or a linear seed's, formed exactly
             (c0, c1), lo, hi = map(Fraction, src.coef.tolist()), Fraction(src.lo), Fraction(src.hi)
             a[:2] = float(c0 + c1 * (2 * k - 1 - lo - hi) / (hi - lo)), float(c1 / (hi - lo))
-        h = a - ((k - 0.5) * np.append(c, 0.0) + 0.5 * chebmulx(c))
+        h = a - ((k - 0.5) * np.append(c, 0.0) + 0.5 * _chebmulx(c))
         error = _clenshaw(poly)
         terms = (
             prev.radius + prev.error,  # start

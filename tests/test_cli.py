@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -1163,8 +1165,8 @@ _ACCEPTED_OPTIONS = {
 }
 
 
-def _subcommands() -> dict:
-    actions = build_parser()._actions
+def _subcommands(parser=None) -> dict:
+    actions = (parser or build_parser())._actions
     return next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
@@ -1240,3 +1242,104 @@ def test_cli_matrix_commands_parse(tmp_path):
             except SystemExit:
                 rejected.append(cmd)
     assert rejected == []
+
+
+# -- what each command loads and parses -------------------------------------------
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+# modules that only the constants, bounds and sievefun commands run
+_LAZY = ["chensieve.bounds", "chensieve.constants", "chensieve.quadrature",
+         "chensieve.sievefun", "numpy.polynomial"]
+_NOT_LOADED = {
+    "scan": _LAZY,
+    "verify": _LAZY,
+    "cache": _LAZY,
+    "sievefun": ["chensieve.bounds", "chensieve.constants", "chensieve.quadrature",
+                 "numpy.polynomial"],
+    "constants": ["chensieve.bounds", "chensieve.sievefun", "numpy.polynomial"],
+    "bounds": ["numpy.polynomial"],
+}
+_MAIN_THEN_MODULES = """\
+import sys
+from chensieve.cli import main
+code = main(sys.argv[1:])
+print(code, *sorted(sys.modules))
+"""
+
+
+def _fresh_process(script: str, argv: list[str]) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    env.pop(cli_mod.CACHE_ENV, None)
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("command", list(_NOT_LOADED))
+def test_each_command_loads_only_what_it_runs(tmp_path, command):
+    argv = [arg.format(tmp=tmp_path) for arg in _BASE_ARGV[command]]
+    if command != "cache":
+        argv += ["-o", str(tmp_path / "out.txt")]
+    proc = _fresh_process(_MAIN_THEN_MODULES, argv)
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    assert code == "0"
+    assert "chensieve.harness" in loaded
+    assert [m for m in _NOT_LOADED[command] if m in loaded] == []
+
+
+# The last digit of the Euler-Mascheroni literal three places off: 3e-40,
+# past the check's tolerance of one unit in that digit.
+_WRONG_GAMMA = """\
+import runpy, sys
+import chensieve.ball
+chensieve.ball.GAMMA_STR = chensieve.ball.GAMMA_STR[:-1] + "5"
+sys.argv[0] = "chensieve"
+runpy.run_module("chensieve", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("command", list(_BASE_ARGV))
+def test_a_wrong_euler_mascheroni_literal_fails_every_command(tmp_path, command):
+    argv = [arg.format(tmp=tmp_path) for arg in _BASE_ARGV[command]]
+    proc = _fresh_process(_WRONG_GAMMA, argv)
+    assert proc.returncode != 0 and proc.stdout == ""
+    assert "ArithmeticError: stored Euler-Mascheroni literal is off" in proc.stderr
+    assert not (tmp_path / "pt.bin").exists()
+
+
+@pytest.mark.parametrize("command", list(_BASE_ARGV))
+def test_a_parser_for_one_command_helps_as_the_whole_tree(command):
+    full, one = build_parser(), build_parser(command)
+    assert one.format_help() == full.format_help()
+    assert one.format_usage() == full.format_usage()
+    mine, whole = _subcommands(one)[command], _subcommands(full)[command]
+    assert mine.format_help() == whole.format_help()
+    assert list(_subcommands(one)) == list(_subcommands(full))
+
+
+_USAGE = [
+    [],
+    ["-h"],
+    ["frobnicate", "--max", "100"],
+    ["--threads", "2", "scan", "--max", "100"],
+    ["scan", "--max", "100", "--bogus"],
+    ["scan", "--max", "100", "verify"],
+    ["verify", "--N", "100", "--scan", "200"],
+    ["cache"],
+    ["bounds", "--theorem", "7"],
+    ["sievefun", "--step", "x"],
+    *([command, "-h"] for command in _BASE_ARGV),
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_prints_the_whole_trees_help_and_usage_errors(capsys, argv):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    assert outcome(main) == outcome(build_parser().parse_args)

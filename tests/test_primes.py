@@ -276,6 +276,25 @@ def test_is_prime_odd_reads_every_odd_m(limit):
             assert got.dtype == bool and got[::-1].tolist() == want, (limit, dtype)
 
 
+def test_is_prime_odd_makes_one_full_width_temporary():
+    # the bit index j = m // 2 - 1 is one int64 array the width of m; its
+    # offsets, the byte reads and the result take a byte per entry each, so
+    # the call peaks at 11 bytes per entry where a second int64 temporary
+    # (j >> 3) took it to 17
+    table = build_prime_table(2_000_000)
+    m = np.arange(1, 2_000_001, 2, dtype=np.int64)
+    table.is_prime_odd(m[:10])  # first-call allocations
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        prime = table.is_prime_odd(m)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(prime) == 148_932  # pi(2e6) - 1, the odd primes
+    assert peak <= 1.5 * m.nbytes
+
+
 def test_primes_upto_keeps_the_longest_prefix():
     full = build_prime_table(10_000).primes
     table = build_prime_table(10_000)

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import Chebyshev
-from numpy.polynomial.chebyshev import chebint, chebval
+from numpy.polynomial.chebyshev import chebadd, chebint, chebmulx, chebpts1, chebval, chebvander
 
 from chensieve.ball import Ball
 from chensieve.cli import main
@@ -264,6 +264,36 @@ def test_bare_steps_match_numpy_bit_for_bit():
             piece = sievefun._Piece(lo, lo + 1.0, c, 0.0, 0.0)
             s = np.concatenate([[lo, lo + 1.0], rng.uniform(lo, lo + 1.0, 30)])
             assert sievefun._values(piece, s).tobytes() == _poly(piece)(s).tobytes()
+
+
+def _same(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_local_chebyshev_functions_match_numpy_bit_for_bit():
+    """The copies of `chebpts1`, `chebvander`, `chebadd` and `chebmulx`
+    that keep `numpy.polynomial` out of the module, on random series whose
+    coefficients span 24 decades, with trailing zeros, and on the zero series."""
+    for n in (1, 2, 3, 49, 50):
+        nodes = sievefun._chebpts1(n)
+        assert _same(nodes, chebpts1(n))
+        for deg in (1, 2, n, 48):
+            assert _same(sievefun._chebvander_T(nodes, deg), chebvander(nodes, deg).T)
+    assert _same(sievefun._chebvander_T(np.array([-0.0, 0.5]), 3), chebvander([-0.0, 0.5], 3).T)
+    rng = np.random.default_rng(27)
+    for n in (1, 2, 3, 49, 50):
+        for zeros in (0, 1, 3):
+            for _ in range(100):
+                c = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 4, n)
+                c = np.append(c, np.zeros(zeros))
+                x = float(rng.standard_normal() * 10.0 ** rng.integers(-20, 4))
+                assert _same(sievefun._chebadd(c, x), chebadd(c, x))
+                assert _same(sievefun._chebadd(c, -c[0]), chebadd(c, -c[0]))
+                assert _same(sievefun._chebmulx(c), chebmulx(c))
+    for zero in (np.zeros(1), np.zeros(4), np.array([-0.0, 0.0])):
+        assert _same(sievefun._chebadd(zero, 0.0), chebadd(zero, 0.0))
+        assert _same(sievefun._chebadd(zero, -0.0), chebadd(zero, -0.0))
+        assert _same(sievefun._chebmulx(zero), chebmulx(zero))
 
 
 # -- grid ---------------------------------------------------------------------------

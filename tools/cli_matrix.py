@@ -23,7 +23,8 @@ block, tables that span several windows of the prime table's passes (a
 ``constants`` table limits at which the products' first window of bits is
 exactly full and one bit past full,
 ``--threads`` values it accepts and rejects, and usage errors,
-among them one option per command that the command does not accept.
+among them one option per command that the command does not accept and
+the top-level ones: no command, an unknown one, an option before it.
 Every command outside ERRORS parses; a tier-1 test checks that against
 ``cli.build_parser()``.
 It takes about 6 s on a 2 vCPU Intel Xeon VM.
@@ -196,6 +197,10 @@ ERRORS = [
     "scan --max 5000 --rows --emit csv --table-limit 200000 --precision-target 1e-9",
     "cache info --table-limit 10000000 --cache-file {tmp}/pt.bin -o {tmp}/info.txt",
     "cache info --table-limit 10000000 --cache-file {tmp}/pt.bin --output-format json",
+    # errors before a command is parsed, which print the top-level usage
+    "",
+    "frobnicate --max 100",
+    "--threads 2 scan --max 100",
 ]
 
 
