@@ -1,21 +1,22 @@
 """Exact `%.17g` and `%d` text of whole numpy columns, a block of rows at a time.
 
 Each cell is CELL bytes, NUL-padded, so a caller can lay the cells of many
-columns side by side and drop the padding in one pass.  A cell is gathered
-from a source row that holds the 20 ASCII digits of an integer, then
-_LITERALS, then a NUL, by a layout that depends only on the sign, the
-decimal exponent and the number of significant digits.
+columns side by side and drop the padding in one pass.  An integer's cell is
+its digits (`_digits`), leading zeros masked to NUL.  A float's cell is
+gathered from a source row that holds the 20 ASCII digits of an integer, then
+_LITERALS, then a NUL, by a layout that depends only on the sign, the decimal
+exponent and the number of significant digits.
 
-An integer's digits are its own.  A float x != 0 with k = 16 - floor(log10|x|)
-and |k| <= 27 is scaled to y = |x| 10^k (or |x| / 10^-k) in long double.  As
-10^27 = 2^27 5^27 with 5^27 < 2^64, every 10^|k| is exact in a 64-bit or
-wider significand, so y is rounded once and, below 2^57, lies within 2^-8 of
-|x| 10^k.  Where 10^16 <= y, rint(y) < 10^17 and |y - rint(y)| < 1/2 - 2^-7,
-rint(y) is therefore the 17-digit integer that `%.17g` rounds |x| 10^k to (an
-|x| 10^k just short of 10^16 rounds up to it at 17 digits, as rint(y) does),
-and the text is laid out from its digits by `%g`'s rules for the point, the
-trailing zeros and the exponent.  Every other value, and every value where
-long double is not the x87 or quad format, is formatted by `%.17g` itself.
+A float x != 0 with k = 16 - floor(log10|x|) and |k| <= 27 is scaled to y =
+|x| 10^k (or |x| / 10^-k) in long double.  As 10^27 = 2^27 5^27 with 5^27 <
+2^64, every 10^|k| is exact in a 64-bit or wider significand, so y is rounded
+once and, below 2^57, lies within 2^-8 of |x| 10^k.  Where 10^16 <= y, rint(y)
+< 10^17 and |y - rint(y)| < 1/2 - 2^-7, rint(y) is therefore the 17-digit
+integer that `%.17g` rounds |x| 10^k to (an |x| 10^k just short of 10^16
+rounds up to it at 17 digits, as rint(y) does), and the text is laid out from
+its digits by `%g`'s rules for the point, the trailing zeros and the exponent.
+Every other value, and every value where long double is not the x87 or quad
+format, is formatted by `%.17g` itself.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ _LITERALS = "-.e+0123456789"
 _SOURCE = 20 + len(_LITERALS) + 2  # bytes per source row: NUL, then a pad
 _LITERAL_QUADS = np.frombuffer((_LITERALS + "\0\0").encode(), np.uint32)
 _POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)
-_INT_LAYOUT = 55 * 17  # the first `%d` layout, after the `%.17g` ones
-_NEGATIVE = _INT_LAYOUT + 20  # the first layout with a minus sign
+_NEGATIVE = 55 * 17  # the first layout with a minus sign
+_KEPT = np.where(np.arange(CELL) >= CELL - np.arange(21).clip(1)[:, None], 255, 0).astype(np.uint8)
 
 
 @cache
@@ -54,12 +55,11 @@ def _layouts() -> np.ndarray:
     """The source byte of each of the CELL bytes of a text, NUL past its
     end.  Row (X + 11) * 17 + sig - 1 lays out the `%.17g` text of
     D 10^(X - 16), D a 17-digit integer with `sig` significant digits
-    (source digits 3-19); row _INT_LAYOUT + w - 1 the `%d` text of a w-digit
-    integer; row _NEGATIVE + i the text of row i after a minus sign."""
+    (source digits 3-19); row _NEGATIVE + i the text of row i after a minus
+    sign."""
     minus, point, e, plus, zero = (20 + _LITERALS.index(c) for c in "-.e+0")
     nul = 20 + len(_LITERALS)
-    X, sig = np.divmod(np.arange(_INT_LAYOUT, dtype=np.int16), 17)
-    X -= 11
+    X, sig = np.divmod(np.arange(-11 * 17, _NEGATIVE - 11 * 17, dtype=np.int16), 17)
     sig += 1
     fixed = (0 <= X) & (X < 17)  # written with a point and no exponent
     small = (-4 <= X) & (X < 0)  # written as "0." and -X - 1 zeros, then the digits
@@ -78,38 +78,31 @@ def _layouts() -> np.ndarray:
     sign, x = np.where(X[expo] < 0, minus, plus), abs(X[expo])
     tail = [np.full_like(x, e), sign, zero + x // 10, zero + x % 10]
     plain[expo[:, None], end[expo] + np.arange(4)] = np.stack(tail, axis=1)  # "e%+03d" % X
-    width = np.arange(1, 21)[:, None]
-    plain = np.concatenate([plain, np.where(p < width, 20 - width + p, nul)]).astype(np.intp)
     signed = np.concatenate([np.full((len(plain), 1), minus), plain[:, :-1]], axis=1)
-    return np.concatenate([plain, signed])
+    return np.concatenate([plain, signed]).astype(np.intp)
 
 
-@cache
-def _digit_words() -> np.ndarray:
-    """The 4 ASCII digits of each i < 10^4, as one 4-byte word."""
-    d = np.frombuffer(b"0123456789", np.uint8)
-    digits = np.stack(np.meshgrid(d, d, d, d, indexing="ij"), axis=-1)
-    return digits.reshape(10_000, 4).view(np.uint32).ravel()
-
-
-def _quads(m: np.ndarray) -> np.ndarray:
-    """The 20 ASCII digits of each uint64 of `m`, zero-padded, as five
-    4-byte words per row."""
-    high = (m // 10**8).astype(np.intp)
-    low = (m % 10**8).astype(np.intp)
-    parts = [high // 10**8, high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4]
-    return np.take(_digit_words(), np.stack(parts, axis=1))
-
-
-def _lay_out(quads: np.ndarray, layout: np.ndarray, out: np.ndarray) -> None:
-    """Write row i of `out` by layout row layout[i] from the digits quads[i]."""
-    n = len(layout)
-    source = np.empty((n, _SOURCE // 4), np.uint32)
-    source[:, :5] = quads
-    source[:, 5:] = _LITERAL_QUADS
-    at = np.take(_layouts(), layout, axis=0)
-    at += np.arange(0, n * _SOURCE, _SOURCE)[:, None]
-    np.take(source.view(np.uint8).ravel(), at, out=out)
+def _digits(m: np.ndarray) -> np.ndarray:
+    """The 20 ASCII digits of each uint64 of `m` after four "0"s: CELL bytes
+    a row, three words of 8 digits, the first in the low byte.  A word's v <
+    10^8 splits into lanes of 4, 2, then 1 digit: q = v // d is (v f) >> s,
+    exact for each lane, and q | (v - q d) << k is (v << k) - q ((d << k) - 1)."""
+    x = np.empty((len(m), 3), np.uint64)
+    x[:, 1] = m // 10**8
+    x[:, 2] = m - x[:, 1] * 10**8
+    x[:, 0] = x[:, 1] // 10**8
+    x[:, 1] -= x[:, 0] * 10**8
+    q, t = np.empty_like(x), np.empty_like(x)
+    for f, s, lanes, d, k in ((3518437209, 45, 0x3FFF, 10**4, 32),
+                              (5243, 19, 0x7F0000007F, 100, 16), (103, 10, 0xF000F000F000F, 10, 8)):
+        np.multiply(x, f, out=q)
+        q >>= s
+        q &= lanes
+        np.multiply(q, (d << k) - 1, out=t)
+        x <<= k
+        x -= t
+    x |= 0x3030303030303030
+    return x.astype("<u8", copy=False)
 
 
 def printf_cells(values: list[float]) -> np.ndarray:
@@ -141,10 +134,14 @@ def float_cells(x: np.ndarray, out: np.ndarray) -> None:
         m = r.astype(np.uint64)
         fast &= (m >= 10**16) & (m < 10**17) & (np.abs(off) < 0.5 - 2.0**-7)
         fast &= (m > 10**16) | (off >= 0)  # y >= 10^16
-        quads = _quads(m)
-        digits = quads.view(np.uint8)[:, 3:]
-        sig = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-        _lay_out(quads, np.signbit(x) * _NEGATIVE + (27 - k) * 17 + sig - 1, out)
+        digits = _digits(m)
+        sig = 17 - np.argmax(digits.view(np.uint8)[:, :6:-1] != ord("0"), axis=1)
+        source = np.empty((len(x), _SOURCE // 4), np.uint32)
+        source[:, :5] = digits.view(np.uint32)[:, 1:]
+        source[:, 5:] = _LITERAL_QUADS
+        at = np.take(_layouts(), np.signbit(x) * _NEGATIVE + (27 - k) * 17 + sig - 1, axis=0)
+        at += np.arange(0, len(x) * _SOURCE, _SOURCE)[:, None]
+        np.take(source.view(np.uint8).ravel(), at, out=out)
         slow = np.flatnonzero(~fast)
     if len(slow):
         out[slow] = printf_cells(x[slow].tolist())
@@ -152,9 +149,12 @@ def float_cells(x: np.ndarray, out: np.ndarray) -> None:
 
 def int_cells(v: np.ndarray, out: np.ndarray) -> None:
     """Write the `%d` text of each integer or bool of `v` into the rows of
-    `out` (len(v) x CELL bytes), NUL-padded."""
+    `out` (len(v) x CELL bytes): `_digits` masked to the digits of |v| (_KEPT),
+    and a minus sign in byte 0, which is a leading zero of any |v| <= 2^63."""
     neg = v < 0
     m = v.astype(np.uint64)
     np.negative(m, out=m, where=neg)  # |v| mod 2^64, which is |v| also at -2^63
-    width = np.maximum(np.searchsorted(_POW10_U64, m, side="right"), 1)
-    _lay_out(_quads(m), neg * _NEGATIVE + _INT_LAYOUT + width - 1, out)
+    words = _digits(m)
+    words &= np.take(_KEPT.view("<u8"), np.searchsorted(_POW10_U64, m, side="right"), axis=0)
+    words[:, 0] |= neg * np.uint64(ord("-"))
+    out[...] = words.view(np.uint8)

@@ -404,9 +404,10 @@ def lemma41_columns(
     un = table.twin_product(P).value * _odd_prime_factor_product(Ns_arr, table)
     un *= 1.0 - 0.5 * series_tail(P)
     rhs = S_A - 0.5 * sum_S_Aq - 0.5 * S_B
-    for e in (0.875, 1.0 / 3.0):  # math.pow, not np.power: see `_ratio`
+    for e in (0.875, 1.0 / 3.0):  # math.pow, not np.power: see `_logs`
         rhs -= 2.0 * np.fromiter((math.pow(N, e) for N in Ns), np.float64, len(Ns))
-    margin, ratio = pi2 - rhs, _ratio(pi2, un, Ns_arr, Ns)
+    L = np.fromiter(map(math.log, Ns), np.float64, len(Ns))  # few N: see `_logs`
+    margin, ratio = pi2 - rhs, pi2 * L * L / (un * Ns_arr)
     return Ns_arr, *counts, margin, un, ratio
 
 
@@ -552,6 +553,25 @@ def _odd_p2(table: PrimeTable, n: int) -> np.ndarray:
     return out
 
 
+def _floor_sweep(done: np.ndarray, hs: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The k >= 3 that no shift h of `hs` resolves, ascending: `done` is
+    True where N = 2k is resolved (False below 3), and h resolves k when
+    odd[k - h].  It ORs into `done`, prime by prime, while over 1/64 of the
+    N are unresolved, then drops the unresolved k that each h resolves, so
+    a table with real failures does not sweep every prime over the array."""
+    half, swept = len(done), 0
+    while swept < len(hs) and 64 * (half - 3 - np.count_nonzero(done)) > half:
+        h = hs[swept]
+        done[h + 1 :] |= odd[1 : half - h]
+        swept += 1
+    todo = np.flatnonzero(~done[3:]) + 3
+    for h in hs[swept:]:  # lazily: the loop stops after a few primes
+        if len(todo) == 0 or h > todo[-1]:
+            break
+        todo = todo[~odd[np.maximum(todo - h, 0)]]
+    return todo
+
+
 def _two_column(ps: np.ndarray, half: int) -> np.ndarray:
     """Bool over k < half: whether N = 2k >= 6 is reached by p = 2, that
     is, N - 2 = 2(k - 1) is in P2, which holds exactly when k - 1 is prime:
@@ -647,13 +667,28 @@ def _odd_prime_factor_product(N: np.ndarray, table: PrimeTable) -> np.ndarray:
     return local
 
 
-def _ratio(pi2: np.ndarray, un: np.ndarray, Ns: np.ndarray, ints) -> np.ndarray:
-    """The normalized count pi2(N) log^2 N / (U_N N) at each N of `Ns`, with
-    `ints` the same N as Python ints (a range or a list).  Their logs are
-    taken by math.log: np.log, like np.power, differs from the math module
-    in the last bit for some N."""
-    L = np.fromiter(map(math.log, ints), np.float64, len(Ns))
-    return pi2 * L * L / (un * Ns)
+def _logs(Ns: np.ndarray) -> np.ndarray:
+    """math.log of each N of the int64 `Ns`, which np.log misses in the last
+    bit for some N.  np.log in long double, rounded, matches it more than
+    0.02 ulp from a float64 rounding midpoint (`tools/check_logs.py` checks
+    every even N to the cap; no log of an N <= the cap rounds to a power of
+    two, where the ulp below is half the one above).  The N in that band
+    take math.log, as all do where long double is narrower than x87's.  The
+    scan calls it; `lemma41_columns`, at a few hundred N, keeps math.log:
+    the long-double code would save it < 20 us and cost ~0.1 MB of RSS."""
+    L = np.empty(len(Ns))
+    near = np.ones(len(Ns), dtype=bool)
+    if np.finfo(np.longdouble).nmant >= 63:
+        for lo in range(0, len(Ns), 1 << 15):  # 16 bytes an N in long double
+            part = slice(lo, lo + (1 << 15))
+            y = np.log(Ns[part].astype(np.longdouble))
+            d = L[part]
+            d[...] = y
+            r = np.abs((y - d).astype(np.float64))  # exact, by Sterbenz's lemma
+            np.greater_equal(r, 0.48 * np.spacing(d), out=near[part])
+    slow = np.flatnonzero(near)
+    L[slow] = list(map(math.log, Ns[slow].tolist()))
+    return L
 
 
 def goldbach_chen_scan(
@@ -665,48 +700,34 @@ def goldbach_chen_scan(
 ) -> ScanReport:
     """Scan every even 6 <= N <= N_max.
 
-    Both modes read one indicator of "m is a prime or a product of two
-    primes", built at odd m only, a window of the table's bits at a time
-    (`_odd_p2`): an odd prime p reaches the odd N - p, and p = 2 reaches
-    N - 2 = 2(N/2 - 1), which is in P2 exactly when N/2 - 1 is prime
-    (`_two_column`, set from the primes).  Primality is read off the bits
-    and spf off the odd store, both at m <= N_max only, and the primes come
-    from the `primes_upto(N_max)` prefix.  Arrays run over k = N/2, and an odd p
-    shifts by h = (p + 1)/2.  mode='full' gets pi2(N) for every N <= N_max
-    from one certified FFT convolution of the shifts with the indicator
-    (`_shift_counts`), and tracks the normalized ratio pi2(N) log^2 N /
-    (U_N N); mode='floor' only certifies pi2(N) >= 1.  It ORs the shifted
-    indicator into a whole array of resolved N, prime by prime, while more
-    than 1/64 of the N are unresolved, then drops every unresolved N with
-    N - p in the indicator, prime by prime, until none is left; the handoff
-    keeps a table with real failures from sweeping every prime.  The counts
-    are exact, so the report is deterministic.
+    Arrays run over k = N/2; an odd prime p of the `primes_upto(N_max)`
+    prefix shifts by h = (p + 1)/2 and reaches the odd N - p <= N_max, and
+    p = 2 reaches N - 2, in P2 exactly when N/2 - 1 is prime
+    (`_two_column`).  mode='full' gets every pi2(N) from one certified FFT
+    convolution of the shifts with the P2 indicator over odd m, built a
+    window of the table's bits at a time (`_odd_p2`, `_shift_counts`), and
+    tracks the ratio pi2(N) log^2 N / (U_N N).  mode='floor' only
+    certifies pi2(N) >= 1 (`_floor_sweep`), with the odd primes' indicator,
+    set from the shifts, first: every odd prime is in P2, so only the N
+    that the primes leave (none on a sound table) are swept with the P2
+    indicator, which alone sieves the odd spf store.  The report is
+    deterministic.
     """
     if mode not in ("full", "floor"):
         raise DomainError(f"mode must be 'full' or 'floor', got {mode}")
     if N_max > table.limit:
         raise CapacityError(f"N_max={N_max} exceeds table limit {table.limit}")
     half = max(N_max // 2 + 1, 3)  # k = N/2 runs over [3, half)
-    # every m read is <= N_max (or 1): one store and one prefix of primes
-    table.odd_spf_upto(max(N_max, 2))
     ps = table.primes_upto(max(N_max, 2))
-    odd_ps = ps[1 : np.searchsorted(ps, N_max, side="left")]
+    hs = (ps[1 : np.searchsorted(ps, N_max, side="left")] + 1) // 2
     # N - p <= N_max - 3 for odd p, so m < 2 * half - 4 covers every read.
-    odd = _odd_p2(table, half - 2)
-    hs = (odd_ps + 1) // 2
-
     if mode == "floor":
+        primes = np.zeros(half, dtype=bool)
+        primes[hs] = True  # at h = (p + 1)/2, so primes[1:] runs over odd m = 2j + 1
         done = _two_column(ps, half)
-        swept = 0
-        while swept < len(hs) and 64 * (half - 3 - np.count_nonzero(done)) > half:
-            h = hs[swept]
-            done[h + 1 :] |= odd[1 : half - h]
-            swept += 1
-        todo = np.flatnonzero(~done[3:]) + 3
-        for h in hs[swept:]:  # lazily: the loop stops after a few primes
-            if len(todo) == 0 or h > todo[-1]:
-                break
-            todo = todo[~odd[np.maximum(todo - h, 0)]]
+        todo = _floor_sweep(done, hs, primes[1:])
+        if len(todo):  # N left: sweep `done` again with the P2 indicator
+            todo = _floor_sweep(done, hs, _odd_p2(table, half - 2))
         failures = (2 * todo).tolist()
         return ScanReport(
             N_max=N_max,
@@ -716,12 +737,14 @@ def goldbach_chen_scan(
             failures=failures,
         )
 
-    counts = _shift_counts(hs, odd, half)
+    table.odd_spf_upto(max(N_max, 2))  # every m read is <= N_max (or 1): one store
+    counts = _shift_counts(hs, _odd_p2(table, half - 2), half)
     counts += _two_column(ps, half)
     c = counts[3:]
     Ns = np.arange(6, 2 * half, 2, dtype=np.int64)
     un = table.twin_product(table.limit).value * _odd_prime_factor_product(Ns, table)
-    ratio = _ratio(c, un, Ns, range(6, 2 * half, 2))
+    L = _logs(Ns)
+    ratio = c * L * L / (un * Ns)  # pi2(N) log^2 N / (U_N N)
 
     failures = Ns[c < 1].tolist()
     summary = {}

@@ -621,7 +621,6 @@ def _layouts_by_text() -> np.ndarray:
             else:
                 whole, frac, tail = d[0], d[1:sig], "e%+03d" % X
             texts.append(whole + ("." + frac if frac else "") + tail)
-    texts += [letters[20 - w :] for w in range(1, 21)]
     literals = csvtext._LITERALS
     code = np.full(128, 20 + len(literals), np.intp)  # the NUL
     code[np.frombuffer(letters.encode(), np.uint8)] = np.arange(20)
@@ -719,6 +718,15 @@ def test_int_kernel_matches_printf():
         info = np.iinfo(dtype)
         small = sorted({info.min, info.min + 1, max(info.min, -1), 0, 1, info.max - 1, info.max})
         assert _int_cells(np.array(small, dtype=dtype)) == ["%d" % v for v in small]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_int_kernel_matches_printf_on_any_bits(patterns):
+    # every int64 and uint64 bit pattern, through the word-arithmetic digits
+    bits = np.array(patterns, dtype=np.uint64)
+    for v in (bits, bits.view(np.int64)):
+        assert _int_cells(v) == ["%d" % n for n in v.tolist()]
 
 
 def test_write_csv_quotes_cells_that_need_it():
@@ -827,25 +835,27 @@ def test_scan_traced_peaks_not_above_per_N_scan():
 
 def test_scan_traced_peaks_at_1e6():
     # Ceilings in MiB, with the table's arrays built before tracing.  The
-    # floor scan's whole-array sweeps peak at 4.7 (8.7 with the shrinking
-    # index lists they replaced); the full scan frees each FFT array once
+    # floor scan's sweeps over the prime indicator peak at 2.1 (4.7 when the
+    # P2 indicator was built first, 8.7 with the shrinking index lists the
+    # whole-array sweeps replaced); the full scan frees each FFT array once
     # spent and stays at or below the 40.6 of the shifted adds.
     table = _ready_table(1_000_000)
     floor = _traced_peak(lambda: harness_mod.goldbach_chen_scan(1_000_000, table, mode="floor"))
-    assert floor <= 6
+    assert floor <= 2.5
     full = _traced_peak(lambda: harness_mod.goldbach_chen_scan(1_000_000, table, mode="full"))
     assert full <= 40.6
 
 
 def test_floor_scan_traced_peak_at_1e6_with_only_the_primes_built():
-    # Ceiling in MiB.  The floor scan sieves the odd spf store, builds its
-    # P2 indicator a window of bits at a time and reads primality and the
-    # p = 2 column off the bits: 3.0 measured (6.6 with a primality array to
-    # N_max and the indicator's temporaries over the whole odd half).
+    # Ceiling in MiB.  On a sound table the floor scan reads only the bits
+    # and the primes, and sieves no spf store: 2.1 measured (3.0 when it
+    # sieved the store and built its P2 indicator first, 6.6 with a
+    # primality array to N_max and the indicator's temporaries over the
+    # whole odd half).
     table = build_prime_table(1_000_000)
     table.primes
     floor = _traced_peak(lambda: harness_mod.goldbach_chen_scan(1_000_000, table, mode="floor"))
-    assert floor <= 4
+    assert floor <= 2.5
 
 
 @pytest.mark.parametrize(
@@ -930,9 +940,9 @@ def test_failing_command_leaves_its_output_file_untouched(tmp_path, monkeypatch)
 
 
 def test_floor_scan_peak_does_not_grow_with_the_table_limit():
-    # The scan builds spf and the primality array only as far as N_max, so
-    # with its primes unpacked a 1e7 table costs it no more than a 1e6 one
-    # (22.1 against 13.5 MiB when the primality array ran to the limit).
+    # The floor scan reads the bits only as far as N_max, so with its primes
+    # unpacked a 1e7 table costs it no more than a 1e6 one (22.1 against
+    # 13.5 MiB when a primality array ran to the limit; 2.1 for both now).
     peaks = []
     for limit in (1_000_000, 10_000_000):
         table = build_prime_table(limit)

@@ -462,13 +462,41 @@ def test_pi2_engines_on_a_table_that_marks_15_prime(monkeypatch):
     assert lemma41_columns(tail, damaged[4])[1].tolist() == want[-len(tail) :]
 
 
-def test_scan_sieves_spf_only_to_N_max():
-    """Both scan modes read spf at m <= N_max only, so a scan on a larger
-    table sieves spf no further."""
-    for mode in ("full", "floor"):
-        table = build_prime_table(1_000_000)
-        goldbach_chen_scan(20_000, table, mode=mode)
-        assert len(table.odd_spf_upto(0)) == 10_000
+def test_scan_sieves_spf_only_to_N_max(monkeypatch):
+    """A floor scan on a sound table settles every N with primes, so it
+    builds neither the odd spf store nor the P2 indicator; a full scan
+    sieves the store exactly to N_max, not to the table's limit."""
+    built = []
+    real = harness_mod._odd_p2
+    monkeypatch.setattr(harness_mod, "_odd_p2", lambda *a: built.append(a) or real(*a))
+    table = build_prime_table(1_000_000)
+    assert goldbach_chen_scan(20_000, table, mode="floor").floor_holds
+    assert table._store is None and built == []
+    goldbach_chen_scan(20_000, table, mode="full")
+    assert len(table._store) == 10_000 and len(built) == 1
+
+
+def test_floor_scan_sweeps_with_P2_what_the_primes_leave(monkeypatch):
+    """On a table whose bits drop every prime above 50, the prime sweep
+    leaves N that only a product of two primes reaches (92 = 5 + 3 * 29
+    among them), so the P2 pass runs, and the failures are
+    pi2_bruteforce's zeros."""
+    packed = build_prime_table(3000).packed.copy()
+    bits = np.unpackbits(packed.view(np.uint8), bitorder="little")
+    bits[(50 - 3) // 2 :] = 0  # bit j is 3 + 2j
+    packed = np.packbits(bits, bitorder="little").view(packed.dtype)
+    damaged = PrimeTable(limit=3000, packed=packed)
+    assert not damaged.is_prime(53) and damaged.is_prime(47)
+    sweeps, built = [], []
+    sweep, odd_p2 = harness_mod._floor_sweep, harness_mod._odd_p2
+    monkeypatch.setattr(harness_mod, "_floor_sweep", lambda *a: sweeps.append(sweep(*a)) or sweeps[-1])
+    monkeypatch.setattr(harness_mod, "_odd_p2", lambda *a: built.append(a) or odd_p2(*a))
+    rep = goldbach_chen_scan(3000, damaged, mode="floor")
+    assert len(sweeps) == 2 and len(built) == 1
+    left_by_primes, left = (set((2 * k).tolist()) for k in sweeps)
+    assert left < left_by_primes and 92 in left_by_primes - left
+    assert rep.failures == [N for N in range(6, 3001, 2) if pi2_bruteforce(N, damaged) == 0]
+    assert rep.failures == sorted(left) and len(rep.failures) > 100
 
 
 # -- identities ---------------------------------------------------------------------------
@@ -688,6 +716,38 @@ def test_scan_ratio_consistency(table_1m):
     ((_, pi2, _, _, _, _, _, ratio),) = zip(*lemma41_columns([5000], table_1m))
     assert row[1] == pi2
     assert row[3] == pytest.approx(ratio, rel=1e-3)
+
+
+def _counted_math_log(monkeypatch) -> list[int]:
+    calls = [0]
+    real = math.log
+
+    def counted(x):
+        calls[0] += 1
+        return real(x)
+
+    monkeypatch.setattr(math, "log", counted)
+    return calls
+
+
+def test_logs_match_math_log_at_every_even_N_to_2e6(monkeypatch):
+    """The long-double logs equal math.log bit for bit at every even N to
+    2e6 (float64 np.log misses 43 of them on an AVX-512 Xeon), across about
+    30 chunks; the N near a rounding midpoint (about 4%) take math.log."""
+    Ns = np.arange(2, 2_000_001, 2, dtype=np.int64)
+    want = np.fromiter(map(math.log, Ns.tolist()), np.float64, len(Ns))
+    calls = _counted_math_log(monkeypatch)
+    assert np.array_equal(harness_mod._logs(Ns), want)
+    assert 0.02 * len(Ns) < calls[0] < 0.06 * len(Ns)
+
+
+def test_logs_take_math_log_everywhere_without_x87_long_double(monkeypatch):
+    Ns = np.arange(6, 20_001, 2, dtype=np.int64)
+    want = np.fromiter(map(math.log, Ns.tolist()), np.float64, len(Ns))
+    calls = _counted_math_log(monkeypatch)
+    monkeypatch.setattr(np.finfo(np.longdouble), "nmant", 52)  # long double = double
+    assert np.array_equal(harness_mod._logs(Ns), want)
+    assert calls[0] == len(Ns)
 
 
 def test_scan_floor_mode(table_small):

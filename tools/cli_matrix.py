@@ -12,7 +12,9 @@ can be compared line for line:
 
 The matrix holds the README commands, ``scan`` and ``verify`` under every
 ``--output-format`` x ``--emit`` pair, the other reports in every format,
-edge ``--max`` values (two of them on either side of an FFT length step),
+edge ``--max`` values (two of them on either side of an FFT length step,
+two on either side of a chunk of the scan's long-double logs, and floor
+scans on either side of the sweep's 1/64 handoff),
 ``verify`` cases for every branch of its lemma-4.1 pass and at even and odd
 table limits, the grid and bound sizes of the certify benchmark and grids
 one march past an integer, CSVs that
@@ -83,7 +85,13 @@ EDGES = [
         (36000, 36000), (24000, 24000),
         # the scan's FFT length moves from 2**17 to 2**18 between these two
         (131072, 131072), (131074, 131074),
+        # 2**15 and 2**15 + 1 N: one chunk of long-double logs, then two
+        (65540, 65540), (65542, 65542),
     ]
+] + [
+    # N_max / 2 + 1 = 63, 64, 65: the floor sweep ORs whole arrays until no
+    # N is left (63) or at most one (64, 65), then drops N one by one
+    f"scan --max {m} --floor-only --table-limit {m}" for m in (124, 126, 128)
 ] + [
     "scan --max 24000 --rows --emit json --table-limit 24000",
     "scan --max 8 --floor-only --rows --table-limit 10",
