@@ -15,19 +15,19 @@ from chensieve.ball import GAMMA
 from chensieve.bounds import final_coefficient
 from chensieve.cli import main
 from chensieve.constants import ledger
-from chensieve.harness import (
-    SiftedSetSpec,
-    bilinear_discrepancy_exact,
-    goldbach_chen_scan,
-    inclusion_exclusion_check,
-    pi2_bruteforce,
-    sift_count,
-)
+from chensieve.harness import goldbach_chen_scan
 from chensieve.primes import (
     build_prime_table,
     mertens_product,
     omega_range,
     recip_prime_sum,
+)
+from chensieve.reference import (
+    SiftedSetSpec,
+    bilinear_discrepancy_exact,
+    inclusion_exclusion_check,
+    pi2_bruteforce,
+    sift_count,
 )
 from chensieve.sievefun import eval_f1, get_system
 

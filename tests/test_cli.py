@@ -1257,17 +1257,19 @@ def test_cli_matrix_commands_parse(tmp_path):
 # -- what each command loads and parses -------------------------------------------
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
-# modules that only the constants, bounds and sievefun commands run
+# modules that only the constants, bounds and sievefun commands run, and the
+# reference evaluators, which no command runs
 _LAZY = ["chensieve.bounds", "chensieve.constants", "chensieve.quadrature",
-         "chensieve.sievefun", "numpy.polynomial"]
+         "chensieve.sievefun", "numpy.polynomial", "chensieve.reference"]
 _NOT_LOADED = {
     "scan": _LAZY,
     "verify": _LAZY,
     "cache": _LAZY,
     "sievefun": ["chensieve.bounds", "chensieve.constants", "chensieve.quadrature",
-                 "numpy.polynomial"],
-    "constants": ["chensieve.bounds", "chensieve.sievefun", "numpy.polynomial"],
-    "bounds": ["numpy.polynomial"],
+                 "numpy.polynomial", "chensieve.reference"],
+    "constants": ["chensieve.bounds", "chensieve.sievefun", "numpy.polynomial",
+                  "chensieve.reference"],
+    "bounds": ["numpy.polynomial", "chensieve.reference"],
 }
 _MAIN_THEN_MODULES = """\
 import sys

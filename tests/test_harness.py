@@ -10,18 +10,17 @@ import pytest
 
 from chensieve import harness as harness_mod
 from chensieve import primes as primes_mod
+from chensieve import reference
 from chensieve.cli import main
 from chensieve.constants import ledger
 from chensieve.errors import CapacityError, DomainError
-from chensieve.harness import (
-    ScanReport,
+from chensieve.harness import ScanReport, goldbach_chen_scan, lemma41_columns
+from chensieve.reference import (
     _p2p3_support,
     SiftedSetSpec,
     bilinear_discrepancy_exact,
     enumerate_set,
-    goldbach_chen_scan,
     inclusion_exclusion_check,
-    lemma41_columns,
     pi2_bruteforce,
     sift_count,
 )
@@ -72,6 +71,22 @@ def pi2_oracle(N: int, prime_list: list[int]) -> int:
         if m >= 2 and omega_with_multiplicity(m) <= 2:
             count += 1
     return count
+
+
+# -- module layout ------------------------------------------------------------------
+
+
+def test_harness_defines_only_the_engines():
+    """The commands run `harness`; the reference evaluators live in
+    `chensieve.reference`, so no oracle code grows back into it."""
+    public = sorted(
+        name
+        for name, obj in vars(harness_mod).items()
+        if not name.startswith("_")
+        and callable(obj)
+        and getattr(obj, "__module__", None) == harness_mod.__name__
+    )
+    assert public == ["ScanReport", "goldbach_chen_scan", "lemma41_columns"]
 
 
 # -- set enumeration ----------------------------------------------------------------
@@ -232,9 +247,9 @@ def lemma41_reference(N, table, z_exp=0.125, y_exp=1.0 / 3.0):
     z, y = N ** z_exp, N ** y_exp
     S_A = sift_count(SiftedSetSpec("A", N, z=z, y=y), table, level=z)
     A = enumerate_set(SiftedSetSpec("A", N, z=z, y=y), table)
-    primes = harness_mod._sifting_primes(N, z, table)
+    primes = reference._sifting_primes(N, z, table)
     sum_S_Aq = sum(
-        len(harness_mod._sift(A[A % q == 0], primes))
+        len(reference._sift(A[A % q == 0], primes))
         for q in table.primes_between(z, y).tolist()
         if N % q != 0
     )
